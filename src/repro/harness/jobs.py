@@ -201,6 +201,7 @@ class JobOutcome:
     cached: bool
     #: End-to-end job wall-clock (probes + dispatches + reassembly).
     elapsed_s: float
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_cells(self) -> int:
@@ -212,8 +213,11 @@ class JobOutcome:
 
     @property
     def digest(self) -> str:
-        """Digest of the assembled result (the golden-pin digest space)."""
-        return result_digest(self.result)
+        """Digest of the assembled result (the golden-pin digest space),
+        computed at most once per outcome."""
+        if self._digest is None:
+            self._digest = result_digest(self.result)
+        return self._digest
 
     def status_line(self) -> str:
         """Compact human status: ``cached``/``computed`` + wall-clock.
@@ -322,13 +326,15 @@ class JobRunner:
         cells = exp.cache_cells(spec.scale, spec.seed, overrides)
         if cells is None:
             result, outcome = self._run_cell(spec, overrides)
-            return JobOutcome(
+            job = JobOutcome(
                 spec=spec,
                 result=result,
                 cells=[outcome],
                 cached=outcome.hit,
                 elapsed_s=time.perf_counter() - start,
             )
+            job._digest = outcome.digest  # taken over this same result
+            return job
         params = exp.resolve_params(spec.scale, dict(overrides))
         results: list[ExperimentResult] = []
         outcomes: list[CellOutcome] = []

@@ -144,10 +144,11 @@ def code_fingerprint() -> str:
     changes this fingerprint.  Since the farm PR it is only the
     *fallback* key material, for results that map onto no registered
     experiment; experiment invocations key on the module-granular
-    :func:`experiment_fingerprint` instead.  Per-module hashes are
-    memoized per process and invalidated by ``(path, mtime_ns, size)``
-    (:mod:`repro.harness.fingerprint`), so repeated calls cost ``stat``
-    syscalls, not re-reads.
+    :func:`experiment_fingerprint` instead.  A repeated call costs one
+    stat walk of the package: while no file's ``(mtime_ns, size)`` moved,
+    the value comes from the in-process snapshot
+    (:func:`repro.harness.fingerprint.snapshot`) without re-reading a
+    source file.
     """
     return _fingerprint.package_fingerprint()
 
@@ -155,10 +156,11 @@ def code_fingerprint() -> str:
 def _fingerprint_for(experiment_id: str) -> str:
     """Module-granular fingerprint for ``experiment_id``, falling back to
     the whole-package hash for ids outside the experiment registry."""
+    snap = _fingerprint.snapshot()
     try:
-        return _fingerprint.experiment_fingerprint(experiment_id)
+        return snap.experiment(experiment_id)[1]
     except (ExperimentError, ConfigurationError):
-        return code_fingerprint()
+        return snap.fingerprint
 
 
 def result_digest(result: ExperimentResult) -> str:
@@ -244,6 +246,11 @@ def cache_key(
     keys of experiments that cannot observe an edit survive it.  Pass
     ``fingerprint`` explicitly to pin a key to a specific code state
     (tests; the farm's previous-generation probes).
+
+    Deriving the default costs one stat walk of the package plus
+    dictionary lookups while the source tree is unchanged; an edit,
+    addition or removal on disk is seen by the very next call, which
+    re-reads only the files that moved.
     """
     from .. import backend as _backend
 
@@ -462,9 +469,9 @@ class ResultCache:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         self._gc_old_entries()
+        snap = _fingerprint.snapshot()
         try:
-            exp_fp = _fingerprint.experiment_fingerprint(result.experiment_id)
-            modules = _fingerprint.closure_hashes(result.experiment_id)
+            modules, exp_fp = snap.experiment(result.experiment_id)
         except (ExperimentError, ConfigurationError):
             exp_fp, modules = None, None  # unregistered id: coarse key only
         entry = {
@@ -477,7 +484,7 @@ class ResultCache:
                     k: _canonical_override(v, k)
                     for k, v in (overrides or {}).items()
                 },
-                "code_fingerprint": code_fingerprint(),
+                "code_fingerprint": snap.fingerprint,
                 "experiment_fingerprint": exp_fp,
                 "digest": result_digest(result),
                 "elapsed_s": result.elapsed_s,

@@ -27,7 +27,9 @@ wherever the library runs.  Design:
 * **Observability.**  ``GET /stats`` reports throughput, cache-hit
   rate, queue depth, latency percentiles and the executor's dispatch /
   pool counters; ``GET /jobs/<id>`` exposes the per-cell hit/miss
-  provenance of a finished job.
+  provenance of a finished job.  Only the most recent finished records
+  are kept (:data:`_FINISHED_RECORDS_KEPT`), so memory stays bounded
+  under any volume of traffic.
 
 Validation happens at admission: unknown experiment ids, unknown device
 names, malformed overrides and unknown body fields are 400s produced by
@@ -37,6 +39,7 @@ the job core's named errors, never mid-run failures.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import threading
 import time
@@ -51,6 +54,48 @@ __all__ = ["ExperimentService", "JobRecord", "ServiceStats", "ServiceThread"]
 
 #: Maximum accepted request-body size; a daemon must bound what it buffers.
 _MAX_BODY_BYTES = 1_048_576
+
+#: Finished job records kept for ``GET /jobs`` and ``GET /jobs/<id>``;
+#: older ones are dropped (their results stay in the result cache), so a
+#: long-lived daemon holds bounded memory whatever its traffic.
+_FINISHED_RECORDS_KEPT = 1024
+
+#: Largest over-limit body read and dropped before the 400 is sent.
+#: Closing a socket with unread input makes the kernel send RST, which
+#: can destroy the response before the client reads it; a body consumed
+#: in full lets the close end in an orderly FIN.
+_DISCARD_LIMIT_BYTES = 4 * _MAX_BODY_BYTES
+
+#: Deadline for dropping an over-limit body.
+_DISCARD_TIMEOUT_S = 5.0
+
+#: Deadline for draining a client after a half-close (``write_eof``),
+#: when its body was too large or too slow to drop in full.
+_LINGER_TIMEOUT_S = 2.0
+
+
+async def _discard(
+    reader: asyncio.StreamReader, nbytes: int | None, timeout_s: float
+) -> bool:
+    """Read and drop ``nbytes`` of input (``None``: up to EOF) within
+    ``timeout_s``; ``True`` iff all of it was consumed in time."""
+
+    async def drop() -> bool:
+        remaining = nbytes
+        while remaining is None or remaining > 0:
+            chunk = await reader.read(
+                65_536 if remaining is None else min(remaining, 65_536)
+            )
+            if not chunk:
+                return remaining is None
+            if remaining is not None:
+                remaining -= len(chunk)
+        return True
+
+    try:
+        return await asyncio.wait_for(drop(), timeout_s)
+    except (asyncio.TimeoutError, ConnectionError):
+        return False
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -153,10 +198,15 @@ class JobRecord:
 class _HttpError(Exception):
     """Routing-level error carrying an HTTP status + JSON body."""
 
-    def __init__(self, status: int, message: str, **extra) -> None:
+    def __init__(
+        self, status: int, message: str, *, unread_input: bool = False, **extra
+    ) -> None:
         super().__init__(message)
         self.status = status
         self.body = {"error": message, **extra}
+        #: The request body was not consumed: half-close and drain
+        #: before closing, so the response is not reset away.
+        self.unread_input = unread_input
 
 
 class ExperimentService:
@@ -191,6 +241,7 @@ class ExperimentService:
         self.port = port
         self.stats = ServiceStats()
         self.jobs: dict[str, JobRecord] = {}
+        self._finished: collections.deque[str] = collections.deque()
         self._queue: asyncio.Queue[JobRecord | None] = asyncio.Queue()
         self._job_counter = 0
         self._draining = False
@@ -274,16 +325,20 @@ class ExperimentService:
                 failed=record.status == "failed",
             )
             record.done.set()
+            self._finished.append(record.job_id)
+            while len(self._finished) > _FINISHED_RECORDS_KEPT:
+                del self.jobs[self._finished.popleft()]
         self._drained.set()
 
     # ------------------------------------------------------------- requests
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        unread_input = False
         try:
             status, body = await self._handle_request(reader)
         except _HttpError as exc:
-            status, body = exc.status, exc.body
+            status, body, unread_input = exc.status, exc.body, exc.unread_input
         except (asyncio.IncompleteReadError, ConnectionError):
             writer.close()
             return
@@ -304,6 +359,9 @@ class ExperimentService:
         try:
             writer.write(head.encode() + payload)
             await writer.drain()
+            if unread_input and writer.can_write_eof():
+                writer.write_eof()
+                await _discard(reader, None, _LINGER_TIMEOUT_S)
         except ConnectionError:  # pragma: no cover - client went away
             pass
         finally:
@@ -329,7 +387,14 @@ class ExperimentService:
                 except ValueError:
                     raise _HttpError(400, f"bad Content-Length: {value.strip()!r}")
         if content_length > _MAX_BODY_BYTES:
-            raise _HttpError(400, f"request body exceeds {_MAX_BODY_BYTES} bytes")
+            consumed = content_length <= _DISCARD_LIMIT_BYTES and await _discard(
+                reader, content_length, _DISCARD_TIMEOUT_S
+            )
+            raise _HttpError(
+                400,
+                f"request body exceeds {_MAX_BODY_BYTES} bytes",
+                unread_input=not consumed,
+            )
         raw_body = await reader.readexactly(content_length) if content_length else b""
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"

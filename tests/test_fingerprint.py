@@ -249,3 +249,97 @@ class TestExperimentInvalidation:
 
     def test_fingerprint_stable_across_calls(self, patched_root):
         assert experiment_fingerprint("fig4") == experiment_fingerprint("fig4")
+
+
+class TestSnapshot:
+    """The per-process snapshot: one stat walk per call, every on-disk
+    change seen by the very next call, no memo reset between steps."""
+
+    def test_added_module_enters_the_closure_once_imported(self, patched_root):
+        from repro.harness import cache_key
+
+        extra = patched_root / "fp" / "_snapshot_probe.py"
+        importer = patched_root / "fp" / "summation.py"
+        original = importer.read_bytes()
+        fp0, key0 = experiment_fingerprint("fig1"), cache_key("fig1", "default", 0)
+        try:
+            extra.write_text("PROBE = 1\n")
+            assert "repro.fp._snapshot_probe" in module_hashes()
+            assert experiment_fingerprint("fig1") == fp0  # not imported yet
+            importer.write_bytes(original + b"\nfrom . import _snapshot_probe\n")
+            assert "repro.fp._snapshot_probe" in fingerprint.closure_hashes("fig1")
+            assert experiment_fingerprint("fig1") != fp0
+            assert cache_key("fig1", "default", 0) != key0
+        finally:
+            importer.write_bytes(original)
+            extra.unlink(missing_ok=True)
+        assert "repro.fp._snapshot_probe" not in module_hashes()
+        assert experiment_fingerprint("fig1") == fp0
+        assert cache_key("fig1", "default", 0) == key0
+
+    def test_deleted_closure_module_changes_the_fingerprint(self, patched_root):
+        target = patched_root / "experiments" / "_gnn.py"
+        original = target.read_bytes()
+        before = experiment_fingerprint("table7")
+        assert "repro.experiments._gnn" in fingerprint.closure_hashes("table7")
+        target.unlink()
+        try:
+            assert "repro.experiments._gnn" not in module_hashes()
+            assert experiment_fingerprint("table7") != before
+        finally:
+            target.write_bytes(original)
+        assert experiment_fingerprint("table7") == before
+
+    def test_warm_cache_key_reads_and_parses_nothing(self, patched_root, monkeypatch):
+        import ast
+
+        from repro.harness import cache_key
+
+        target = patched_root / "fp" / "summation.py"
+        key = cache_key("fig1", "default", 0)  # warm the snapshot
+        calls = {"read_bytes": 0, "parse": 0}
+        read_bytes, parse = Path.read_bytes, ast.parse
+
+        def counting_read_bytes(self):
+            calls["read_bytes"] += 1
+            return read_bytes(self)
+
+        def counting_parse(*args, **kwargs):
+            calls["parse"] += 1
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert cache_key("fig1", "default", 0) == key
+        assert cache_key("fig1", "default", 0) == key
+        assert calls == {"read_bytes": 0, "parse": 0}
+        # The counters do see the cold path: an edit re-reads the edited
+        # file (once to hash, once to parse) and nothing else.
+        _edit(target)
+        try:
+            assert cache_key("fig1", "default", 0) != key
+            assert calls == {"read_bytes": 2, "parse": 1}
+        finally:
+            _unedit(target)
+        assert cache_key("fig1", "default", 0) == key
+
+    def test_every_experiment_matches_a_from_scratch_reference(self, patched_root):
+        import hashlib
+
+        from repro.experiments import get_experiment, list_experiments
+
+        warm = {eid: experiment_fingerprint(eid) for eid in list_experiments()}
+        fingerprint.invalidate_memo()
+        graph = import_graph()
+
+        def source(module: str) -> Path:
+            path = patched_root.joinpath(*module.split(".")[1:])
+            return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+        for eid, fp in warm.items():
+            closure = transitive_closure(get_experiment(eid).source_module, graph)
+            reference = fingerprint._combined({
+                name: hashlib.sha256(source(name).read_bytes()).hexdigest()
+                for name in closure
+            })
+            assert fp == reference, eid

@@ -15,6 +15,7 @@ Three layers:
 
 import json
 import math
+import socket
 import threading
 import time
 import urllib.error
@@ -36,7 +37,8 @@ from repro.harness.service import (
     ServiceStats,
     ServiceThread,
 )
-from repro.harness.service.daemon import _percentile
+from repro.harness.service import daemon
+from repro.harness.service.daemon import _DISCARD_LIMIT_BYTES, _percentile
 from repro.runtime import RunContext
 
 
@@ -276,6 +278,30 @@ class TestServiceEndpoints:
                                    b"x" * (1_048_576 + 1))
         assert status == 400 and "exceeds" in body["error"]
 
+    def test_body_beyond_the_discard_limit_still_gets_its_400(self, service):
+        # Too large to drop in full: the daemon half-closes after the
+        # response and drains, so the 400 still reaches the client.
+        status, body = _post_error(service.base_url + "/jobs",
+                                   b"x" * (_DISCARD_LIMIT_BYTES + 1))
+        assert status == 400 and "exceeds" in body["error"]
+
+    def test_silent_oversized_client_is_answered_in_bounded_time(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(daemon, "_DISCARD_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(daemon, "_LINGER_TIMEOUT_S", 0.2)
+        with socket.create_connection(
+            (service.service.host, service.service.port), timeout=30
+        ) as sock:
+            # Declares an over-limit body, then never sends it.
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n")
+            start = time.monotonic()
+            reply = b""
+            while chunk := sock.recv(65_536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert time.monotonic() - start < 10.0
+
     def test_unknown_routes_404(self, service):
         for url in ("/nope", "/jobs/job-999999"):
             with pytest.raises(urllib.error.HTTPError) as exc:
@@ -373,3 +399,21 @@ class TestBackpressureAndDrain:
         records = list(svc.service.jobs.values())
         assert [r.status for r in records] == ["done"] * 3
         assert svc.service.stats.rejected_503 == 1
+
+    def test_finished_records_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(daemon, "_FINISHED_RECORDS_KEPT", 2)
+        runner = _GatedRunner()
+        runner.gate.set()
+        with ServiceThread(runner, queue_limit=8) as svc:
+            ids = [
+                _post(svc.base_url + "/jobs?wait=1",
+                      {"experiment_id": "table2"})["job_id"]
+                for _ in range(4)
+            ]
+            listed = [j["job_id"] for j in _get(svc.base_url + "/jobs")["jobs"]]
+            assert listed == ids[-2:]
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                _get(svc.base_url + f"/jobs/{ids[0]}")
+            assert exc.value.code == 404
+            assert _get(svc.base_url + f"/jobs/{ids[-1]}")["status"] == "done"
+            assert _get(svc.base_url + "/stats")["completed"] == 4
