@@ -32,7 +32,7 @@ from ..ops.nondet import OP_CONTENTION
 from ..ops.scatter import _finalize_scatter_reduce
 from ..ops.segmented import _IDENTITY, _UFUNC, SegmentPlan, _stratified_refold
 from ..runtime import RunContext
-from .sharding import RunConcat, RunList, run_digest
+from .sharding import RunConcat, RunList, run_digests
 
 __all__ = [
     "OpVariability",
@@ -432,7 +432,7 @@ def sweep_run_payloads(
             {
                 "vcs": RunConcat(vcs),
                 "ermvs": RunConcat(ermvs),
-                "digests": RunList([run_digest(row) for row in cmp_rows]),
+                "digests": RunList(run_digests(cmp_rows)),
             }
         )
     return payloads

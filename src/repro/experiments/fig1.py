@@ -79,7 +79,7 @@ class Fig1SpaPdf(ShardableExperiment):
             rngs = []
             for a in range(n_arrays):
                 ctx.seek_runs(plan.run_block_base(base, distribution=d, array=a) + lo)
-                rngs.extend(ctx.scheduler() for _ in range(r))
+                rngs.extend(ctx.schedulers(r))
             vs_mat = spa_vs_samples_arrays(
                 xs, r, ctx,
                 device=params["device"],

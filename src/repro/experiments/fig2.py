@@ -75,7 +75,7 @@ class Fig2AoPdf(ShardableExperiment):
             xs["SPA"].append(sample_array(data_rng, params["spa_n_elements"], "uniform"))
             for i, name in enumerate(plan.axis("impl").values):
                 ctx.seek_runs(plan.run_block_base(base, array=a, impl=i) + lo)
-                run_rngs[name].extend(ctx.scheduler() for _ in range(r))
+                run_rngs[name].extend(ctx.schedulers(r))
         vs_axis = plan.merge_axis("array", "run")
         payload = {
             "AO": RunConcat(ao_vs_samples_arrays(

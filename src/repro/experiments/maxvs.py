@@ -78,7 +78,7 @@ class MaxVsPowerLaw(ShardableExperiment):
                     ctx.seek_runs(
                         plan.run_block_base(base, distribution=d, size=s, array=a) + lo
                     )
-                    rngs.extend(ctx.scheduler() for _ in range(r))
+                    rngs.extend(ctx.schedulers(r))
                 vs_mat = spa_vs_samples_arrays(
                     xs, r, ctx,
                     device=params["device"],

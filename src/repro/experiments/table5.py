@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..metrics.array import ermv
+from ..metrics.array import ermv_rows
 from ..ops import (
     conv_transpose_runs,
     cumsum,
@@ -43,7 +43,7 @@ def _finite_mean(vals: np.ndarray) -> float:
 
 def _per_run_ermvs(reference: np.ndarray, outputs: list[np.ndarray]) -> RunConcat:
     """One window's per-run Vermv values, tagged for shard concatenation."""
-    return RunConcat(np.array([ermv(reference, o) for o in outputs]))
+    return RunConcat(ermv_rows(reference, outputs))
 
 
 class Table5OpSweep(ShardableExperiment):

@@ -123,7 +123,7 @@ def permutation_spread(
     sums = np.empty(n_permutations, dtype=np.float64)
     for lo, hi in iter_run_chunks(n_permutations, n):
         perms = np.empty((hi - lo, n), dtype=np.int64)
-        for r in range(hi - lo):
-            perms[r] = ctx.scheduler().permutation(n)
+        for r, rng in enumerate(ctx.schedulers(hi - lo)):
+            perms[r] = rng.permutation(n)
         sums[lo:hi] = permuted_sums(arr, perms)
     return scalar_variability_many(sums, s_d)

@@ -93,7 +93,9 @@ rows — per-run fold bits are untouched by the split (row folds depend only
 on their own row), so concatenated shard results are bit-identical to the
 single-process run matrix.  The ``run_offset`` extension of the contract
 is documented in :mod:`repro.gpusim.scheduler` and fuzz-pinned in
-``tests/test_batched_engine.py``.
+``tests/test_batched_engine.py``.  A window of run streams may be derived
+in one :meth:`~repro.runtime.RunContext.schedulers` call, with bits
+identical to that many ``scheduler()`` calls.
 """
 
 from __future__ import annotations

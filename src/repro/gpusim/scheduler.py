@@ -156,7 +156,10 @@ each derivation against the hand-wired arithmetic it replaced.
 Draw contracts of the other batched run consumers
 -------------------------------------------------
 The one-stream-per-run rule generalises beyond this module; every batched
-path draws per run, in run order, exactly what its scalar twin draws:
+path draws per run, in run order, exactly what its scalar twin draws.  A
+window of run streams may be derived in one
+:meth:`repro.runtime.RunContext.schedulers` call with bits identical to
+that many ``scheduler()`` calls:
 
 * **cumsum chunk ladder** (:func:`repro.ops.cumsum.cumsum_runs`) — each
   run's stream contributes exactly one ``integers(len(chunk_ladder))``
@@ -654,8 +657,7 @@ class WaveSchedulerBatch:
         if rngs is None:
             if self.ctx is None:
                 raise SchedulerError("WaveSchedulerBatch needs a ctx or explicit rngs")
-            scheduler = self.ctx.scheduler
-            rngs = [scheduler() for _ in range(n_runs)]
+            rngs = self.ctx.schedulers(n_runs)
         elif len(rngs) != n_runs:
             raise SchedulerError(f"expected {n_runs} rngs, got {len(rngs)}")
         for r in range(n_runs):

@@ -73,6 +73,13 @@ _DISCARD_TIMEOUT_S = 5.0
 #: when its body was too large or too slow to drop in full.
 _LINGER_TIMEOUT_S = 2.0
 
+#: Deadline for receiving a whole request (line, headers and an
+#: in-limit body); a client still sending after it gets a 408.
+_READ_TIMEOUT_S = 10.0
+
+#: Most header lines accepted per request; more get a 400.
+_MAX_HEADERS = 100
+
 
 async def _discard(
     reader: asyncio.StreamReader, nbytes: int | None, timeout_s: float
@@ -346,7 +353,8 @@ class ExperimentService:
             status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
         payload = json.dumps(body, default=str).encode()
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 429: "Too Many Requests",
+                  404: "Not Found", 408: "Request Timeout",
+                  429: "Too Many Requests",
                   500: "Internal Server Error",
                   503: "Service Unavailable"}.get(status, "OK")
         head = (
@@ -368,24 +376,19 @@ class ExperimentService:
             writer.close()
 
     async def _handle_request(self, reader: asyncio.StreamReader) -> tuple[int, dict]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            raise _HttpError(400, "empty request")
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise _HttpError(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
-        content_length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _HttpError(400, f"bad Content-Length: {value.strip()!r}")
+        # One deadline covers the request line, the headers and an in-limit
+        # body; an over-limit body is dropped under its own deadline below.
+        try:
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                method, target, content_length = await self._read_head(reader)
+                if content_length <= _MAX_BODY_BYTES:
+                    raw_body = await reader.readexactly(content_length)
+        except TimeoutError:
+            raise _HttpError(
+                408,
+                f"request not received within {_READ_TIMEOUT_S:g} s",
+                unread_input=True,
+            ) from None
         if content_length > _MAX_BODY_BYTES:
             consumed = content_length <= _DISCARD_LIMIT_BYTES and await _discard(
                 reader, content_length, _DISCARD_TIMEOUT_S
@@ -395,11 +398,40 @@ class ExperimentService:
                 f"request body exceeds {_MAX_BODY_BYTES} bytes",
                 unread_input=not consumed,
             )
-        raw_body = await reader.readexactly(content_length) if content_length else b""
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
         return await self._route(method, path, query, raw_body)
+
+    @staticmethod
+    async def _read_head(reader: asyncio.StreamReader) -> tuple[str, str, int]:
+        """Read the request line and headers; return ``(method, target,
+        content length)``."""
+        request_line = (await reader.readline()).decode("latin-1").strip()
+        if not request_line:
+            raise _HttpError(400, "empty request")
+        parts = request_line.split()
+        if len(parts) != 3:
+            raise _HttpError(400, f"malformed request line: {request_line!r}")
+        method, target, _version = parts
+        content_length = 0
+        n_headers = 0
+        while True:
+            line = (await reader.readline()).decode("latin-1").strip()
+            if not line:
+                break
+            n_headers += 1
+            if n_headers > _MAX_HEADERS:
+                raise _HttpError(
+                    400, f"more than {_MAX_HEADERS} header lines", unread_input=True
+                )
+            name, _, value = line.partition(":")
+            if name.strip().lower() == "content-length":
+                try:
+                    content_length = int(value.strip())
+                except ValueError:
+                    raise _HttpError(400, f"bad Content-Length: {value.strip()!r}")
+        return method, target, content_length
 
     async def _route(
         self, method: str, path: str, query: dict, raw_body: bytes

@@ -23,6 +23,7 @@ with problem size (:mod:`repro.metrics.powerlaw`).
 from .scalar import scalar_variability, scalar_variability_many
 from .array import (
     ermv,
+    ermv_rows,
     count_variability,
     variability_report,
     pairwise_ermv_matrix,
@@ -44,6 +45,7 @@ __all__ = [
     "scalar_variability",
     "scalar_variability_many",
     "ermv",
+    "ermv_rows",
     "count_variability",
     "variability_report",
     "pairwise_ermv_matrix",

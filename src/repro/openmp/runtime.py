@@ -208,15 +208,13 @@ class OpenMPRuntime:
             active = np.flatnonzero(touched)
             k = active.size
             orders = np.empty((n_runs, k), dtype=np.int64)
-            for r in range(n_runs):
-                rng = ctx.scheduler()
+            for r, rng in enumerate(ctx.schedulers(n_runs)):
                 orders[r] = rng.permutation(k)
             if k == 0:
                 return np.zeros(n_runs, dtype=np.float64)
             return batched_atomic_fold(partials[active], orders)
         out = np.empty(n_runs, dtype=np.float64)
-        for r in range(n_runs):
-            rng = ctx.scheduler()
+        for r, rng in enumerate(ctx.schedulers(n_runs)):
             assign = self.assignment(arr.size, rng)
             partials, touched = self._thread_partials(assign, arr)
             active = np.flatnonzero(touched)

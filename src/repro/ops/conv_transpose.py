@@ -256,8 +256,8 @@ def conv_transpose_runs(
     C_out = plan.out_shape[1]
     ref = _add_bias(plan.det_output(), bias, plan.dtype, C_out, nd)
     outs = [
-        _add_bias(plan.nd_output(ctx.scheduler(), model), bias, plan.dtype, C_out, nd)
-        for _ in range(n_runs)
+        _add_bias(plan.nd_output(rng, model), bias, plan.dtype, C_out, nd)
+        for rng in ctx.schedulers(n_runs)
     ]
     return ref, outs
 

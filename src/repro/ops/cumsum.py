@@ -165,10 +165,10 @@ def cumsum_runs(
         raise ConfigurationError("chunk_ladder must be non-empty")
     moved = _validated_moved(x, dim)
     ctx = ctx or get_context()
-    chunks = []
-    for _ in range(n_runs):
-        rng = ctx.scheduler()
-        chunks.append(int(chunk_ladder[int(rng.integers(len(chunk_ladder)))]))
+    chunks = [
+        int(chunk_ladder[int(rng.integers(len(chunk_ladder)))])
+        for rng in ctx.schedulers(n_runs)
+    ]
     flat = _as_rows(moved)
     per_chunk: dict[int, np.ndarray] = {}
     for c in dict.fromkeys(chunks):  # first-occurrence order

@@ -313,8 +313,7 @@ class SegmentPlan:
             ``(n_runs, n_sources)`` order matrix for :meth:`fold_runs`.
         """
         orders = np.empty((n_runs, self.n_sources), dtype=np.int64)
-        for r in range(n_runs):
-            rng = ctx.scheduler()
+        for r, rng in enumerate(ctx.schedulers(n_runs)):
             raced = model.sample_raced(
                 self.multi_targets, self.n_sources, self.n_targets, rng
             )
@@ -331,8 +330,7 @@ class SegmentPlan:
         ascending target-then-rank order), but returns the raw draws
         instead of materialising ``(n_runs, n_sources)`` order matrices.
         """
-        scheduler = ctx.scheduler
-        return self._draw_runs((scheduler() for _ in range(n_runs)), model)
+        return self._draw_runs(ctx.schedulers(n_runs), model)
 
     def sample_run_draws_rngs(
         self, rngs, model

@@ -152,7 +152,7 @@ class ReductionImpl(abc.ABC):
             return np.zeros(n_runs, dtype=np.float64)
         if not self.properties.deterministic and rngs is None:
             c = ctx or get_context()
-            rngs = [c.scheduler() for _ in range(n_runs)]
+            rngs = c.schedulers(n_runs)
         return self._reduce_runs(mat, self._launch_for(n), rngs)
 
     def _reduce_runs(

@@ -22,7 +22,9 @@ kinds of streams:
     For execution-order sampling.  Every call to :meth:`RunContext.scheduler`
     consumes the run counter, so two successive non-deterministic kernel
     invocations see *different* interleavings — exactly like back-to-back
-    launches on a real GPU.
+    launches on a real GPU.  :meth:`RunContext.schedulers` hands out a
+    whole window of these streams in one vectorised derivation, bit for
+    bit the streams the same number of ``scheduler()`` calls would.
 
 ``init``
     For model parameter initialisation; stable across runs so that training
@@ -56,12 +58,14 @@ shard's draws are not one contiguous block (e.g. a sweep that consumes
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError
 
@@ -77,6 +81,165 @@ _DATA_TAG = 0x0DA7A
 _SCHED_TAG = 0x5C4ED
 _INIT_TAG = 0x1217
 _DEVICE_TAG = 0xDE51CE
+
+# SeedSequence's published pool-mixing constants (NumPy's
+# ``bit_generator.pyx``, after O'Neill's ``seed_seq_fe``): the batched
+# scheduler-stream derivation below re-runs that algorithm vectorised over
+# the run word.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+# Below this window size the per-run SeedSequence path is at least as fast
+# as one vectorised pass.  Measured on NumPy 2.4, x86-64: one stream costs
+# 25 µs batched against 23 µs per run; two cost 14 µs per stream against
+# 23 µs.
+_BATCH_MIN_RUNS = 2
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[list[int], list[int]]:
+    """The ``(xor, multiply)`` constant pairs of ``n`` successive hash
+    steps.  SeedSequence's hash constant advances by a fixed multiply per
+    step whatever the data, so each step's constants are fixed by its
+    position alone."""
+    xors, mults = [], []
+    h = init
+    for _ in range(n):
+        xors.append(h)
+        h = (h * mult) & _MASK32
+        mults.append(h)
+    return xors, mults
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's int coercion: little-endian 32-bit words, ``[0]``
+    for zero."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def _frozen_words(values: list[int]) -> np.ndarray:
+    arr = np.array(values, dtype=np.uint32)
+    arr.setflags(write=False)
+    return arr
+
+
+# generate_state(4, uint64) reads the pool cyclically into 8 words with
+# fixed hash constants.
+_OUT_XOR, _OUT_MULT = (_frozen_words(c) for c in _hash_constants(_INIT_B, _MULT_B, 8))
+
+
+@functools.lru_cache(maxsize=256)
+def _sched_prefix(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(seed, _SCHED_TAG)``-only part of a scheduler stream's pool.
+
+    A scheduler stream's entropy is the seed's words (zero-padded to the
+    pool size, as SeedSequence does when a spawn key is given), the tag,
+    then the run word last.  Everything before the run word is mixed here
+    once per seed; returns the last word's per-pool-slot hash constants
+    ``(xor, multiply)`` and the ``_MIX_MULT_L * pool`` terms it mixes into.
+    """
+    run_entropy = _uint32_words(seed)
+    run_entropy += [0] * (_POOL_SIZE - len(run_entropy))
+    words = run_entropy + [_SCHED_TAG]
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = (h * _MULT_A) & _MASK32
+        value = (value * h) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    xors, mults = _hash_constants(h, _MULT_A, _POOL_SIZE)
+    mixed = [(_MIX_MULT_L * p) & _MASK32 for p in pool]
+    return tuple(_frozen_words(c) for c in (xors, mults, mixed))
+
+
+def _sched_seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of the scheduler streams of ``runs`` (each below
+    ``2**32``): row ``i`` equals ``SeedSequence(seed, spawn_key=(_SCHED_TAG,
+    runs[i])).generate_state(4, np.uint64)``."""
+    xor, mult, mixed = _sched_prefix(seed)
+    h = runs.astype(np.uint32, copy=False)[:, None] ^ xor
+    h *= mult
+    h ^= h >> _XSHIFT
+    h *= np.uint32(_MIX_MULT_R)
+    pool = mixed - h
+    pool ^= pool >> _XSHIFT
+    out = np.concatenate((pool, pool), axis=1)
+    out ^= _OUT_XOR
+    out *= _OUT_MULT
+    out ^= out >> _XSHIFT
+    # Little-endian word pairs, as SeedSequence assembles its uint64s.
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _batch_derivation_ok() -> bool:
+    """One-time self-check of :func:`_sched_seed_words` against NumPy's
+    own SeedSequence; a mismatch (a future NumPy changing the algorithm)
+    sends :meth:`RunContext.schedulers` down the per-run reference path."""
+    runs = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.int64)
+    for seed in (0, 5, 2**32, 2**127 + 9):
+        want = np.stack([
+            np.random.SeedSequence(seed, spawn_key=(_SCHED_TAG, int(r)))
+            .generate_state(4, np.uint64)
+            for r in runs
+        ])
+        if not np.array_equal(_sched_seed_words(seed, runs), want):
+            return False
+    return True
+
+
+class _DerivedSeed(ISeedSequence):
+    """Precomputed PCG64 seed words standing in for a scheduler stream's
+    SeedSequence, so PCG64's own C seeding runs on the derived words.
+
+    Serves only the one request PCG64 makes, ``generate_state(4,
+    np.uint64)``; it cannot spawn.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise NotImplementedError(
+                "a derived scheduler seed only serves generate_state(4, np.uint64)"
+            )
+        return self._words
+
+
+def _reference_scheduler(seed: int, run: int) -> np.random.Generator:
+    """Scheduler stream ``run`` of ``seed``, derived by NumPy's SeedSequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SCHED_TAG, run))
+    return np.random.default_rng(ss)
 
 
 @dataclass
@@ -145,8 +308,35 @@ class RunContext:
         with self._lock:
             run = self._run_counter
             self._run_counter += 1
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_SCHED_TAG, run))
-        return np.random.default_rng(ss)
+        return _reference_scheduler(self.seed, run)
+
+    def schedulers(self, n: int) -> list[np.random.Generator]:
+        """Return the next ``n`` scheduler streams and advance the run
+        counter by ``n`` in one step.
+
+        Bit-identical to ``[self.scheduler() for _ in range(n)]`` (equal
+        ``bit_generator.state``, equal draws), but the window's PCG64 seed
+        words come from one vectorised pass of SeedSequence's pool mixing
+        over the run word, with the ``(seed, tag)`` part memoised per seed:
+        about 2.5 µs per stream against ~22 µs for :meth:`scheduler`.  The
+        generators' ``bit_generator.seed_seq`` is a stand-in that cannot
+        spawn.  Single-stream windows (where the batch does not pay),
+        windows reaching run ``2**32`` (where the spawn key grows a word)
+        and a NumPy whose SeedSequence fails the one-time self-check take
+        the per-run reference path.
+        """
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ConfigurationError(f"n must be a non-negative int, got {n!r}")
+        n = int(n)
+        with self._lock:
+            start = self._run_counter
+            self._run_counter += n
+        stop = start + n
+        if n < _BATCH_MIN_RUNS or stop > 2**32 or self.seed < 0 or not _batch_derivation_ok():
+            return [_reference_scheduler(self.seed, run) for run in range(start, stop)]
+        words = _sched_seed_words(self.seed, np.arange(start, stop, dtype=np.uint32))
+        Generator, PCG64 = np.random.Generator, np.random.PCG64
+        return [Generator(PCG64(_DerivedSeed(w))) for w in words]
 
     def device_stream(
         self, device: str, cell: int = 0, *, anchor: int = 0

@@ -225,7 +225,7 @@ def conjugate_gradient_runs(
     rngs: list[np.random.Generator | None]
     if nd:
         c = ctx or get_context()
-        rngs = [c.scheduler() for _ in range(n_runs)]
+        rngs = c.schedulers(n_runs)
     else:
         rngs = [None] * n_runs
 

@@ -91,7 +91,7 @@ class RunBatch:
             ctx = ctx or get_context()
             # One scheduler stream per run, drawn in run order — exactly
             # the streams a scalar loop's runs would pin one at a time.
-            self.rngs = [ctx.scheduler() for _ in range(n_runs)]
+            self.rngs = ctx.schedulers(n_runs)
         self._plans: dict[tuple, tuple[np.ndarray, SegmentPlan]] = {}
 
     def plan_for(self, index: np.ndarray, n_targets: int) -> SegmentPlan:

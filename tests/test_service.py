@@ -302,6 +302,47 @@ class TestServiceEndpoints:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert time.monotonic() - start < 10.0
 
+    def test_silent_partial_request_gets_408_in_bounded_time(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(daemon, "_READ_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(daemon, "_LINGER_TIMEOUT_S", 0.2)
+        with socket.create_connection(
+            (service.service.host, service.service.port), timeout=30
+        ) as sock:
+            # Half a request line, then silence.
+            sock.sendall(b"GET /sta")
+            start = time.monotonic()
+            reply = b""
+            while chunk := sock.recv(65_536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert time.monotonic() - start < 10.0
+
+    def test_too_many_headers_get_400(self, service):
+        n = daemon._MAX_HEADERS + 1
+        head = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(n))
+        with socket.create_connection(
+            (service.service.host, service.service.port), timeout=30
+        ) as sock:
+            sock.sendall(f"GET /stats HTTP/1.1\r\n{head}\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(65_536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"header lines" in reply
+
+    def test_headers_at_the_cap_are_accepted(self, service):
+        head = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(daemon._MAX_HEADERS))
+        with socket.create_connection(
+            (service.service.host, service.service.port), timeout=30
+        ) as sock:
+            sock.sendall(f"GET /stats HTTP/1.1\r\n{head}\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(65_536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
     def test_unknown_routes_404(self, service):
         for url in ("/nope", "/jobs/job-999999"):
             with pytest.raises(urllib.error.HTTPError) as exc:
