@@ -4,20 +4,29 @@ Implements the paper's §IV protocol: when a deterministic kernel exists,
 its output is the reference ``A``; otherwise the first non-deterministic
 run is (``A = B_0``).  The run axis executes through the batched engine:
 each configuration reuses a single
-:class:`~repro.ops.segmented.SegmentPlan` and folds all runs via the
-contention-sparse :meth:`~repro.ops.segmented.SegmentPlan.fold_runs_sparse`
-(one canonical fold shared by every run, only raced segments re-folded) —
+:class:`~repro.ops.segmented.SegmentPlan`, folds canonically once, and per
+run re-folds only the raced segments (the contention-sparse scheme of
+:meth:`~repro.ops.segmented.SegmentPlan.fold_runs_sparse`) —
 bit-identical to looping the scalar kernels, but without re-paying the
 fold or setup per run.
 
-The **configuration axis** is batched too: :func:`sweep_variability` takes
-the whole (dims × ratios) grid of a figure, builds every cell's workload
-and :class:`SegmentPlan` up front (data streams are run-counter
-independent, so the pre-build is invisible to the RNG contract), then
-evaluates the cells in sweep order with stacked run batches and the
-vectorised :func:`_summarise_batch` — no per-run Python in the metric
-loop.  Cell evaluation order is exactly the scalar sweep's, so scheduler
-draws (and therefore every statistic) match a cell-by-cell loop
+The **configuration axis** is batched too: :func:`sweep_run_payloads`
+takes the whole (dims × ratios) grid of a figure, builds every cell's
+workload and :class:`SegmentPlan` up front (data streams are run-counter
+independent, so the pre-build is invisible to the RNG contract) and pools
+the raced re-folds of same-payload cells into one stratified pass.
+
+The run window streams through **run chunks** of about
+``_RUN_CHUNK_BYTES`` of output rows per pooled cell group (at least one
+run): per chunk, every cell draws its chunk's runs (seeking its own
+block of scheduler streams), the pooled re-fold returns sparse
+``(run, target, value)`` triples, and each cell rebuilds only that
+chunk's rows from its canonical fold to take per-run statistics and
+digests.  No array is sized by the window except the
+per-run result vectors, so memory stays flat as ``n_runs`` grows.  Every
+per-run value is computed on one contiguous row of the same length
+whatever the chunking, and scheduler streams are pure functions of their
+ladder position, so every statistic matches a cell-by-cell scalar sweep
 bit-for-bit.
 """
 
@@ -27,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..ops import index_add, index_add_runs, scatter_reduce_runs
 from ..ops.nondet import OP_CONTENTION
 from ..ops.scatter import _finalize_scatter_reduce
@@ -144,17 +154,19 @@ def _per_run_stats_sparse(
     run_ids: np.ndarray,
     row_ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run ``(vcs, ermvs)`` given the superset of differing rows.
+    """Per-run ``(vcs, ermvs)`` of one run chunk, given the superset of
+    differing rows.
 
-    ``(run_ids, row_ids)`` must cover every leading-axis row of ``batch``
-    that is not bit-identical to the reference row (duplicates and
-    equal-bits rows are fine).  The ``rel``/``neq`` arrays are then filled
-    sparsely; because every untouched element is exactly the ``+0.0`` /
-    ``False`` the dense transform produces for bit-equal rows (finite
-    data), the materialised arrays — and therefore every per-run value's
-    bits — are identical to :func:`_summarise_batch`'s.  Each row's value
-    depends only on that row, so the vectors slice cleanly along any run
-    window — the property the sharded sweep payloads rely on.
+    ``batch`` is a chunk of rebuilt run outputs; ``(run_ids, row_ids)``
+    (chunk-relative run indices) must cover every leading-axis row of
+    ``batch`` that is not bit-identical to the reference row (duplicates
+    and equal-bits rows are fine).  The ``rel``/``neq`` arrays are then
+    filled sparsely; because every untouched element is exactly the
+    ``+0.0`` / ``False`` the dense transform produces for bit-equal rows
+    (finite data), the materialised arrays — and therefore every per-run
+    value's bits — are identical to :func:`_summarise_batch`'s.  Each
+    run's value is a mean over that run's own contiguous row, so it does
+    not depend on which chunk or shard window the run lands in.
     """
     n_runs = batch.shape[0]
     ref_rows = np.asarray(reference)[row_ids]
@@ -255,79 +267,163 @@ def _evaluate(cell: SweepCell, workload, n_runs: int, ctx: RunContext) -> OpVari
     return _summarise_batch(reference, batch)
 
 
-def _pooled_refold(group: list[dict]) -> None:
+def _refold_pool(group: list[dict]) -> dict:
+    """Run-invariant inputs of :func:`_pooled_refold` for one cell group.
+
+    The group's plans, fold values and inits concatenated once per
+    window, with per-cell target/source offsets into them.
+    """
+    plans = [e["plan"] for e in group]
+    reduce = group[0]["cell"].reduce
+    dtype = group[0]["vals"].dtype
+    soff = np.concatenate([[0], np.cumsum([p.n_sources for p in plans])[:-1]])
+    return {
+        "toff": np.concatenate([[0], np.cumsum([p.n_targets for p in plans])[:-1]]),
+        "counts": np.concatenate([p.counts for p in plans]),
+        "starts": np.concatenate([p.segment_starts + off for p, off in zip(plans, soff)]),
+        "order": np.concatenate([p.order + off for p, off in zip(plans, soff)]),
+        "kmax": np.array([p.k_max for p in plans]),
+        "vals": np.concatenate([e["vals"] for e in group]),
+        "init": np.concatenate([e["init"] for e in group]),
+        "ufunc": _UFUNC[reduce],
+        "identity": np.asarray(_IDENTITY[reduce], dtype=dtype)[()],
+    }
+
+
+def _pooled_refold(pool: dict, draws: list[list]) -> list[tuple]:
     """Raced re-fold pooled across a group of same-payload cells.
 
-    Each entry carries a plan, fold values, init, its per-run draws and a
-    pre-filled canonical ``out`` batch; this replaces the raced rows of
-    every entry's batch in one stratified pass over the union of all
-    entries' raced segments.  Bit-identical per cell to
-    :meth:`SegmentPlan.fold_runs_sparse`: the strata are additionally
-    split on whether a segment is at its own cell's ``k_max`` (no trailing
-    identity pad) or below it (one pad slot, standing in for any number of
-    scalar pads), so pooling cells with different fold widths never
-    changes a fold.  The group must share one reduce family (the caller
-    groups by payload shape *and* fold operator).
+    ``draws[i]`` is cell ``i``'s list of per-run ``(raced, keys)`` draws
+    (one run chunk); ``pool`` is the group's :func:`_refold_pool`.  All
+    cells' raced segments fold in one stratified pass, and each cell gets
+    back sparse ``(runs, targets, values)`` triples: chunk-relative run
+    index, raced target, and that target's re-folded row.  Every other
+    ``(run, target)`` row is a bit-copy of the cell's canonical fold.
+    Bit-identical per cell to :meth:`SegmentPlan.fold_runs_sparse`: the
+    strata are additionally split on whether a segment is at its own
+    cell's ``k_max`` (no trailing identity pad) or below it (one pad slot,
+    standing in for any number of scalar pads), so pooling cells with
+    different fold widths never changes a fold.  The group must share one
+    reduce family (the caller groups by payload shape *and* fold operator).
     """
-    reduce = group[0]["cell"].reduce
     seg_t_parts: list[np.ndarray] = []
     seg_run_parts: list[np.ndarray] = []
     key_parts: list[np.ndarray] = []
     ent_sizes = []
-    for e in group:
-        size = 0
-        for r, (raced, keys) in enumerate(e["draws"]):
-            if raced.size:
-                seg_t_parts.append(raced)
-                seg_run_parts.append(np.full(raced.size, r, dtype=np.int64))
-                key_parts.append(keys)
-                size += raced.size
-        ent_sizes.append(size)
-    if not seg_t_parts:
-        return
+    for cell_draws in draws:
+        sizes = [raced.size for raced, _ in cell_draws]
+        seg_t_parts += [raced for raced, _ in cell_draws]
+        seg_run_parts.append(np.repeat(np.arange(len(sizes)), sizes))
+        key_parts += [keys for _, keys in cell_draws if keys is not None]
+        ent_sizes.append(sum(sizes))
+    if not key_parts:
+        none = np.empty(0, dtype=np.int64)
+        return [(none, none, pool["vals"][:0])] * len(draws)
     seg_t = np.concatenate(seg_t_parts)
     seg_run = np.concatenate(seg_run_parts)
     keys = np.concatenate(key_parts)
     n_seg = seg_t.size
-    seg_ent = np.repeat(np.arange(len(group)), ent_sizes)
-    plans = [e["plan"] for e in group]
-    toff = np.concatenate([[0], np.cumsum([p.n_targets for p in plans])[:-1]])
-    soff = np.concatenate([[0], np.cumsum([p.n_sources for p in plans])[:-1]])
-    counts_cat = np.concatenate([p.counts for p in plans])
-    starts_cat = np.concatenate(
-        [p.segment_starts + off for p, off in zip(plans, soff)]
-    )
-    order_cat = np.concatenate([p.order + off for p, off in zip(plans, soff)])
-    kmax_per_ent = np.array([p.k_max for p in plans])
-    dtype = group[0]["vals"].dtype
-    vals_cat = np.concatenate([e["vals"] for e in group])
-    init_cat = np.concatenate([e["init"] for e in group])
-    gt = seg_t + toff[seg_ent]  # global target ids
-    seg_counts = counts_cat[gt]
-    seg_pad = seg_counts < kmax_per_ent[seg_ent]
+    seg_ent = np.repeat(np.arange(len(draws)), ent_sizes)
+    gt = seg_t + pool["toff"][seg_ent]  # global target ids
+    seg_counts = pool["counts"][gt]
+    seg_pad = seg_counts < pool["kmax"][seg_ent]
     pos_off = np.zeros(n_seg, dtype=np.int64)
     np.cumsum(seg_counts[:-1], out=pos_off[1:])
     folded = _stratified_refold(
-        seg_start=starts_cat[gt],
+        seg_start=pool["starts"][gt],
         seg_count=seg_counts,
         seg_pad=seg_pad,
         pos_off=pos_off,
         keys=keys,
-        order=order_cat,
-        vals=vals_cat,
-        init_rows=init_cat[gt],
-        ufunc=_UFUNC[reduce],
-        identity=np.asarray(_IDENTITY[reduce], dtype=dtype)[()],
+        order=pool["order"],
+        vals=pool["vals"],
+        init_rows=pool["init"][gt],
+        ufunc=pool["ufunc"],
+        identity=pool["identity"],
     )
-    lo = 0
-    for e, size in zip(group, ent_sizes):
-        span = slice(lo, lo + size)
-        e["out"][seg_run[span], seg_t[span]] = folded[span]
-        # Remember which (run, target) rows were re-folded: every other row
-        # is a bit-copy of the canonical fold, which the sparse summariser
-        # exploits.
-        e["raced_rows"] = (seg_run[span], seg_t[span])
-        lo += size
+    bounds = np.cumsum(ent_sizes)[:-1]
+    return list(
+        zip(np.split(seg_run, bounds), np.split(seg_t, bounds), np.split(folded, bounds))
+    )
+
+
+#: Run-chunk size of :func:`sweep_run_payloads`: bytes of output rows one
+#: chunk rebuilds, summed over a pooled cell group.  The chunk's working
+#: set (draws, rows, finalised rows, float64 ``rel``, bool ``neq``) is a
+#: small multiple of it, whatever the window.  On the Figs 3-5 grids
+#: (2-CPU x86-64) 2-16 MiB timed the same within noise while peak RSS
+#: grew with the size (~127/134/151/183 MB); 4 MiB keeps runs per chunk
+#: in the tens on fig3's widest group.
+_RUN_CHUNK_BYTES = 4 << 20
+
+
+def _rebuild_rows(e: dict, n: int, triples: tuple) -> np.ndarray:
+    """``n`` runs' final output rows of a cell from its canonical fold and
+    :func:`_pooled_refold` triples."""
+    runs, targets, folded = triples
+    canonical = e["canonical"]
+    rows = np.empty((n,) + canonical.shape, dtype=canonical.dtype)
+    rows[:] = canonical
+    if runs.size:
+        rows[runs, targets] = folded
+    cell, inp = e["cell"], e["inp"]
+    if cell.op == "scatter_reduce":
+        return _finalize_scatter_reduce(
+            rows, inp, e["plan"], cell.reduce, True, inp.ndim - 1
+        )
+    return rows.astype(inp.dtype, copy=False)
+
+
+def _draw_chunk(group: list[dict], starts: list[int], n: int, ctx: RunContext) -> list[list]:
+    """Each cell's draws for ``n`` runs, starting at its stream in ``starts``."""
+    draws = []
+    for e, start in zip(group, starts):
+        ctx.seek_runs(start)
+        draws.append(e["plan"].sample_run_draws(n, e["model"], ctx))
+    return draws
+
+
+def _sweep_group(group: list[dict], n: int, ctx: RunContext) -> None:
+    """Stream ``n`` runs of a same-payload cell group through run chunks.
+
+    Fills each entry's ``vcs``/``ermvs``/``digests``.  The reference (for
+    ``scatter_reduce``, global run 0 — drawn, re-folded and finalised
+    once) and the pooled concatenations are run-invariant and hoisted out
+    of the chunk loop.
+    """
+    pool = _refold_pool(group)
+    none = np.empty(0, dtype=np.int64)
+    if group[0]["cell"].op == "scatter_reduce":
+        ref_draws = _draw_chunk(group, [e["ref_stream"] for e in group], 1, ctx)
+        for e, d, triples in zip(group, ref_draws, _pooled_refold(pool, ref_draws)):
+            e["reference"] = _rebuild_rows(e, 1, triples)[0]
+            # Rows can differ from the reference only where it raced or
+            # the compared run raced.
+            e["ref_raced"] = d[0][0]
+    else:
+        for e in group:
+            # The deterministic index_add reference is exactly the
+            # canonical fold every un-raced row already equals.
+            e["reference"] = e["canonical"].astype(e["inp"].dtype, copy=False)
+            e["ref_raced"] = none
+    for e in group:
+        e["vcs"] = np.empty(n)
+        e["ermvs"] = np.empty(n)
+        e["digests"] = []
+    step = max(1, _RUN_CHUNK_BYTES // sum(e["canonical"].nbytes for e in group))
+    for lo in range(0, n, step):
+        size = min(step, n - lo)
+        draws = _draw_chunk(group, [e["stream"] + lo for e in group], size, ctx)
+        for e, triples in zip(group, _pooled_refold(pool, draws)):
+            rows = _rebuild_rows(e, size, triples)
+            ref_raced = e["ref_raced"]
+            run_ids = np.concatenate([triples[0], np.repeat(np.arange(size), ref_raced.size)])
+            row_ids = np.concatenate([triples[1], np.tile(ref_raced, size)])
+            span = slice(lo, lo + size)
+            e["vcs"][span], e["ermvs"][span] = _per_run_stats_sparse(
+                e["reference"], rows, run_ids, row_ids
+            )
+            e["digests"] += run_digests(rows)
 
 
 def sweep_run_payloads(
@@ -349,50 +445,44 @@ def sweep_run_payloads(
     draws, per cell, exactly the window's streams — the reference stream
     plus ``[lo, hi)`` of the comparison runs — by seeking the ladder to
     each block's absolute position, so per-run outputs are bit-identical
-    to rows ``[lo, hi)`` of the full sweep.  The ladder is left at the end
+    to rows ``[lo, hi)`` of the full sweep.  The window streams through
+    run chunks (see the module docstring), so memory does not grow with
+    it beyond the per-run result vectors.  The ladder is left at the end
     of the last cell's *full* block, exactly where a serial sweep leaves
     it.
 
     Each payload carries the window's per-run ``vcs``/``ermvs`` vectors
     (:class:`~repro.experiments.sharding.RunConcat`) and per-run output
     digests (:class:`~repro.experiments.sharding.RunList`); merged
-    payloads feed :func:`variability_from_payload`.
+    payloads feed :func:`variability_from_payload`.  An empty window
+    yields empty vectors.
     """
+    if n_runs < 1:
+        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
     hi = n_runs if hi is None else hi
     if not 0 <= lo <= hi <= n_runs:
         raise ValueError(f"bad run window [{lo}, {hi}) for n_runs={n_runs}")
-    r = hi - lo
     base = ctx.peek_run_counter()
     entries = []
     for cell in cells:
         plan, inp, idx, src = _build_workload(cell, ctx, dtype)
-        model = OP_CONTENTION[cell.op]
+        vals = src.astype(dtype, copy=False)
+        e = {
+            "cell": cell, "plan": plan, "inp": inp, "vals": vals,
+            "model": OP_CONTENTION[cell.op],
+            "init": np.asarray(inp, dtype=vals.dtype),
+            "canonical": plan.fold(vals, reduce=cell.reduce, init=inp),
+        }
         if cell.op == "scatter_reduce":
             # Global run 0 is the reference (§IV: no deterministic kernel);
-            # every shard reproduces it from stream ``base`` before drawing
-            # its own comparison window.
-            ctx.seek_runs(base)
-            draws = plan.sample_run_draws(1, model, ctx)
-            ctx.seek_runs(base + 1 + lo)
-            draws += plan.sample_run_draws(r, model, ctx)
-            runs_eff_full = n_runs + 1
+            # every shard reproduces it from the block's first stream.
+            e["ref_stream"] = base
+            e["stream"] = base + 1 + lo
+            base += n_runs + 1
         else:
-            ctx.seek_runs(base + lo)
-            draws = plan.sample_run_draws(r, model, ctx)
-            runs_eff_full = n_runs
-        base += runs_eff_full
-        vals = src.astype(dtype, copy=False)
-        canonical = plan.fold(vals, reduce=cell.reduce, init=inp)
-        out = np.empty((len(draws),) + canonical.shape, dtype=canonical.dtype)
-        out[:] = canonical
-        entries.append(
-            {
-                "cell": cell, "plan": plan, "inp": inp, "vals": vals,
-                "draws": draws, "out": out, "canonical": canonical,
-                "init": np.asarray(inp, dtype=vals.dtype),
-            }
-        )
-    ctx.seek_runs(base)
+            e["stream"] = base + lo
+            base += n_runs
+        entries.append(e)
     groups: dict[tuple, list[dict]] = {}
     for e in entries:
         # Pool only cells that share both the payload shape and the fold
@@ -401,41 +491,16 @@ def sweep_run_payloads(
         key = (e["vals"].shape[1:], _UFUNC[reduce], _IDENTITY[reduce])
         groups.setdefault(key, []).append(e)
     for group in groups.values():
-        _pooled_refold(group)
-    empty = np.empty(0, dtype=np.int64)
-    payloads = []
-    for e in entries:
-        cell, out, inp, plan = e["cell"], e["out"], e["inp"], e["plan"]
-        runs, rows = e.get("raced_rows", (empty, empty))
-        if cell.op == "scatter_reduce":
-            final = _finalize_scatter_reduce(
-                out, inp, plan, cell.reduce, True, inp.ndim - 1
-            )
-            # Rows can differ from the reference (= run 0) only where run 0
-            # raced or the compared run raced; shift into batch[1:] frame.
-            n_cmp = final.shape[0] - 1
-            ref_raced = rows[runs == 0]
-            later = runs != 0
-            run_ids = np.concatenate(
-                [runs[later] - 1, np.repeat(np.arange(n_cmp), ref_raced.size)]
-            )
-            row_ids = np.concatenate([rows[later], np.tile(ref_raced, n_cmp)])
-            reference, cmp_rows = final[0], final[1:]
-        else:
-            cmp_rows = out.astype(inp.dtype, copy=False)
-            # The deterministic index_add reference is exactly the
-            # canonical fold every un-raced row already equals.
-            reference = e["canonical"].astype(inp.dtype, copy=False)
-            run_ids, row_ids = runs, rows
-        vcs, ermvs = _per_run_stats_sparse(reference, cmp_rows, run_ids, row_ids)
-        payloads.append(
-            {
-                "vcs": RunConcat(vcs),
-                "ermvs": RunConcat(ermvs),
-                "digests": RunList(run_digests(cmp_rows)),
-            }
-        )
-    return payloads
+        _sweep_group(group, hi - lo, ctx)
+    ctx.seek_runs(base)
+    return [
+        {
+            "vcs": RunConcat(e["vcs"]),
+            "ermvs": RunConcat(e["ermvs"]),
+            "digests": RunList(e["digests"]),
+        }
+        for e in entries
+    ]
 
 
 def sweep_variability(
@@ -448,11 +513,11 @@ def sweep_variability(
     """Evaluate a whole sweep grid through the batched engine.
 
     Workloads and :class:`SegmentPlan`s for every cell are built first
-    (run-counter-independent data streams), all cells' per-run draws are
-    sampled in cell order (the scheduler-stream order of a scalar
-    cell-by-cell sweep), and the raced re-folds are then pooled across
-    same-payload cells (:func:`_pooled_refold`) — whole sweep columns fold
-    as one batch.  Results are bit-identical to calling
+    (run-counter-independent data streams); each cell draws from its own
+    block of scheduler streams (the layout of a scalar cell-by-cell
+    sweep), and per run chunk the raced re-folds are pooled across
+    same-payload cells (:func:`_pooled_refold`).  Results are
+    bit-identical to calling
     :func:`scatter_reduce_variability` / :func:`index_add_variability`
     per cell.  Internally this is the full-window ``[0, n_runs)`` special
     case of :func:`sweep_run_payloads` — the same kernel the sharded

@@ -179,8 +179,15 @@ class _ConvTransposePlan:
         if raced.size:
             keys = rng.random((raced.size, self.n_taps))
             perm = np.argsort(keys, axis=1)
-            sub = np.take_along_axis(self.flat[raced], perm, axis=1)
-            out[raced] = _tap_fold(sub)
+            # One flat gather straight into tap-major order: row ``t`` holds
+            # every raced element's ``t``-th tap in the sampled order, so the
+            # fold below adds contiguous rows — the same per-element adds
+            # (and bits) as _tap_fold over the gathered (raced, T) matrix.
+            taps = self.flat.reshape(-1).take(perm.T + raced * self.n_taps)
+            acc = taps[0].copy()
+            for t in range(1, self.n_taps):
+                acc += taps[t]
+            out[raced] = acc
         return out.reshape(self.out_shape)
 
 

@@ -13,6 +13,7 @@ from repro.ops import (
     cumsum,
 )
 from repro.ops.cumsum import blocked_cumsum
+from repro.runtime import RunContext
 
 ALWAYS_RACE = ContentionModel(q0=1.0, gamma=0.0, n0=1e-9)
 
@@ -158,6 +159,25 @@ class TestConvTranspose:
         ref = conv_transpose1d(x, w, deterministic=True)
         nd = conv_transpose1d(x, w, model=ALWAYS_RACE, ctx=ctx)
         np.testing.assert_allclose(nd, ref, rtol=1e-4)
+
+    @pytest.mark.parametrize("nd,size,k,stride", [(1, 32, 5, 1), (2, 9, 3, 2), (3, 5, 3, 1)])
+    def test_nd_refold_matches_gather_then_tap_fold(self, ctx, rng, nd, size, k, stride):
+        # Reference: the raced rows gathered as (raced, T), permuted per
+        # row, then folded column by column with _tap_fold.
+        from repro.ops.conv_transpose import _ConvTransposePlan, _tap_fold
+
+        x = rng.standard_normal((2, 3) + (size,) * nd).astype(np.float32)
+        w = rng.standard_normal((3, 4) + (k,) * nd).astype(np.float32)
+        plan = _ConvTransposePlan(x, w, nd=nd, stride=stride, padding=0, output_padding=0)
+        assert plan.n_taps > 1
+        for rng_a, rng_b in zip(ctx.schedulers(4), RunContext(ctx.seed).schedulers(4)):
+            got = plan.nd_output(rng_a, ALWAYS_RACE)
+            n_elems = plan.flat.shape[0]
+            raced = ALWAYS_RACE.sample_raced(plan.candidates, n_elems, n_elems, rng_b)
+            perm = np.argsort(rng_b.random((raced.size, plan.n_taps)), axis=1)
+            want = plan.det_flat.copy()
+            want[raced] = _tap_fold(np.take_along_axis(plan.flat[raced], perm, axis=1))
+            assert raced.size and got.tobytes() == want.reshape(plan.out_shape).tobytes()
 
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
