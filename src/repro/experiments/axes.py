@@ -1,19 +1,17 @@
 """Declarative axis algebra: experiments declare their sweep product once.
 
-Six PRs grew four hand-wired axis mechanisms — the run axis (batched
-engine), the config axis (pooled sweep grids in ``_opruns``), the device
-axis (anchored device-plane streams) and the shard axis (``ShardAxis`` +
-merge protocol) — each re-derived per experiment.  This module is the one
-place those derivations live: an experiment declares its axis product
-(run x device x array x config x seed) as a tuple of :class:`AxisSpec`,
-and :func:`plan_sweep` resolves it against the experiment's parameters
-into a :class:`SweepPlan` from which everything else is derived:
+The run axis (batched engine), the config axis (pooled sweep grids in
+``_opruns``), the device axis (anchored device-plane streams) and the
+shard axis (windows + merge protocol) are derived in one place: an
+experiment declares its axis product (run x device x array x config x
+seed) as a tuple of :class:`AxisSpec`, and :func:`plan_sweep` resolves
+it against the experiment's parameters into a :class:`SweepPlan` from
+which everything else is derived:
 
 * the batching **shape** of the grid (:attr:`SweepPlan.shape`);
 * the **shard windows** the parallel executor dispatches
-  (:meth:`SweepPlan.shard_windows`, replacing the executor's hard-coded
-  ``shardable_axes[0]``) and the legacy :class:`ShardAxis` declaration
-  (:meth:`SweepPlan.shard_decl`);
+  (:meth:`SweepPlan.shard_windows`) and the shard-axis size
+  :meth:`~repro.experiments.base.ShardableExperiment.shard_total` reads;
 * the **stream-ladder arithmetic** of the serial layout
   (:meth:`SweepPlan.run_block_base` / :meth:`SweepPlan.ladder_span`):
   declared order *is* ladder nesting order, outer axes row-major, one
@@ -35,12 +33,12 @@ irregular blocks (``table5``'s scatter_reduce configs consume
 own ladder) still declare their axes — the declaration drives shard
 windows, merge tags and validation — and keep their block walk local.
 
-Exactly **one** axis may be shardable; :func:`plan_sweep` rejects
+At most **one** axis may be shardable; :func:`plan_sweep` rejects
 multi-shardable declarations with a named
 :class:`~repro.errors.ConfigurationError` instead of silently sharding
-the first (the pre-planner executor behaviour).
+the first.
 
-``tests/test_axes.py`` pins, per migrated experiment, that the derived
+``tests/test_axes.py`` pins, per declaring experiment, that the derived
 windows, stream bases and cache keys equal the hand-wired arithmetic
 they replaced.
 """
@@ -51,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .sharding import ShardAxis, plan_shards
+from .sharding import plan_shards
 
 __all__ = [
     "AXIS_KINDS",
@@ -95,7 +93,9 @@ class AxisSpec:
         Whether the parallel executor may window this axis.  At most one
         axis of a declaration may be shardable.
     min_per_shard:
-        Smallest window a shard may receive (see :class:`ShardAxis`).
+        Smallest window a shard may receive (e.g. 2 when a statistic
+        needs two runs per window — usually 1, because cross-run
+        statistics are computed after the merge).
     anchored:
         Device axes only: the axis draws from anchored device-plane
         streams (:meth:`repro.runtime.RunContext.device_stream`) and
@@ -209,14 +209,6 @@ class SweepPlan:
         return plan_shards(
             axis.size, n_shards, min_per_shard=axis.spec.min_per_shard
         )
-
-    def shard_decl(self) -> tuple[ShardAxis, ...]:
-        """Legacy :class:`ShardAxis` view of the declaration (what
-        ``Experiment.shardable_axes`` derives for declared experiments)."""
-        axis = self.shard_axis
-        if axis is None or axis.spec.param is None:
-            return ()
-        return (ShardAxis(axis.spec.param, axis.spec.min_per_shard),)
 
     # -------------------------------------------------------------- ladder
     @property

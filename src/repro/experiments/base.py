@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError, ExperimentError
 from ..runtime import RunContext
 from .axes import AxisSpec, plan_sweep
-from .sharding import ShardAxis, merge_payloads
+from .sharding import merge_payloads
 
 __all__ = [
     "ExperimentResult",
     "Experiment",
     "ShardableExperiment",
     "AxisSpec",
-    "ShardAxis",
     "plan_sweep",
     "register",
     "get_experiment",
@@ -106,8 +105,7 @@ class Experiment(abc.ABC):
     #: ladder-nesting order — see :mod:`repro.experiments.axes`.  The
     #: planner (:func:`~repro.experiments.axes.plan_sweep`) derives shard
     #: windows, stream-ladder bases, merge tags and cache-cell keys from
-    #: this declaration; empty means the experiment predates declarations
-    #: (it may still declare legacy ``shardable_axes`` directly).
+    #: this declaration; empty means the experiment always runs serially.
     axes: tuple[AxisSpec, ...] = ()
 
     @property
@@ -119,21 +117,6 @@ class Experiment(abc.ABC):
         here through the static import graph.
         """
         return type(self).__module__
-
-    @property
-    def shardable_axes(self) -> tuple[ShardAxis, ...]:
-        """Shardable run axes (empty = serial-only), derived from the axis
-        declaration.  Declaring an axis states that :meth:`shard_run` over
-        any partition of it merges (via the
-        :mod:`~repro.experiments.sharding` protocol) into the bit-exact
-        serial payload.  Legacy experiments without ``axes`` shadow this
-        property with a plain ``shardable_axes`` class attribute.
-        """
-        return tuple(
-            ShardAxis(s.param, s.min_per_shard)
-            for s in self.axes
-            if s.shardable and s.param is not None
-        )
 
     def axis_values(self, spec: AxisSpec, params: dict):
         """Resolve one declared axis against a parameter set.
@@ -271,39 +254,27 @@ class ShardableExperiment(Experiment):
     """Experiment whose serial path *is* the one-shard sharded path.
 
     Subclasses implement :meth:`shard_run` and :meth:`finalize` (instead
-    of ``_run``) and declare one :class:`ShardAxis`.  ``_run`` evaluates
-    the full window ``[0, R)`` as a single shard and merges it through the
-    same protocol the parallel executor uses — so serial and sharded
-    execution are the same code on the same bits, and bit-exact shard
-    merging reduces to the run-offset stream contract
-    (:mod:`repro.gpusim.scheduler`).
+    of ``_run``) and declare one shardable axis in :attr:`axes`
+    (:class:`~repro.experiments.axes.AxisSpec`).  Declaring it states
+    that :meth:`shard_run` over any partition of the axis merges (via the
+    :mod:`~repro.experiments.sharding` protocol) into the bit-exact
+    serial payload.  ``_run`` evaluates the full window ``[0, R)`` as a
+    single shard and merges it through the same protocol the parallel
+    executor uses — so serial and sharded execution are the same code on
+    the same bits, and bit-exact shard merging reduces to the run-offset
+    stream contract (:mod:`repro.gpusim.scheduler`).
     """
 
     def shard_total(self, params: dict) -> int:
-        """Size of the shard axis for one parameter set.
-
-        Declared experiments consult the planner (which also validates the
-        declaration — multi-shardable products are rejected there); legacy
-        experiments read their single ``ShardAxis`` parameter.
-        """
-        if self.axes:
-            axis = plan_sweep(self, params).shard_axis
-            if axis is None:
-                raise ExperimentError(
-                    f"{type(self).__name__} declares no shardable axis"
-                )
-            return axis.size
-        if not self.shardable_axes:
+        """Size of the shard axis for one parameter set, from the planner
+        (which also validates the declaration: a multi-shardable product
+        or a negative axis size is a named error there)."""
+        axis = plan_sweep(self, params).shard_axis
+        if axis is None:
             raise ExperimentError(
-                f"{type(self).__name__} must declare shardable_axes"
+                f"{type(self).__name__} declares no shardable axis"
             )
-        if len(self.shardable_axes) > 1:
-            raise ExperimentError(
-                f"{type(self).__name__} declares {len(self.shardable_axes)} "
-                "shardable axes; exactly one is supported — declare the "
-                "product via Experiment.axes instead"
-            )
-        return int(params[self.shardable_axes[0].param])
+        return axis.size
 
     def _run(self, ctx: RunContext, params: dict) -> tuple[list[dict], str, dict]:
         total = self.shard_total(params)

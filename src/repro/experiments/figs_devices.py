@@ -17,8 +17,8 @@ randomness is **anchored per (device, array) cell**
 in :mod:`repro.gpusim.scheduler`), so any device's rows reproduce
 bit-identically no matter which other devices are swept — a
 ``--devices gh200`` override replays exactly the gh200 row of the full
-sweep.  The run axis shards (:class:`~repro.experiments.base.ShardAxis`):
-a shard evaluates a run window of every cell and windows concatenate
+sweep.  The run axis shards (its ``AxisSpec`` is ``shardable``): a
+shard evaluates a run window of every cell and windows concatenate
 bit-exactly into the serial rows.
 """
 

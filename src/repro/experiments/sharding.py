@@ -47,7 +47,6 @@ import numpy as np
 from ..errors import ExperimentError
 
 __all__ = [
-    "ShardAxis",
     "RunConcat",
     "RunList",
     "HistSum",
@@ -58,25 +57,6 @@ __all__ = [
     "plan_shards",
     "merge_payloads",
 ]
-
-
-@dataclass(frozen=True)
-class ShardAxis:
-    """Declares one shardable run axis of an experiment.
-
-    Attributes
-    ----------
-    param:
-        Name of the resolved-parameter key holding the run count
-        (``"n_runs"``, ``"n_trials"``, ``"n_models"`` ...).
-    min_per_shard:
-        Smallest run window an individual shard may receive (e.g. 2 when
-        a statistic needs at least two runs per window — usually 1,
-        because cross-run statistics are computed after the merge).
-    """
-
-    param: str
-    min_per_shard: int = 1
 
 
 def run_digest(arr) -> str:

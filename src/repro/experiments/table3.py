@@ -15,7 +15,7 @@ import numpy as np
 
 from ..openmp import OpenMPRuntime
 from ..runtime import RunContext
-from .base import ShardAxis, ShardableExperiment, register
+from .base import AxisSpec, ShardableExperiment, register
 from .sharding import RunConcat
 
 __all__ = ["Table3OpenMP"]
@@ -26,7 +26,7 @@ class Table3OpenMP(ShardableExperiment):
 
     experiment_id = "table3"
     title = "Table 3: normal and ordered reductions using OpenMP on CPU"
-    shardable_axes = (ShardAxis("n_trials"),)
+    axes = (AxisSpec("trial", "run", param="n_trials", shardable=True),)
 
     def params_for(self, scale: str) -> dict:
         if scale == "paper":

@@ -28,7 +28,7 @@ import numpy as np
 from ..graph.datasets import cora_like
 from ..metrics.array import count_variability, ermv
 from ..runtime import RunContext
-from .base import ShardAxis, ShardableExperiment, register
+from .base import AxisSpec, ShardableExperiment, plan_sweep, register
 from .sharding import DigestSet, RunConcat, run_digest
 from ._gnn import (
     gnn_training_cost_s,
@@ -44,16 +44,23 @@ __all__ = ["Table7GnnVariability"]
 class Table7GnnVariability(ShardableExperiment):
     """Regenerates Table 7 (+ epoch-drift and uniqueness results).
 
-    Sharding: the model population is the run axis.  The serial stream
-    ladder is four contiguous blocks of ``n_models`` streams — D/ND
-    inference, ND training, ND/ND training, ND/ND inference (deterministic
-    phases draw nothing) — so a shard seeks to its window of each block
-    and its per-model metrics merge by concatenation.
+    Axis declaration: (phase x model).  The model population is the
+    shardable run axis; the serial stream ladder is one ``n_models``
+    block per phase that draws — D/ND inference, ND/D training, ND/ND
+    training, ND/ND inference (deterministic phases draw nothing) — so a
+    shard seeks to its window of each block
+    (:meth:`~repro.experiments.axes.SweepPlan.run_block_base`) and its
+    per-model metrics merge by concatenation.
     """
 
     experiment_id = "table7"
     title = "Table 7: Vermv and Vc for D/ND training-inference combinations"
-    shardable_axes = (ShardAxis("n_models"),)
+    axes = (
+        AxisSpec("phase", "config", values=(
+            "D/ND inference", "ND/D training", "ND/ND training", "ND/ND inference",
+        )),
+        AxisSpec("model", "run", param="n_models", shardable=True),
+    )
 
     def params_for(self, scale: str) -> dict:
         if scale == "paper":
@@ -92,7 +99,7 @@ class Table7GnnVariability(ShardableExperiment):
 
     def shard_run(self, ctx: RunContext, params: dict, lo: int, hi: int) -> dict:
         ds, ref_run, ref_logits = self._reference(ctx, params)
-        n_models = params["n_models"]
+        plan = plan_sweep(self, params)
         r = hi - lo
 
         combo_stats = []
@@ -109,26 +116,21 @@ class Table7GnnVariability(ShardableExperiment):
                         ref_logits, (r,) + ref_logits.shape
                     )
                 else:
-                    # Serial block 0: D/ND inference streams [0, n_models).
-                    ctx.seek_runs(base + lo)
+                    ctx.seek_runs(plan.run_block_base(base, phase=0) + lo)
                     logits_runs = run_inference_runs(
                         ref_run.model, ds, deterministic=False, ctx=ctx,
                         n_runs=r,
                     )
             else:
-                # Serial blocks 1 (ND/D) and 2 (ND/ND): training streams
-                # [n_models, 2n) and [2n, 3n).
-                ctx.seek_runs(
-                    base + (1 if infer_mode == "D" else 2) * n_models + lo
-                )
+                phase = 1 if infer_mode == "D" else 2
+                ctx.seek_runs(plan.run_block_base(base, phase=phase) + lo)
                 runs = train_graphsage_runs(
                     ds, hidden=params["hidden"], epochs=params["epochs"],
                     lr=params["lr"], deterministic=False, ctx=ctx,
                     n_runs=r,
                 )
                 if infer_mode == "ND":
-                    # Serial block 3: ND/ND inference streams [3n, 4n).
-                    ctx.seek_runs(base + 3 * n_models + lo)
+                    ctx.seek_runs(plan.run_block_base(base, phase=3) + lo)
                 logits_runs = run_inference_runs(
                     runs.model, ds, deterministic=infer_mode == "D", ctx=ctx,
                     n_runs=r,

@@ -22,7 +22,7 @@ from ..graph.datasets import cora_like
 from ..metrics.array import count_variability, unique_output_count
 from ..nn import GraphSAGE
 from ..runtime import RunContext
-from .base import ShardAxis, ShardableExperiment, register
+from .base import AxisSpec, ShardableExperiment, register
 from .sharding import Invariant, RunConcat
 from ._gnn import (
     _GNN_INIT_STREAM,
@@ -48,7 +48,7 @@ class Table8GnnRuntime(ShardableExperiment):
 
     experiment_id = "table8"
     title = "Table 8: H100 and Groq runtime for GraphSAGE inference"
-    shardable_axes = (ShardAxis("check_runs"),)
+    axes = (AxisSpec("run", "run", param="check_runs", shardable=True),)
 
     def params_for(self, scale: str) -> dict:
         return {

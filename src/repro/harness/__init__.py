@@ -1,7 +1,5 @@
-"""Sweep, timing, parallel-execution, caching, job, farm and CLI utilities."""
+"""Parallel-execution, caching, job, farm and CLI utilities."""
 
-from .sweep import grid, Sweep
-from .timing import time_callable, TimingStats
 from .results import (
     save_result,
     load_result,
@@ -12,7 +10,7 @@ from .results import (
     ResultCache,
 )
 from .parallel import ShardedExecutor, default_workers
-from .jobs import JobSpec, JobOutcome, CellOutcome, JobRunner
+from .jobs import JobSpec, JobOutcome, CellOutcome, JobRunner, device_overrides_for
 from .farm import (
     FarmCell,
     FarmReport,
@@ -20,7 +18,6 @@ from .farm import (
     SweepFarm,
     plan_grid,
     load_pins,
-    device_overrides_for,
 )
 
 __all__ = [
@@ -28,10 +25,7 @@ __all__ = [
     "JobOutcome",
     "CellOutcome",
     "JobRunner",
-    "grid",
-    "Sweep",
-    "time_callable",
-    "TimingStats",
+    "device_overrides_for",
     "save_result",
     "load_result",
     "code_fingerprint",
@@ -47,5 +41,4 @@ __all__ = [
     "SweepFarm",
     "plan_grid",
     "load_pins",
-    "device_overrides_for",
 ]

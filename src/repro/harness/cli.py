@@ -317,14 +317,6 @@ def _job_spec(eid: str, args) -> JobSpec:
     )
 
 
-def _device_overrides(eid: str, args, *, strict: bool) -> dict:
-    """Back-compat shim: the job core's device translation (kept for
-    tests that exercise the mapping directly)."""
-    return JobRunner(None, None).plan_overrides(
-        _job_spec(eid, args), strict_devices=strict
-    )
-
-
 def _run_farm(executor, cache, args) -> int:
     """``farm`` subcommand: plan the grid, run it cache-first, report."""
     experiment_ids = _parse_names(args.experiments, "--experiments") or None

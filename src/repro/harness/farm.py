@@ -52,7 +52,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigurationError
+from ..experiments import get_experiment, list_experiments
 from . import fingerprint as _fingerprint
+from .jobs import JobRunner, device_overrides_for
 from .results import ResultCache, _canonical_override, cache_key, result_digest
 
 __all__ = [
@@ -61,7 +63,6 @@ __all__ = [
     "FarmReport",
     "SweepFarm",
     "plan_grid",
-    "device_overrides_for",
     "load_pins",
 ]
 
@@ -69,50 +70,6 @@ __all__ = [
 #: dominate any mixed grid, so they dispatch first when no recorded
 #: wall-clock says otherwise.
 _SCALE_COST = {"default": 1.0, "paper": 3600.0}
-
-
-def device_overrides_for(
-    experiment_id: str, scale: str, names: tuple[str, ...], *, strict: bool
-) -> dict:
-    """Parameter overrides pinning ``experiment_id`` to the devices ``names``.
-
-    Experiments with a ``devices`` axis get the tuple; single-``device``
-    experiments accept exactly one name.  ``strict`` raises on
-    experiments without a device parameter (the CLI single-``run`` path);
-    grid expansion passes ``strict=False`` and leaves them untouched.
-    """
-    from ..experiments import get_experiment
-    from ..gpusim.device import list_devices
-
-    if not names:
-        return {}
-    registry = list_devices()
-    unknown = sorted({str(n).lower() for n in names} - set(registry))
-    if unknown:
-        # Named here, at entry, rather than deep in a dispatched sweep:
-        # a farm grid or CLI run with a typo'd device must fail before
-        # any cell executes.
-        raise ConfigurationError(
-            f"unknown device name(s) {unknown} in device list; "
-            f"registered devices: {registry}"
-        )
-    params = get_experiment(experiment_id).params_for(scale)
-    if "devices" in params:
-        return {"devices": tuple(names)}
-    if "device" in params:
-        if len(names) == 1:
-            return {"device": names[0]}
-        if strict:
-            raise ConfigurationError(
-                f"experiment {experiment_id!r} models a single device; "
-                f"--devices got {len(names)} names"
-            )
-        return {}
-    if strict:
-        raise ConfigurationError(
-            f"experiment {experiment_id!r} has no device parameter to override"
-        )
-    return {}
 
 
 @dataclass(frozen=True, eq=True)
@@ -186,8 +143,6 @@ def plan_grid(
     their per-cell invocations, so farm keys and CLI keys coincide
     cell for cell.
     """
-    from ..experiments import get_experiment, list_experiments
-
     if experiment_ids is None:
         experiment_ids = list_experiments()
     overrides = overrides or {}
@@ -361,8 +316,6 @@ class SweepFarm:
     """
 
     def __init__(self, cache: ResultCache, executor, pins: dict[str, str] | None = None):
-        from .jobs import JobRunner
-
         self.cache = cache
         self.executor = executor
         self.pins = dict(pins or {})

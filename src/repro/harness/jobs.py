@@ -39,9 +39,10 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError
 from ..experiments import get_experiment
 from ..experiments.base import ExperimentResult
+from ..gpusim.device import list_devices
 from .results import ResultCache, _canonical_override, cache_key, result_digest
 
-__all__ = ["JobSpec", "CellOutcome", "JobOutcome", "JobRunner"]
+__all__ = ["JobSpec", "CellOutcome", "JobOutcome", "JobRunner", "device_overrides_for"]
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,47 @@ class JobOutcome:
         return doc
 
 
+def device_overrides_for(
+    experiment_id: str, scale: str, names: tuple[str, ...], *, strict: bool
+) -> dict:
+    """Parameter overrides pinning ``experiment_id`` to the devices ``names``.
+
+    Experiments with a ``devices`` axis get the tuple; single-``device``
+    experiments accept exactly one name.  ``strict`` raises on
+    experiments without a device parameter (the CLI single-``run`` path);
+    grid expansion passes ``strict=False`` and leaves them untouched.
+    """
+    if not names:
+        return {}
+    registry = list_devices()
+    unknown = sorted({str(n).lower() for n in names} - set(registry))
+    if unknown:
+        # Named here, at entry, rather than deep in a dispatched sweep:
+        # a farm grid or CLI run with a typo'd device must fail before
+        # any cell executes.
+        raise ConfigurationError(
+            f"unknown device name(s) {unknown} in device list; "
+            f"registered devices: {registry}"
+        )
+    params = get_experiment(experiment_id).params_for(scale)
+    if "devices" in params:
+        return {"devices": tuple(names)}
+    if "device" in params:
+        if len(names) == 1:
+            return {"device": names[0]}
+        if strict:
+            raise ConfigurationError(
+                f"experiment {experiment_id!r} models a single device; "
+                f"--devices got {len(names)} names"
+            )
+        return {}
+    if strict:
+        raise ConfigurationError(
+            f"experiment {experiment_id!r} has no device parameter to override"
+        )
+    return {}
+
+
 class JobRunner:
     """Owner of the submission -> probe -> dispatch -> store lifecycle.
 
@@ -280,8 +322,6 @@ class JobRunner:
         fit the experiment; ``run-all`` passes ``False`` and applies the
         list only where it fits.
         """
-        from .farm import device_overrides_for
-
         get_experiment(spec.experiment_id)  # fail fast on unknown ids
         overrides = dict(spec.overrides)
         if spec.devices:

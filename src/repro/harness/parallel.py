@@ -23,7 +23,8 @@ Example
 ...     result = ex.run("fig3", scale="default", seed=0)
 >>> # result.rows is bit-identical to get_experiment("fig3").run(...)
 
-Non-shardable experiments (no ``shardable_axes``) transparently fall back
+Experiments that declare no axes
+(:attr:`~repro.experiments.base.Experiment.axes`) transparently fall back
 to serial execution, so ``run-all --workers N`` is always safe.
 """
 
@@ -37,10 +38,9 @@ from .. import backend as _backend
 from ..errors import ConfigurationError, ExperimentError
 from ..experiments.axes import plan_sweep
 from ..experiments.base import Experiment, ExperimentResult, get_experiment
-from ..experiments.sharding import plan_shards
 from ..runtime import RunContext
 
-__all__ = ["ShardedExecutor", "default_workers", "plan_shards"]
+__all__ = ["ShardedExecutor", "default_workers"]
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -160,36 +160,16 @@ class ShardedExecutor:
     # ------------------------------------------------------------------- run
     def plan(self, exp: Experiment, params: dict) -> list[tuple[int, int]] | None:
         """Shard windows for one experiment, or ``None`` when it must run
-        serially (not shardable, one worker, or a degenerate run count).
+        serially (no declared axes, one worker, or a degenerate run count).
 
-        Declared experiments (``exp.axes``) get their windows from the
-        sweep planner (:func:`~repro.experiments.axes.plan_sweep`), which
-        also validates the declaration — a multi-shardable product raises
-        a named error there.  Legacy ``shardable_axes`` declarations are
-        windowed directly, and more than one legacy axis is rejected
-        explicitly instead of silently sharding the first.
+        Windows come from the sweep planner
+        (:func:`~repro.experiments.axes.plan_sweep`), which also validates
+        the declaration — a multi-shardable product or a negative axis
+        size raises a named error there.
         """
-        if self.workers <= 1:
+        if self.workers <= 1 or not exp.axes:
             return None
-        if exp.axes:
-            sweep = plan_sweep(exp, params)
-            if sweep.shard_axis is None:
-                return None
-            shards = sweep.shard_windows(self.workers)
-        else:
-            axes = exp.shardable_axes
-            if not axes:
-                return None
-            if len(axes) > 1:
-                raise ExperimentError(
-                    f"experiment {exp.experiment_id!r} declares {len(axes)} "
-                    "shardable axes; the executor windows exactly one — "
-                    "declare the product via Experiment.axes instead"
-                )
-            total = int(params[axes[0].param])
-            shards = plan_shards(
-                total, self.workers, min_per_shard=axes[0].min_per_shard
-            )
+        shards = plan_sweep(exp, params).shard_windows(self.workers)
         return shards if len(shards) > 1 else None
 
     def run(

@@ -1,33 +1,35 @@
 """Axis-algebra suite: the planner's derivations equal the hand-wired paths.
 
-The declarative sweep core (:mod:`repro.experiments.axes`) replaced four
-hand-wired mechanisms; these tests pin, per migrated experiment, that the
-derived quantities are *equal* to the arithmetic they replaced:
+The declarative sweep core (:mod:`repro.experiments.axes`) is the one
+sharding path: every shardable experiment declares its axes, and these
+tests pin, per experiment, that the derived quantities are *equal* to
+the arithmetic they replaced:
 
-* shard windows == ``plan_shards`` over the legacy ``ShardAxis``;
+* shard windows == ``plan_shards`` over the run-count parameter;
 * ``run_block_base`` == the inlined ladder arithmetic;
 * serial ladder consumption == ``ladder_span`` (uniform-block layout);
 * seed-ensemble cache cells == hand-built per-cell override/key sets,
   and the cell-combined grid == the monolithic grid, bit for bit;
-* multi-shardable declarations are rejected by name at every level.
+* multi-shardable declarations and negative shard-axis sizes are
+  rejected by name.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments import get_experiment
+from repro.errors import ConfigurationError
+from repro.experiments import get_experiment, list_experiments
 from repro.experiments.axes import AxisSpec, plan_sweep
 from repro.experiments.base import ShardableExperiment
-from repro.experiments.sharding import ShardAxis, plan_shards
+from repro.experiments.sharding import plan_shards
 from repro.harness.jobs import JobRunner, JobSpec
 from repro.harness.parallel import ShardedExecutor
 from repro.harness.results import ResultCache, cache_key
 from repro.runtime import RunContext
 
-#: Migrated declared experiments and the run-count parameter their shard
-#: axis windows (the pre-planner ``shardable_axes[0]`` behaviour).
+#: Declaring experiments and the run-count parameter their shard axis
+#: windows.
 DECLARED = [
     ("fig1", "n_runs"),
     ("fig2", "n_runs"),
@@ -39,8 +41,29 @@ DECLARED = [
     ("table5", "n_runs"),
     ("cgdiv", "n_runs"),
     ("warpsweep", "n_runs"),
+    ("collsweep", "n_runs"),
     ("seedens", "seeds"),
+    ("table3", "n_trials"),
+    ("table7", "n_models"),
+    ("table8", "check_runs"),
 ]
+
+#: Every registered experiment whose serial path is the one-shard path.
+SHARDABLE = [
+    eid for eid in list_experiments()
+    if isinstance(get_experiment(eid), ShardableExperiment)
+]
+
+
+def _int_shard_param(eid: str) -> str | None:
+    """The parameter behind ``eid``'s shard axis when it is an int size
+    (``n_runs``-style), else ``None`` (value-enumerated, e.g. seeds)."""
+    exp = get_experiment(eid)
+    axis = plan_sweep(exp, exp.params_for("default")).shard_axis
+    return axis.spec.param if axis.values is None else None
+
+
+INT_SHARD_AXES = [(eid, p) for eid in SHARDABLE if (p := _int_shard_param(eid))]
 
 
 @pytest.mark.parametrize("eid,param", DECLARED, ids=[c[0] for c in DECLARED])
@@ -59,12 +82,26 @@ class TestPlannerEqualsHandWired:
                 total, n, min_per_shard=plan.shard_axis.spec.min_per_shard
             )
 
-    def test_shard_decl_matches_legacy_axes(self, eid, param):
+    def test_shard_axis_declares_param(self, eid, param):
         exp = get_experiment(eid)
-        plan = plan_sweep(exp, exp.params_for("default"))
-        assert plan.shard_decl() == exp.shardable_axes == (
-            ShardAxis(param, plan.shard_axis.spec.min_per_shard),
-        )
+        shardable = [s for s in exp.axes if s.shardable]
+        assert len(shardable) == 1
+        assert shardable[0].param == param
+
+
+@pytest.mark.parametrize("eid", SHARDABLE)
+def test_every_shardable_experiment_resolves_a_shard_axis(eid):
+    exp = get_experiment(eid)
+    params = exp.params_for("default")
+    axis = plan_sweep(exp, params).shard_axis
+    assert axis is not None
+    assert exp.shard_total(params) == axis.size
+
+
+@pytest.mark.parametrize("eid,param", INT_SHARD_AXES, ids=[c[0] for c in INT_SHARD_AXES])
+def test_negative_shard_axis_size_is_a_named_error(eid, param):
+    with pytest.raises(ConfigurationError, match="size must be >= 0, got -1"):
+        get_experiment(eid).run(**{param: -1})
 
 
 class TestRunBlockBase:
@@ -98,6 +135,15 @@ class TestRunBlockBase:
                     assert plan.run_block_base(3, distribution=d, size=s, array=a) \
                         == 3 + ((d * S + s) * A + a) * R
 
+    def test_table7_blocks(self):
+        exp = get_experiment("table7")
+        params = exp.params_for("default")
+        plan = plan_sweep(exp, params)
+        n = params["n_models"]
+        assert [plan.run_block_base(5, phase=k) for k in range(4)] == [
+            5, 5 + n, 5 + 2 * n, 5 + 3 * n,
+        ]
+
     def test_cgdiv_blocks(self):
         exp = get_experiment("cgdiv")
         params = exp.params_for("default")
@@ -125,6 +171,10 @@ class TestLadderConsumption:
                    "n_arrays": 2, "n_runs": 5, "bins": 5}),
         ("maxvs", {"sizes": (1_000, 2_000), "n_arrays": 2, "n_runs": 5}),
         ("warpsweep", {"n_elements": 256, "n_arrays": 2, "n_runs": 5}),
+        ("table3", {"n_elements": 1_000, "n_trials": 5, "num_threads": 4}),
+        ("table7", {"num_nodes": 40, "num_edges": 80, "num_features": 8,
+                    "hidden": 4, "epochs": 2, "n_models": 5}),
+        ("table8", {"check_nodes": 16, "check_runs": 5}),
     ]
 
     @pytest.mark.parametrize("eid,tiny", CASES, ids=[c[0] for c in CASES])
@@ -162,14 +212,6 @@ class TestMultiShardableRejection:
         def params_for(self, scale):
             return {"n_a": 4, "n_runs": 8}
 
-    class _TwoLegacy(ShardableExperiment):
-        experiment_id = "twolegacy"
-        title = "two legacy shard axes"
-        shardable_axes = (ShardAxis("n_a", 1), ShardAxis("n_runs", 1))
-
-        def params_for(self, scale):
-            return {"n_a": 4, "n_runs": 8}
-
     def test_plan_sweep_rejects_by_name(self):
         exp = self._TwoShardable()
         with pytest.raises(ConfigurationError, match="2 shardable axes.*exactly one"):
@@ -180,14 +222,9 @@ class TestMultiShardableRejection:
         with pytest.raises(ConfigurationError, match="shardable axes"):
             ShardedExecutor(workers=2).plan(exp, exp.params_for("default"))
 
-    def test_executor_rejects_legacy_multi(self):
-        exp = self._TwoLegacy()
-        with pytest.raises(ExperimentError, match="declare the product via Experiment.axes"):
-            ShardedExecutor(workers=2).plan(exp, exp.params_for("default"))
-
-    def test_shard_total_rejects_legacy_multi(self):
-        exp = self._TwoLegacy()
-        with pytest.raises(ExperimentError, match="exactly one"):
+    def test_shard_total_rejects_declared_multi(self):
+        exp = self._TwoShardable()
+        with pytest.raises(ConfigurationError, match="2 shardable axes"):
             exp.shard_total(exp.params_for("default"))
 
 

@@ -385,7 +385,7 @@ class TestDeviceOverridesValidation:
     def test_unknown_names_raise_configuration_error_listing_registry(self):
         from repro.errors import ConfigurationError
         from repro.gpusim.device import list_devices
-        from repro.harness.farm import device_overrides_for
+        from repro.harness.jobs import device_overrides_for
 
         with pytest.raises(ConfigurationError) as exc:
             device_overrides_for(
@@ -397,7 +397,7 @@ class TestDeviceOverridesValidation:
             assert name in msg
 
     def test_known_names_still_resolve(self):
-        from repro.harness.farm import device_overrides_for
+        from repro.harness.jobs import device_overrides_for
 
         assert device_overrides_for(
             "figS1", "default", ("v100", "gh200"), strict=True

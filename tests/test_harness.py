@@ -1,4 +1,4 @@
-"""Tests for the sweep/timing/results/cache/CLI harness."""
+"""Tests for the results/cache/job-planning/CLI harness."""
 
 import json
 
@@ -9,98 +9,16 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import get_experiment
 from repro.harness import (
     ResultCache,
-    Sweep,
-    TimingStats,
     cache_key,
     code_fingerprint,
     experiment_fingerprint,
-    grid,
     load_result,
     result_digest,
     save_result,
-    time_callable,
 )
 from repro.harness.cli import build_parser, main
+from repro.harness.jobs import JobRunner, JobSpec
 from repro.runtime import RunContext
-
-
-class TestGrid:
-    def test_cartesian_product(self):
-        pts = list(grid(a=[1, 2], b=["x", "y"]))
-        assert len(pts) == 4
-        assert {"a": 2, "b": "y"} in pts
-
-    def test_empty_axes(self):
-        assert list(grid()) == [{}]
-
-    def test_order_is_row_major(self):
-        pts = list(grid(a=[1, 2], b=[10, 20]))
-        assert pts[0] == {"a": 1, "b": 10}
-        assert pts[1] == {"a": 1, "b": 20}
-
-
-class TestSweep:
-    def test_runner_rows_merged_with_points(self):
-        s = Sweep("demo", {"n": [1, 2, 3]}, lambda n: {"sq": n * n})
-        rows = s.run()
-        assert rows == [
-            {"n": 1, "sq": 1},
-            {"n": 2, "sq": 4},
-            {"n": 3, "sq": 9},
-        ]
-
-    def test_column_extraction(self):
-        s = Sweep("demo", {"n": [1, 2]}, lambda n: {"sq": n * n})
-        s.run()
-        assert s.column("sq") == [1, 4]
-
-    def test_limit(self):
-        s = Sweep("demo", {"n": list(range(100))}, lambda n: {"v": n})
-        assert len(s.run(limit=5)) == 5
-
-    def test_non_positive_limit_rejected(self):
-        # Regression: limit=0 used to silently produce an empty sweep.
-        s = Sweep("demo", {"n": [1, 2]}, lambda n: {"v": n})
-        for bad in (0, -3, 2.5, True):
-            with pytest.raises(ConfigurationError, match="'demo'.*limit"):
-                s.run(limit=bad)
-
-    def test_missing_column_names_sweep_and_key(self):
-        # Regression: a bare KeyError pointed at nothing.
-        s = Sweep("demo", {"n": [1, 2]}, lambda n: {"sq": n * n})
-        s.run()
-        with pytest.raises(ConfigurationError, match="'demo'.*'cube'") as exc:
-            s.column("cube")
-        assert "sq" in str(exc.value)  # known columns listed
-
-    def test_non_dict_row_rejected(self):
-        s = Sweep("demo", {"n": [1]}, lambda n: n)
-        with pytest.raises(ConfigurationError):
-            s.run()
-
-    def test_non_callable_runner_rejected(self):
-        s = Sweep("demo", {"n": [1]}, runner=None)
-        with pytest.raises(ConfigurationError):
-            s.run()
-
-
-class TestTiming:
-    def test_time_callable_statistics(self):
-        stats = time_callable(lambda: sum(range(1000)), repeats=5)
-        assert isinstance(stats, TimingStats)
-        assert stats.n == 5
-        assert stats.min_s <= stats.mean_s <= stats.max_s
-
-    def test_args_forwarded(self):
-        calls = []
-        time_callable(lambda x: calls.append(x), 7, repeats=2, warmup=1)
-        assert calls == [7, 7, 7]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            time_callable(lambda: None, repeats=0)
-        with pytest.raises(ConfigurationError):
-            time_callable(lambda: None, warmup=-1)
 
 
 class TestResults:
@@ -602,18 +520,17 @@ class TestCli:
         assert main(["run", "fig2", "--no-cache", "--devices", "v100,gh200"]) == 1
         assert "single device" in capsys.readouterr().err
 
-    def test_devices_override_applies_where_it_fits(self, capsys):
-        from repro.harness.cli import _device_overrides
+    def test_devices_override_applies_where_it_fits(self):
+        planner = JobRunner(None, None)
 
-        args = build_parser().parse_args(
-            ["run-all", "--devices", "v100,gh200", "--no-cache"]
-        )
+        def overrides(eid, devices, *, strict):
+            spec = JobSpec(eid, devices=devices)
+            return planner.plan_overrides(spec, strict_devices=strict)
+
         # Device-axis experiments get the tuple; single-device and
         # device-free experiments are left untouched under run-all.
-        assert _device_overrides("figS1", args, strict=False) == {
-            "devices": ("v100", "gh200")
-        }
-        assert _device_overrides("fig2", args, strict=False) == {}
-        assert _device_overrides("table2", args, strict=False) == {}
-        args1 = build_parser().parse_args(["run", "fig2", "--devices", "GH200"])
-        assert _device_overrides("fig2", args1, strict=True) == {"device": "gh200"}
+        pair = ("v100", "gh200")
+        assert overrides("figS1", pair, strict=False) == {"devices": pair}
+        assert overrides("fig2", pair, strict=False) == {}
+        assert overrides("table2", pair, strict=False) == {}
+        assert overrides("fig2", ("GH200",), strict=True) == {"device": "gh200"}

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import get_experiment
 from repro.harness import JobOutcome, JobRunner, JobSpec, ResultCache, cache_key
+from repro.harness import fingerprint
 from repro.harness.parallel import ShardedExecutor
 from repro.runtime import RunContext
 
@@ -155,6 +156,17 @@ class TestPlanAndProbe:
             cache_key("seedens", "default", 0, cell) for cell in cells
         ]
         assert len(probed) == 4
+
+
+class TestLayering:
+    def test_job_core_does_not_import_the_farm(self):
+        # The farm is a thin client of the job core, never its dependency
+        # (function-local imports count: the graph walks the whole AST).
+        graph = fingerprint.import_graph()
+        assert "repro.harness.farm" not in graph["repro.harness.jobs"]
+        assert "repro.harness.farm" not in fingerprint.transitive_closure(
+            "repro.harness.jobs", graph
+        )
 
 
 class TestJobRunnerLifecycle:
