@@ -10,10 +10,13 @@ a mean (the JIT-pollution guard the perf-trajectory protocol requires;
 ``benchmarks/save_baseline.py`` additionally pre-builds in a separate
 process before launching pytest).
 
-Micro-benches cover the narrow waist the backend sits under —
-``permuted_sums``, ``batched_tree_fold``, ``batched_atomic_fold``,
-``cumsum_runs`` and ``SegmentPlan.fold_runs`` / ``fold_runs_sparse`` — at
-sizes where the run axis dominates; the end-to-end bench replays the
+Micro-benches cover the fold primitives at sizes where the run axis
+dominates.  ``permuted_sums`` and ``batched_atomic_fold`` run on the
+sequential-fold kernel and ``SegmentPlan.fold_runs`` /
+``fold_runs_sparse`` on the segmented kernels; ``batched_tree_fold`` and
+``cumsum_runs`` have no kernel, so their ``[compiled]`` legs time the
+NumPy engine (CI gates only ``batched_tree_fold[numpy]``).  The
+end-to-end bench replays the
 pinned ``run-all`` workload of ``test_runall_workers.py`` serially under
 each backend.  Bit-exactness across backends is not a bench concern (it
 is pinned by ``tests/test_backend.py`` and the both-backend golden runs),

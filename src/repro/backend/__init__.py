@@ -1,10 +1,12 @@
 """Pluggable compiled backend under the engine's fold primitives.
 
 The batched run-axis engine funnels all hot floating-point work through a
-narrow waist of fold primitives (``permuted_sums``, ``batched_tree_fold``,
-``batched_atomic_fold``, the blocked cumsum scan, and the
-``SegmentPlan.fold*`` family).  This package puts a compiled kernel layer
-behind that waist:
+narrow waist of fold primitives.  This package puts a compiled kernel
+behind the three whose C twin measurably moves an experiment's run time:
+the sequential fold (``batched_atomic_fold``, which ``permuted_sums``
+also runs on), the segmented fold (``SegmentPlan.fold*``) and the
+raced-segment re-fold (``stratified_refold``).  The tree folds and the
+blocked cumsum scan stay NumPy-only.  The package has three modules:
 
 * :mod:`repro.backend.csrc` — the C kernels (one template, f32/f64);
 * :mod:`repro.backend.compiled` — cffi ABI-mode build/load + wrappers;

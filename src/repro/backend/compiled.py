@@ -194,42 +194,15 @@ def _u8p(arr: np.ndarray):
     return _ffi.cast("uint8_t *", arr.ctypes.data)
 
 
-def _permuted_sums(arr: np.ndarray, pm: np.ndarray):
-    """Compiled :func:`repro.fp.summation.permuted_sums` core (validated
-    non-empty inputs)."""
-    sfx = _suffix(arr.dtype)
-    if sfx is None:
-        return NotImplemented
-    lib = load_library()
-    arr = np.ascontiguousarray(arr)
-    pm = _i64(pm)
-    out = np.empty(pm.shape[0], dtype=np.float64)
-    getattr(lib, f"repro_permuted_sums_{sfx}")(
-        _valp(arr), _i64p(pm), pm.shape[0], arr.size, _f64p(out)
-    )
-    return out
-
-
-def _batched_tree_fold(mat: np.ndarray):
-    """Compiled :func:`repro.fp.summation.batched_tree_fold` core
-    (``n >= 2`` guaranteed by the call site)."""
-    sfx = _suffix(mat.dtype)
-    if sfx is None:
-        return NotImplemented
-    lib = load_library()
-    mat = np.ascontiguousarray(mat)
-    n_runs, n = mat.shape
-    p = 1 << int(n - 1).bit_length()
-    scratch = np.empty(p, dtype=mat.dtype)
-    out = np.empty(n_runs, dtype=np.float64)
-    getattr(lib, f"repro_tree_fold_rows_{sfx}")(
-        _valp(mat), n_runs, n, p, _valp(scratch), _f64p(out)
-    )
-    return out
-
-
 def _batched_atomic_fold(arr: np.ndarray, om: np.ndarray, per_run: bool):
-    """Compiled :func:`repro.gpusim.atomics.batched_atomic_fold` core."""
+    """Compiled sequential-fold core behind
+    :func:`repro.gpusim.atomics.batched_atomic_fold` and
+    :func:`repro.fp.summation.permuted_sums` (``n >= 1``).
+
+    Also returns ``NotImplemented`` when an order holds an index outside
+    ``[0, n)``: the kernel checks as it reads, and the NumPy path then
+    raises the caller's named error.
+    """
     sfx = _suffix(arr.dtype)
     if sfx is None:
         return NotImplemented
@@ -238,26 +211,10 @@ def _batched_atomic_fold(arr: np.ndarray, om: np.ndarray, per_run: bool):
     om = _i64(om)
     n_runs, n = om.shape
     out = np.empty(n_runs, dtype=np.float64)
-    getattr(lib, f"repro_atomic_fold_{sfx}")(
+    bad = getattr(lib, f"repro_atomic_fold_{sfx}")(
         _valp(arr), _i64p(om), int(per_run), n_runs, n, _f64p(out)
     )
-    return out
-
-
-def _blocked_cumsum_rows(rows: np.ndarray, chunk: int):
-    """Compiled :func:`repro.ops.cumsum._blocked_cumsum_rows` core
-    (float rows, ``n >= 1``)."""
-    sfx = _suffix(rows.dtype)
-    if sfx is None:
-        return NotImplemented
-    lib = load_library()
-    rows = np.ascontiguousarray(rows)
-    n_rows, n = rows.shape
-    out = np.empty_like(rows)
-    getattr(lib, f"repro_blocked_cumsum_{sfx}")(
-        _valp(rows), n_rows, n, int(chunk), _valp(out)
-    )
-    return out
+    return NotImplemented if bad else out
 
 
 def _segment_fold(plan, vals, orders, init, *, per_run_vals: bool):
@@ -388,10 +345,7 @@ def _stratified_refold(
 
 #: Primitive name -> compiled implementation, consumed by the registry.
 IMPLS = {
-    "permuted_sums": _permuted_sums,
-    "batched_tree_fold": _batched_tree_fold,
     "batched_atomic_fold": _batched_atomic_fold,
-    "blocked_cumsum": _blocked_cumsum_rows,
     "segment_fold": _segment_fold,
     "stratified_refold": _stratified_refold,
 }

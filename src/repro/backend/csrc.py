@@ -1,22 +1,21 @@
 """C source of the compiled hot-path kernels (cffi ABI mode).
 
 One template, instantiated for ``double``/``f64`` and ``float``/``f32``,
-covering the engine's narrow waist:
+covering the three fold primitives whose C twin measurably moves an
+experiment's run time:
 
-* ``repro_permuted_sums_*`` — batched left folds of ``x[perm[r]]``
-  (:func:`repro.fp.summation.permuted_sums`);
-* ``repro_tree_fold_rows_*`` — batched balanced-tree folds
-  (:func:`repro.fp.summation.batched_tree_fold`);
-* ``repro_atomic_fold_*`` — batched retirement-order folds, shared or
-  per-run values (:func:`repro.gpusim.atomics.batched_atomic_fold`);
-* ``repro_blocked_cumsum_*`` — the blocked prefix scan
-  (:func:`repro.ops.cumsum.blocked_cumsum` and the run-batched
-  :func:`repro.ops.cumsum.cumsum_runs`);
+* ``repro_atomic_fold_*`` — batched sequential folds in per-row orders,
+  shared or per-run values (:func:`repro.gpusim.atomics.
+  batched_atomic_fold` and :func:`repro.fp.summation.permuted_sums`);
 * ``repro_segment_fold_*`` — segmented left folds: canonical or per-run
   orders, shared or per-run values (:meth:`repro.ops.segmented.
   SegmentPlan.fold` / ``fold_runs`` / ``fold_runs_values``);
 * ``repro_stratified_refold_*`` — the raced-segment re-fold behind
   ``fold_runs_sparse`` / ``fold_runs_values``.
+
+The tree folds and the blocked cumsum scan have no kernel: NumPy's
+lockstep vector passes already run them as fast as the experiments can
+measure.
 
 Bit-exactness contract
 ----------------------
@@ -68,14 +67,8 @@ CFLAGS = (
 )
 
 _DECL_TEMPLATE = """
-void repro_permuted_sums_@S@(const @T@ *x, const int64_t *perms,
-                             int64_t n_runs, int64_t n, double *out);
-void repro_tree_fold_rows_@S@(const @T@ *xs, int64_t n_runs, int64_t n,
-                              int64_t p, @T@ *scratch, double *out);
-void repro_atomic_fold_@S@(const @T@ *x, const int64_t *orders, int per_run,
-                           int64_t n_runs, int64_t n, double *out);
-void repro_blocked_cumsum_@S@(const @T@ *rows, int64_t n_rows, int64_t n,
-                              int64_t chunk, @T@ *out);
+int repro_atomic_fold_@S@(const @T@ *x, const int64_t *orders, int per_run,
+                          int64_t n_runs, int64_t n, double *out);
 void repro_segment_fold_@S@(const @T@ *vals, int per_run_vals,
                             const int64_t *orders, const int64_t *order,
                             const int64_t *seg_start, const int64_t *seg_end,
@@ -94,96 +87,28 @@ void repro_stratified_refold_@S@(const @T@ *vals, int per_run_vals,
 """
 
 _KERNEL_TEMPLATE = """
-/* Identity pass-through the optimiser cannot see into.  FP addition is
-   commutative up to NaN payloads, so value numbering may merge
-   `offset + acc` with a just-computed `acc + offset` — same value class,
-   but the merged instruction propagates the *other* operand's payload
-   when both are NaN.  Routing one operand through a volatile slot keeps
-   the two adds distinct, preserving NumPy's first-operand payload rule. */
-static inline @T@ repro_opaque_@S@(@T@ v)
-{
-    volatile @T@ slot = v;
-    return slot;
-}
-
-/* Left fold of x[perm[r]] per row: the accumulate of permuted_sum, without
-   materialising the gathered row or its prefix array. */
-void repro_permuted_sums_@S@(const @T@ *x, const int64_t *perms,
-                             int64_t n_runs, int64_t n, double *out)
-{
-    for (int64_t r = 0; r < n_runs; r++) {
-        const int64_t *p = perms + r * n;
-        @T@ acc = x[p[0]];
-        for (int64_t i = 1; i < n; i++)
-            acc = (@T@)(acc + x[p[i]]);
-        out[r] = (double)acc;
-    }
-}
-
-/* Balanced-tree fold per row: zero-pad to p (a power of two), then the
-   halving loop scratch[i] += scratch[i + half] — the exact per-level adds
-   of batched_tree_fold's lockstep matrix halving. */
-void repro_tree_fold_rows_@S@(const @T@ *xs, int64_t n_runs, int64_t n,
-                              int64_t p, @T@ *scratch, double *out)
-{
-    for (int64_t r = 0; r < n_runs; r++) {
-        memcpy(scratch, xs + r * n, (size_t)n * sizeof(@T@));
-        for (int64_t i = n; i < p; i++)
-            scratch[i] = (@T@)0.0;
-        for (int64_t half = p / 2; half >= 1; half /= 2)
-            for (int64_t i = 0; i < half; i++)
-                scratch[i] = (@T@)(scratch[i] + scratch[i + half]);
-        out[r] = (double)scratch[0];
-    }
-}
-
-/* Sequential retirement-order fold per row; per_run selects row r of a
-   (R, n) values matrix (the CG run batch), else values are shared. */
-void repro_atomic_fold_@S@(const @T@ *x, const int64_t *orders, int per_run,
-                           int64_t n_runs, int64_t n, double *out)
+/* Sequential fold per row in orders[r] (atomic retirement orders, or the
+   permutations of permuted_sums); per_run selects row r of a (R, n)
+   values matrix (the CG run batch), else values are shared.  Returns 1,
+   before reading any value through it, when a row holds an index outside
+   [0, n) (the caller then raises a named error); 0 otherwise. */
+int repro_atomic_fold_@S@(const @T@ *x, const int64_t *orders, int per_run,
+                          int64_t n_runs, int64_t n, double *out)
 {
     for (int64_t r = 0; r < n_runs; r++) {
         const int64_t *o = orders + r * n;
         const @T@ *v = per_run ? (x + r * n) : x;
+        if ((uint64_t)o[0] >= (uint64_t)n)
+            return 1;
         @T@ acc = v[o[0]];
-        for (int64_t i = 1; i < n; i++)
+        for (int64_t i = 1; i < n; i++) {
+            if ((uint64_t)o[i] >= (uint64_t)n)
+                return 1;
             acc = (@T@)(acc + v[o[i]]);
+        }
         out[r] = (double)acc;
     }
-}
-
-/* Blocked inclusive scan per row: within-chunk sequential scans, an
-   exclusive sequential scan of chunk totals carried in `offset`, one
-   offset add per element.  Chunk 0 takes no offset add (adding an exact
-   +0.0 would still flip -0.0), and the first chunk total seeds `offset`
-   directly — np.add.accumulate's first element is copied, not added. */
-void repro_blocked_cumsum_@S@(const @T@ *rows, int64_t n_rows, int64_t n,
-                              int64_t chunk, @T@ *out)
-{
-    for (int64_t r = 0; r < n_rows; r++) {
-        const @T@ *row = rows + r * n;
-        @T@ *orow = out + r * n;
-        @T@ offset = (@T@)0.0;
-        for (int64_t c0 = 0; c0 < n; c0 += chunk) {
-            int64_t end = c0 + chunk < n ? c0 + chunk : n;
-            @T@ acc = row[c0];
-            if (c0 == 0) {
-                orow[0] = acc;
-                for (int64_t i = 1; i < end; i++) {
-                    acc = (@T@)(acc + row[i]);
-                    orow[i] = acc;
-                }
-                offset = acc;
-            } else {
-                orow[c0] = (@T@)(acc + offset);
-                for (int64_t i = c0 + 1; i < end; i++) {
-                    acc = (@T@)(acc + row[i]);
-                    orow[i] = (@T@)(acc + offset);
-                }
-                offset = (@T@)(repro_opaque_@S@(offset) + acc);
-            }
-        }
-    }
+    return 0;
 }
 
 /* Segmented left fold: for run r, target t, fold slot 0 (init or the 0.0

@@ -4,9 +4,9 @@ The engine's hot paths — the fold primitives named in
 :mod:`repro.backend.csrc` — each ask the registry for a compiled
 implementation at call time::
 
-    impl = registry.resolve("permuted_sums")
+    impl = registry.resolve("batched_atomic_fold")
     if impl is not None:
-        res = impl(arr, pm)
+        res = impl(arr, om, per_run)
         if res is not NotImplemented:
             return res
     # ... NumPy path ...
@@ -194,11 +194,7 @@ def warm_up() -> str:
     from . import compiled
 
     x = np.array([1.0, 2.0, 3.0])
-    perms = np.array([[2, 0, 1]])
-    compiled.IMPLS["permuted_sums"](x, perms)
-    compiled.IMPLS["batched_tree_fold"](np.array([[1.0, 2.0, 3.0]]))
-    compiled.IMPLS["batched_atomic_fold"](x, perms, False)
-    compiled.IMPLS["blocked_cumsum"](x[None, :], 2)
+    compiled.IMPLS["batched_atomic_fold"](x, np.array([[2, 0, 1]]), False)
     plan = SegmentPlan(np.array([0, 1, 0]), 2)
     compiled.IMPLS["segment_fold"](plan, x, None, None, per_run_vals=False)
     compiled.IMPLS["stratified_refold"](

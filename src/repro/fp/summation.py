@@ -34,14 +34,17 @@ The variability protocol (paper §III-C) repeats a non-deterministic fold
 ``R`` times per array.  :func:`permuted_sums` and :func:`batched_tree_fold`
 fold a whole ``(R, n)`` run matrix at once, **bit-identical** per row to the
 scalar :func:`permuted_sum` / :func:`tree_fold` calls: every row fold
-performs the exact same IEEE-754 operation sequence, only batched (fancy
-gathers are chunked, row accumulates run on contiguous 1-D rows).  The
-``chunk_runs`` knob bounds the transient ``(chunk, n)`` matrices so the run
-axis never blows the memory budget at ``n = 10**6``
-(:data:`DEFAULT_RUN_CHUNK_ELEMENTS` elements per chunk by default; see
-:func:`iter_run_chunks`).  The scheduler side of the engine — sampling all
-``R`` execution orders as one matrix under the same bit-exactness contract
-— lives in :class:`repro.gpusim.scheduler.WaveSchedulerBatch`.
+performs the exact same IEEE-754 operation sequence, only batched (the
+run axis is cut into chunks, and each chunk's rows are folded in
+lockstep).  :data:`DEFAULT_RUN_CHUNK_ELEMENTS` bounds the transient
+``(chunk, n)`` matrices so the run axis never blows the memory budget at
+``n = 10**6`` (see :func:`iter_run_chunks`).  :func:`permuted_sums` and
+:func:`repro.gpusim.atomics.batched_atomic_fold` are one sequential fold
+(the paper's ``S_ND``) over shared or per-run values, so both run through
+one private core and one compiled kernel.  The scheduler side of the
+engine — sampling all ``R`` execution orders as one matrix under the same
+bit-exactness contract — lives in
+:class:`repro.gpusim.scheduler.WaveSchedulerBatch`.
 
 Beyond the fold matrices, the same engine batches the per-run *block*
 stage: :func:`block_partials_runs` evaluates every row's two-stage tile
@@ -73,14 +76,16 @@ coords) * n_runs``, excludes anchored device axes and seed-ensemble axes
 from the ladder span, and hands the executor its shard windows — see the
 scheduler catalogue's "axis-declaration contract" section.
 
-The fold matrices are also the engine's compiled hot path: when the
+The sequential folds are also the engine's compiled hot path: when the
 :mod:`repro.backend` registry selects the compiled backend
 (``REPRO_BACKEND=compiled|auto``), :func:`permuted_sums` and
-:func:`batched_tree_fold` dispatch to C kernels implementing the
-**identical accumulation-order contract** — the same strictly sequential
-row scans and lockstep tree levels, in the same f32/f64 intermediate
-widths, with the same −0.0/NaN/inf propagation — so the backends differ
-in wall-clock only, never in bits.  RNG draws are untouched: the backend
+:func:`~repro.gpusim.atomics.batched_atomic_fold` dispatch to the
+``batched_atomic_fold`` C kernel, which implements the **identical
+accumulation-order contract** — the same strictly sequential row scans,
+in the same f32/f64 intermediate widths, with the same −0.0/NaN/inf
+propagation — so the backends differ in wall-clock only, never in bits.
+The tree folds have no kernel: NumPy's lockstep halving is already as
+fast as the experiments can measure.  RNG draws are untouched: the backend
 sits strictly below the draw catalogue (orders and permutations are
 sampled before dispatch).
 
@@ -125,26 +130,69 @@ __all__ = [
 DEFAULT_RUN_CHUNK_ELEMENTS = 4 << 20
 
 
-def iter_run_chunks(n_runs: int, elems_per_run: int, *, chunk_runs: int | None = None):
+def iter_run_chunks(n_runs: int, elems_per_run: int):
     """Yield ``(lo, hi)`` run-index slices bounding chunk memory.
 
-    Parameters
-    ----------
-    n_runs:
-        Total runs to cover.
-    elems_per_run:
-        Elements each run materialises in the transient chunk matrix.
-    chunk_runs:
-        Explicit chunk size override; default fits
-        :data:`DEFAULT_RUN_CHUNK_ELEMENTS` elements per chunk (always at
-        least one run per chunk).
+    Each chunk fits :data:`DEFAULT_RUN_CHUNK_ELEMENTS` elements when
+    every run materialises ``elems_per_run`` of them (always at least one
+    run per chunk).
     """
-    if chunk_runs is None:
-        chunk_runs = max(1, DEFAULT_RUN_CHUNK_ELEMENTS // max(elems_per_run, 1))
-    if chunk_runs < 1:
-        raise ConfigurationError(f"chunk_runs must be >= 1, got {chunk_runs}")
-    for lo in range(0, n_runs, chunk_runs):
-        yield lo, min(lo + chunk_runs, n_runs)
+    step = max(1, DEFAULT_RUN_CHUNK_ELEMENTS // max(elems_per_run, 1))
+    for lo in range(0, n_runs, step):
+        yield lo, min(lo + step, n_runs)
+
+
+def _sequential_folds(
+    arr: np.ndarray, om: np.ndarray, error: type[Exception]
+) -> np.ndarray:
+    """Left folds of ``arr`` in every row order of ``om``: the core of
+    :func:`permuted_sums` and :func:`repro.gpusim.atomics.
+    batched_atomic_fold`.
+
+    ``arr`` is ``(n,)`` values shared by all runs or ``(R, n)`` per-run
+    values; ``om`` is an ``(R, n)`` index matrix whose shapes the caller
+    validated.  Returns ``(R,)`` float64, row ``r`` bit-identical to the
+    1-D ``np.add.accumulate(values_r[om[r]])[-1]``.  An index outside
+    ``[0, n)`` raises ``error``, the caller's named error, on both
+    backends: the kernel checks each index before reading through it and
+    hands such orders back, and the NumPy path checks the whole matrix
+    once, before its gathers could wrap a negative index.
+    """
+    n_runs, n = om.shape
+    if n == 0:
+        return np.zeros(n_runs, dtype=np.float64)
+    per_run = arr.ndim == 2
+    impl = _backend.resolve("batched_atomic_fold")
+    if impl is not None:
+        res = impl(arr, om, per_run)
+        if res is not NotImplemented:
+            return res
+    if om.min() < 0 or om.max() >= n:
+        raise error(f"fold orders hold indices outside [0, {n})")
+    out = np.empty(n_runs, dtype=np.float64)
+    # The accumulate must run in the values' own dtype (bit-exactness with
+    # the scalar fold).  Rows are independent, so accumulating the whole
+    # gathered chunk along axis 1 (in place, eliding the cumsum copies)
+    # performs the exact same per-row IEEE operation sequence as a per-row
+    # loop — one ufunc call per chunk instead of one per run.  Small
+    # per-run batches keep the row loop: the gather ``arr[r][om[r]]`` is
+    # cheaper than building take_along_axis index grids there (the
+    # run-batched reductions sample thousands of tiny batches).
+    if per_run and n_runs < 64:
+        buf = np.empty(n, dtype=arr.dtype)
+        for r in range(n_runs):
+            np.add.accumulate(arr[r][om[r]], out=buf)
+            out[r] = buf[-1]
+        return out
+    for lo, hi in iter_run_chunks(n_runs, n):
+        gathered = (
+            np.take_along_axis(arr[lo:hi], om[lo:hi], axis=1)
+            if per_run
+            else arr[om[lo:hi]]
+        )
+        np.add.accumulate(gathered, axis=1, out=gathered)
+        out[lo:hi] = gathered[:, -1]
+    return out
 
 
 def _as_1d(x) -> np.ndarray:
@@ -202,7 +250,7 @@ def permuted_sum(x, permutation) -> float:
     return float(np.add.accumulate(arr[perm])[-1])
 
 
-def permuted_sums(x, perms, *, chunk_runs: int | None = None) -> np.ndarray:
+def permuted_sums(x, perms) -> np.ndarray:
     """Left folds of ``x[perms[r]]`` for every row ``r`` — the batched
     :func:`permuted_sum`.
 
@@ -214,8 +262,6 @@ def permuted_sums(x, perms, *, chunk_runs: int | None = None) -> np.ndarray:
     perms:
         ``(R, n)`` integer matrix; each row is a permutation of ``x``'s
         indices.  Validated once for the whole batch.
-    chunk_runs:
-        Memory knob: rows gathered per chunk (see :func:`iter_run_chunks`).
 
     Returns
     -------
@@ -229,25 +275,7 @@ def permuted_sums(x, perms, *, chunk_runs: int | None = None) -> np.ndarray:
         raise ShapeError(f"perms must be 2-D (runs, n), got shape {pm.shape}")
     if pm.shape[1] != arr.size:
         raise ShapeError(f"perms row length {pm.shape[1]} != data length {arr.size}")
-    n_runs = pm.shape[0]
-    out = np.empty(n_runs, dtype=np.float64)
-    if arr.size == 0:
-        out.fill(0.0)
-        return out
-    if pm.size and (pm.min() < 0 or pm.max() >= arr.size):
-        raise ConfigurationError("perms contain out-of-range indices")
-    impl = _backend.resolve("permuted_sums")
-    if impl is not None:
-        res = impl(arr, pm)
-        if res is not NotImplemented:
-            return res
-    for lo, hi in iter_run_chunks(n_runs, arr.size, chunk_runs=chunk_runs):
-        gathered = arr[pm[lo:hi]]  # (chunk, n), contiguous rows
-        for r in range(hi - lo):
-            # A strictly sequential scan per row: identical association
-            # order (and bits) to the scalar fold.
-            out[lo + r] = np.add.accumulate(gathered[r])[-1]
-    return out
+    return _sequential_folds(arr, pm, ConfigurationError)
 
 
 def tree_fold(x) -> float:
@@ -274,7 +302,7 @@ def tree_fold(x) -> float:
     return float(buf[0])
 
 
-def batched_tree_fold(xs, *, chunk_runs: int | None = None) -> np.ndarray:
+def batched_tree_fold(xs) -> np.ndarray:
     """Balanced binary-tree reduction of every row of an ``(R, n)`` matrix.
 
     The batched :func:`tree_fold`: rows are zero-padded to the next power
@@ -286,8 +314,6 @@ def batched_tree_fold(xs, *, chunk_runs: int | None = None) -> np.ndarray:
     ----------
     xs:
         ``(R, n)`` float matrix, one run per row.
-    chunk_runs:
-        Memory knob: rows folded per chunk (see :func:`iter_run_chunks`).
 
     Returns
     -------
@@ -307,13 +333,8 @@ def batched_tree_fold(xs, *, chunk_runs: int | None = None) -> np.ndarray:
     if n == 1:
         out[:] = mat[:, 0]
         return out
-    impl = _backend.resolve("batched_tree_fold")
-    if impl is not None:
-        res = impl(mat)
-        if res is not NotImplemented:
-            return res
     p = 1 << (int(n - 1).bit_length())
-    for lo, hi in iter_run_chunks(n_runs, p, chunk_runs=chunk_runs):
+    for lo, hi in iter_run_chunks(n_runs, p):
         buf = np.zeros((hi - lo, p), dtype=mat.dtype)
         buf[:, :n] = mat[lo:hi]
         half = p // 2
@@ -403,9 +424,7 @@ def block_partials(x, n_blocks: int, block_size: int | None = None) -> np.ndarra
     return buf[:, 0].copy()
 
 
-def block_partials_runs(
-    xs, n_blocks: int, block_size: int | None = None, *, chunk_runs: int | None = None
-) -> np.ndarray:
+def block_partials_runs(xs, n_blocks: int, block_size: int | None = None) -> np.ndarray:
     """Per-block tree partials of every row of an ``(R, n)`` matrix.
 
     The batched :func:`block_partials` — one run per row, tiles of all runs
@@ -421,8 +440,6 @@ def block_partials_runs(
         ``(R, n)`` float matrix, one run per row.
     n_blocks, block_size:
         As in :func:`block_partials`.
-    chunk_runs:
-        Memory knob: rows staged per chunk (see :func:`iter_run_chunks`).
 
     Returns
     -------
@@ -446,10 +463,10 @@ def block_partials_runs(
             f"n_blocks*block_size = {n_blocks * block_size} cannot cover {n} elements"
         )
     p = 1 << (int(max(block_size - 1, 0)).bit_length() or 1)
-    if n_runs * n_blocks * p <= DEFAULT_RUN_CHUNK_ELEMENTS and chunk_runs is None:
+    if n_runs * n_blocks * p <= DEFAULT_RUN_CHUNK_ELEMENTS:
         spans = ((0, n_runs),)  # single chunk: skip the generator machinery
     else:
-        spans = iter_run_chunks(n_runs, n_blocks * p, chunk_runs=chunk_runs)
+        spans = iter_run_chunks(n_runs, n_blocks * p)
     out = np.empty((n_runs, n_blocks), dtype=mat.dtype)
     for lo, hi in spans:
         chunk = hi - lo

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import backend as _backend
 from ..errors import SchedulerError
-from ..fp.summation import iter_run_chunks, serial_sum
+from ..fp.summation import _sequential_folds, serial_sum
 
 __all__ = ["AtomicAccumulator", "RetirementCounter", "atomic_fold", "batched_atomic_fold"]
 
@@ -42,9 +41,7 @@ def atomic_fold(values: np.ndarray, order: np.ndarray | None = None) -> float:
     return float(np.add.accumulate(arr[order])[-1])
 
 
-def batched_atomic_fold(
-    values: np.ndarray, orders: np.ndarray, *, chunk_runs: int | None = None
-) -> np.ndarray:
+def batched_atomic_fold(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Sequential IEEE folds of ``values`` in every row of ``orders``.
 
     The batched :func:`atomic_fold`: row ``r`` of the result is
@@ -60,9 +57,8 @@ def batched_atomic_fold(
         ``(n,)`` summands shared by all runs, or ``(R, n)`` per-run
         summands (the fold runs in their dtype either way).
     orders:
-        ``(R, n)`` retirement orders, one simulated run per row.
-    chunk_runs:
-        Memory knob bounding the gathered ``(chunk, n)`` matrices.
+        ``(R, n)`` retirement orders, one simulated run per row; an entry
+        outside ``[0, n)`` raises :class:`~repro.errors.SchedulerError`.
 
     Returns
     -------
@@ -73,8 +69,7 @@ def batched_atomic_fold(
     om = np.asarray(orders)
     if om.ndim != 2:
         raise SchedulerError(f"orders must be 2-D (runs, n), got shape {om.shape}")
-    per_run = arr.ndim == 2
-    if per_run:
+    if arr.ndim == 2:
         if arr.shape != om.shape:
             raise SchedulerError(
                 f"per-run values shape {arr.shape} must match orders shape {om.shape}"
@@ -83,39 +78,7 @@ def batched_atomic_fold(
         raise SchedulerError(
             f"orders row shape {om.shape[1:]} does not match values shape {arr.shape}"
         )
-    n_runs, n = om.shape
-    out = np.empty(n_runs, dtype=np.float64)
-    if n == 0:
-        out.fill(0.0)
-        return out
-    impl = _backend.resolve("batched_atomic_fold")
-    if impl is not None:
-        res = impl(arr, om, per_run)
-        if res is not NotImplemented:
-            return res
-    # The accumulate must run in the values' own dtype (bit-exactness with
-    # the scalar fold).  Rows are independent, so accumulating the whole
-    # gathered chunk along axis 1 (in place, eliding the cumsum copies)
-    # performs the exact same per-row IEEE operation sequence as a per-row
-    # loop — one ufunc call per chunk instead of one per run.  Small
-    # batches keep the row loop: the per_run gather ``arr[r][om[r]]`` is
-    # cheaper than building take_along_axis index grids there (the
-    # run-batched reductions sample thousands of tiny batches).
-    if per_run and n_runs < 64:
-        buf = np.empty(n, dtype=arr.dtype)
-        for r in range(n_runs):
-            np.add.accumulate(arr[r][om[r]], out=buf)
-            out[r] = buf[-1]
-        return out
-    for lo, hi in iter_run_chunks(n_runs, n, chunk_runs=chunk_runs):
-        gathered = (
-            np.take_along_axis(arr[lo:hi], om[lo:hi], axis=1)
-            if per_run
-            else arr[om[lo:hi]]
-        )
-        np.add.accumulate(gathered, axis=1, out=gathered)
-        out[lo:hi] = gathered[:, -1]
-    return out
+    return _sequential_folds(arr, om, SchedulerError)
 
 
 class AtomicAccumulator:

@@ -197,12 +197,11 @@ that many ``scheduler()`` calls:
 
 The compiled backend sits *below* every contract in this catalogue: when
 :mod:`repro.backend` selects the compiled kernels
-(``REPRO_BACKEND=compiled|auto``), the fold primitives the draws feed —
-``permuted_sums``, ``batched_tree_fold``, ``batched_atomic_fold``, the
-blocked cumsum scan and the ``SegmentPlan.fold*`` family — execute in C
-under the **identical accumulation-order contract** (same IEEE-754
-operation sequences, same f32/f64 intermediate widths, same
-−0.0/NaN/inf handling).  No draw moves: orders, permutations, chunk
+(``REPRO_BACKEND=compiled|auto``), the sequential folds the draws feed
+(``batched_atomic_fold`` and ``permuted_sums``) and the
+``SegmentPlan.fold*`` family execute in C under the **identical
+accumulation-order contract** (same IEEE-754 operation sequences, same
+f32/f64 intermediate widths, same −0.0/NaN/inf handling).  No draw moves: orders, permutations, chunk
 choices and raced-segment keys are all sampled before dispatch, so the
 backends differ in wall-clock only, never in bits or stream positions.
 """
@@ -576,10 +575,6 @@ class WaveSchedulerBatch:
         (the run-batched reductions' persistent-stream mode).
     params:
         Model knobs; resolved exactly like :class:`WaveScheduler`.
-    chunk_runs:
-        Maximum runs materialised per internal chunk (bounds the transient
-        ``(chunk, n)`` matrices); default derives from
-        :data:`repro.fp.summation.DEFAULT_RUN_CHUNK_ELEMENTS`.
     run_offset:
         Position the context's scheduler ladder at this absolute run index
         before the first draw.  A batch with ``run_offset=off`` samples
@@ -594,7 +589,6 @@ class WaveSchedulerBatch:
         ctx: RunContext,
         params: SchedulerParams | None = None,
         *,
-        chunk_runs: int | None = None,
         run_offset: int | None = None,
     ) -> None:
         self.launch = launch
@@ -604,7 +598,6 @@ class WaveSchedulerBatch:
                 raise SchedulerError("run_offset needs a ctx to position")
             ctx.seek_runs(run_offset)
         self.params = _resolve_params(launch, params)
-        self.chunk_runs = chunk_runs
         # Borrow the scalar transform helpers so both paths share one
         # definition of the model arithmetic.
         self._proto = WaveScheduler(launch, rng=None, params=self.params)
@@ -754,7 +747,7 @@ class WaveSchedulerBatch:
         sigma_w = proto._effective_jitter(self.params.warp_jitter, contention)
         if rngs is not None and len(rngs) != n_runs:
             raise SchedulerError(f"expected {n_runs} rngs, got {len(rngs)}")
-        for lo, hi in iter_run_chunks(n_runs, chunk_elems, chunk_runs=self.chunk_runs):
+        for lo, hi in iter_run_chunks(n_runs, chunk_elems):
             chunk = hi - lo
             rots, u, chunk_rngs = self._draw_block_inputs(
                 chunk, sigma, None if rngs is None else list(rngs[lo:hi])

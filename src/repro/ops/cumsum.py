@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import backend as _backend
 from ..errors import ConfigurationError, ShapeError
 from ..runtime import RunContext, get_context
 from .registry import resolve_determinism
@@ -57,11 +56,6 @@ def _blocked_cumsum_rows(rows: np.ndarray, chunk: int) -> np.ndarray:
         return rows.copy()
     dtype = rows.dtype if np.issubdtype(rows.dtype, np.floating) else np.float64
     rows = rows.astype(dtype, copy=False)
-    impl = _backend.resolve("blocked_cumsum")
-    if impl is not None:
-        res = impl(rows, chunk)
-        if res is not NotImplemented:
-            return res
     if chunk >= n:
         return np.add.accumulate(rows, axis=1)
     n_chunks = (n + chunk - 1) // chunk

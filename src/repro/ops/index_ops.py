@@ -100,7 +100,6 @@ def index_add_runs(
     plan: SegmentPlan | None = None,
     model: ContentionModel | None = None,
     ctx: RunContext | None = None,
-    chunk_runs: int | None = None,
     stacked: bool = False,
 ):
     """``n_runs`` non-deterministic :func:`index_add` executions.
@@ -124,7 +123,6 @@ def index_add_runs(
         plan, vals, n_runs, model, ctx,
         reduce="sum",
         init=inp,
-        chunk_runs=chunk_runs,
         finalize=lambda folded: folded.astype(inp.dtype, copy=False),
         stacked=stacked,
     )
@@ -143,7 +141,6 @@ def index_add_batch(
     rngs=None,
     ctx: RunContext | None = None,
     n_runs: int | None = None,
-    chunk_runs: int | None = None,
 ) -> np.ndarray:
     """Run-batched :func:`index_add` over **per-run** (or shared) sources.
 
@@ -187,9 +184,7 @@ def index_add_batch(
         else:
             draws = plan.sample_run_draws(n_runs, model, ctx or get_context())
     if batched_src:
-        folded = plan.fold_runs_values(
-            vals, draws, reduce="sum", init=inp, chunk_runs=chunk_runs
-        )
+        folded = plan.fold_runs_values(vals, draws, reduce="sum", init=inp)
     elif draws is None:
         folded = np.repeat(
             plan.fold(vals, reduce="sum", init=inp)[None], n_runs, axis=0

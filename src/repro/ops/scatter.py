@@ -144,7 +144,6 @@ def scatter_reduce_runs(
     plan: SegmentPlan | None = None,
     model: ContentionModel | None = None,
     ctx: RunContext | None = None,
-    chunk_runs: int | None = None,
     stacked: bool = False,
 ):
     """``n_runs`` non-deterministic :func:`scatter_reduce` executions.
@@ -170,7 +169,6 @@ def scatter_reduce_runs(
         plan, s, n_runs, model, ctx,
         reduce=reduce,
         init=inp if include_self else None,
-        chunk_runs=chunk_runs,
         finalize=lambda folded: _finalize_scatter_reduce(
             folded, inp, plan, reduce, include_self, s.ndim - 1
         ),

@@ -451,14 +451,14 @@ class SegmentPlan:
         *,
         reduce: str = "sum",
         init: np.ndarray | None = None,
-        chunk_runs: int | None = None,
     ) -> np.ndarray:
         """Batched :meth:`fold`: one fold per row of an ``(R, n)`` order
         matrix, bit-identical per run to the scalar fold.
 
         This is the scatter-op half of the batched run-axis engine: the
         per-run orders come from :meth:`source_order` (one scheduler stream
-        per run), while the fold matrices of ``chunk_runs`` runs are filled
+        per run), while the fold matrices of a run chunk (bounded by
+        :data:`repro.fp.summation.DEFAULT_RUN_CHUNK_ELEMENTS`) are filled
         and folded in lockstep.
 
         Parameters
@@ -469,10 +469,6 @@ class SegmentPlan:
             ``(R, n_sources)`` fold orders, one run per row.
         reduce, init:
             As in :meth:`fold`.
-        chunk_runs:
-            Memory knob bounding the ``(chunk, n_targets, k_max+1,
-            *payload)`` fold matrices (default from
-            :func:`repro.fp.summation.iter_run_chunks`).
 
         Returns
         -------
@@ -518,7 +514,7 @@ class SegmentPlan:
                     return res
         out = np.empty((n_runs, self.n_targets) + payload, dtype=dtype)
         elems_per_run = self.n_targets * (self.k_max + 1) * int(np.prod(payload, dtype=np.int64) or 1)
-        for lo, hi in iter_run_chunks(n_runs, elems_per_run, chunk_runs=chunk_runs):
+        for lo, hi in iter_run_chunks(n_runs, elems_per_run):
             chunk = hi - lo
             mat = np.full(
                 (chunk, self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype
@@ -631,7 +627,6 @@ class SegmentPlan:
         *,
         reduce: str = "sum",
         init: np.ndarray | None = None,
-        chunk_runs: int | None = None,
     ) -> np.ndarray:
         """Batched fold of **per-run values**: row ``r`` folds ``values[r]``.
 
@@ -656,9 +651,6 @@ class SegmentPlan:
             lockstep path).
         reduce, init:
             As in :meth:`fold` (``init`` is shared by all runs).
-        chunk_runs:
-            Memory knob bounding the ``(chunk, n_targets, k_max+1,
-            *payload)`` canonical fold matrices.
 
         Returns
         -------
@@ -707,7 +699,7 @@ class SegmentPlan:
                 self.n_targets * (self.k_max + 1)
                 * int(np.prod(payload, dtype=np.int64) or 1)
             )
-            for lo, hi in iter_run_chunks(n_runs, elems_per_run, chunk_runs=chunk_runs):
+            for lo, hi in iter_run_chunks(n_runs, elems_per_run):
                 chunk = hi - lo
                 mat = np.full(
                     (chunk, self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype
@@ -859,7 +851,6 @@ def sampled_fold_runs(
     *,
     reduce: str = "sum",
     init: np.ndarray | None = None,
-    chunk_runs: int | None = None,
     finalize=None,
     stacked: bool = False,
 ):
@@ -886,7 +877,7 @@ def sampled_fold_runs(
     canonical = plan.fold(vals, reduce=reduce, init=init)
     outs: list[np.ndarray] = []
     batch: np.ndarray | None = None
-    for lo, hi in iter_run_chunks(n_runs, elems_per_run, chunk_runs=chunk_runs):
+    for lo, hi in iter_run_chunks(n_runs, elems_per_run):
         draws = plan.sample_run_draws(hi - lo, model, ctx)
         folded = plan.fold_runs_sparse(
             vals, draws, reduce=reduce, init=init, canonical=canonical

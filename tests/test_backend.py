@@ -4,12 +4,15 @@ Three layers of pinning:
 
 1. **Parity fuzz** — every compiled primitive against its NumPy twin,
    bit-for-bit, across dtypes (f32/f64), sizes (0/1/prime/large), special
-   payloads (−0.0, inf, NaN) and ``chunk_runs`` edges.  The NumPy results
+   payloads (−0.0, inf, NaN) and run-chunk edges.  The NumPy results
    are computed under ``use_backend("numpy")`` so the reference can never
-   silently ride the compiled path.
+   silently ride the compiled path.  The kernel-less tree fold and
+   blocked scan are pinned backend-invariant too.
 2. **Selection semantics** — mode validation, ``auto`` fallback when the
    toolchain is simulated absent, the loud failure of explicit
-   ``compiled``, worker-pool inheritance, and warm-up.
+   ``compiled``, worker-pool inheritance, warm-up, and the dispatch
+   table (every ``resolve`` site names a kernel, every kernel has a
+   site).
 3. **Cache-key hygiene** — backend identity in
    :func:`repro.harness.results.cache_key`, including kernel-fingerprint
    sensitivity.
@@ -17,14 +20,20 @@ Three layers of pinning:
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import backend as B
 from repro.backend import compiled as C
 from repro.backend import registry as R
 from repro.errors import ConfigurationError
-from repro.fp.summation import batched_tree_fold, permuted_sums, tree_fold
+from repro.fp import summation
+from repro.fp.summation import batched_tree_fold, permuted_sums
 from repro.gpusim.atomics import batched_atomic_fold
 from repro.ops.cumsum import blocked_cumsum, cumsum_runs
 from repro.ops.segmented import SegmentPlan
@@ -86,21 +95,20 @@ class TestFoldParity:
         )
         assert_parity(lambda: permuted_sums(x, perms))
 
-    @pytest.mark.parametrize("chunk_runs", (1, 2, 3, 1000))
-    def test_permuted_sums_chunk_runs(self, rng, chunk_runs):
+    @pytest.mark.parametrize("runs_per_chunk", (1, 2, 3, 1000))
+    def test_permuted_sums_chunk_runs(self, rng, monkeypatch, runs_per_chunk):
+        """NumPy's chunked folds match the kernel's unchunked pass."""
+        monkeypatch.setattr(summation, "DEFAULT_RUN_CHUNK_ELEMENTS", runs_per_chunk * 31)
         x = special_values(rng, 31, np.float64)
         perms = np.stack([rng.permutation(31) for _ in range(5)])
-        assert_parity(lambda: permuted_sums(x, perms, chunk_runs=chunk_runs))
+        assert_parity(lambda: permuted_sums(x, perms))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", SIZES)
     def test_batched_tree_fold(self, rng, dtype, n):
+        """No kernel: the tree fold stays backend-invariant."""
         mat = np.stack([special_values(rng, n, dtype) for _ in range(5)])
         assert_parity(lambda: batched_tree_fold(mat))
-        with B.use_backend("compiled"):
-            got = batched_tree_fold(mat)
-        ref = np.array([tree_fold(r) for r in mat], dtype=np.float64)
-        assert np.array_equal(bits(got), bits(ref))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("per_run", (False, True))
@@ -122,6 +130,7 @@ class TestFoldParity:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("chunk", (1, 2, 30, 31, 32, 4096))
     def test_blocked_cumsum(self, rng, dtype, chunk):
+        """No kernel: the blocked scan stays backend-invariant."""
         x = special_values(rng, 31, dtype)
         assert_parity(lambda: blocked_cumsum(x, chunk))
 
@@ -161,7 +170,7 @@ class TestSegmentParity:
         assert_parity(lambda: plan.fold(vals, init=init))
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_fold_runs(self, rng, dtype):
+    def test_fold_runs(self, rng, monkeypatch, dtype):
         plan, vals = _plan_and_vals(rng, 300, 40, dtype, (2,))
         orders = np.stack([plan.order for _ in range(5)])
         for r in range(5):  # shuffle within segment spans: valid run orders
@@ -172,7 +181,10 @@ class TestSegmentParity:
         init = rng.standard_normal((40, 2)).astype(dtype)
         assert_parity(lambda: plan.fold_runs(vals, orders))
         assert_parity(lambda: plan.fold_runs(vals, orders, init=init))
-        assert_parity(lambda: plan.fold_runs(vals, orders, chunk_runs=2))
+        monkeypatch.setattr(  # 2 runs per NumPy chunk
+            summation, "DEFAULT_RUN_CHUNK_ELEMENTS", 2 * 40 * (plan.k_max + 1) * 2
+        )
+        assert_parity(lambda: plan.fold_runs(vals, orders))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_fold_runs_sparse(self, rng, dtype):
@@ -248,13 +260,13 @@ class TestSelection:
     def test_numpy_mode_never_dispatches(self):
         with B.use_backend("numpy"):
             assert B.active_backend() == "numpy"
-            assert B.resolve("permuted_sums") is None
+            assert B.resolve("batched_atomic_fold") is None
 
     @requires_compiled
     def test_compiled_mode_dispatches(self):
         with B.use_backend("compiled"):
             assert B.active_backend() == "compiled"
-            assert callable(B.resolve("permuted_sums"))
+            assert callable(B.resolve("batched_atomic_fold"))
             assert B.resolve("no_such_primitive") is None
 
     @requires_compiled
@@ -307,6 +319,47 @@ class TestSelection:
         assert captured["initargs"] == ("numpy",)
 
 
+def _resolve_sites() -> dict[str, list[str]]:
+    """Primitive name -> files holding a ``_backend.resolve("<name>")``
+    dispatch site, over the whole ``repro`` package."""
+    site = re.compile(r"""_backend\.resolve\(\s*["'](\w+)["']""")
+    root = Path(repro.__file__).parent
+    sites: dict[str, list[str]] = {}
+    for path in sorted(root.rglob("*.py")):
+        for name in site.findall(path.read_text()):
+            sites.setdefault(name, []).append(str(path.relative_to(root)))
+    return sites
+
+
+class TestDispatchTable:
+    """A dispatch site naming no kernel would silently run NumPy forever,
+    and a kernel without a site is dead C: both directions are pinned."""
+
+    def test_every_resolve_site_names_a_kernel(self):
+        unknown = {n: f for n, f in _resolve_sites().items() if n not in C.IMPLS}
+        assert not unknown, f"resolve() names without a compiled kernel: {unknown}"
+
+    def test_every_kernel_has_a_resolve_site(self):
+        assert set(C.IMPLS) <= set(_resolve_sites())
+
+    @requires_compiled
+    def test_warm_up_calls_every_kernel(self, monkeypatch):
+        calls: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, fn in list(C.IMPLS.items()):
+            monkeypatch.setitem(C.IMPLS, name, counted(name, fn))
+        with B.use_backend("compiled"):
+            B.warm_up()
+        assert set(calls) == set(C.IMPLS)
+
+
 class TestToolchainAbsent:
     """Simulate a machine with no C compiler and an empty build cache."""
 
@@ -325,7 +378,7 @@ class TestToolchainAbsent:
             assert not B.compiled_available()
             assert "no C compiler" in (B.availability_error() or "")
             assert B.active_backend() == "numpy"
-            assert B.resolve("permuted_sums") is None
+            assert B.resolve("batched_atomic_fold") is None
             x = rng.standard_normal(17)
             perms = np.stack([rng.permutation(17) for _ in range(3)])
             out = permuted_sums(x, perms)  # hot path keeps working
@@ -336,7 +389,7 @@ class TestToolchainAbsent:
             with pytest.raises(ConfigurationError, match="unavailable"):
                 B.active_backend()
             with pytest.raises(ConfigurationError, match="unavailable"):
-                B.resolve("permuted_sums")
+                B.resolve("batched_atomic_fold")
 
 
 # ------------------------------------------------------- cache-key hygiene

@@ -5,13 +5,16 @@ The batched engine's contract (see ``repro/gpusim/scheduler.py`` and
 per-run scalar results **bit for bit**: same RNG draws per run (one
 scheduler stream each, in run order), same elementwise float32 transforms,
 same deterministic sorts.  These tests pin that contract across
-algorithms, dtypes (f32/f64) and odd sizes (0, 1, non-powers-of-two).
+algorithms, dtypes (f32/f64), odd sizes (0, 1, non-powers-of-two),
+IEEE-754 special values (−0.0, ±inf, NaN payloads) and run-chunk
+budgets.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SchedulerError, ShapeError
+from repro.fp import summation
 from repro.fp.summation import (
     batched_tree_fold,
     block_partials,
@@ -60,13 +63,44 @@ def _both_backends(backend):
     also pins compiled-vs-NumPy bit parity."""
 
 
+@pytest.fixture()
+def run_chunk_budget(monkeypatch):
+    """Set the engine's per-chunk element budget
+    (:data:`repro.fp.summation.DEFAULT_RUN_CHUNK_ELEMENTS`) for one test."""
+
+    def set_budget(elems: int) -> None:
+        monkeypatch.setattr(summation, "DEFAULT_RUN_CHUNK_ELEMENTS", elems)
+
+    return set_budget
+
+
+def bits(a) -> np.ndarray:
+    """Integer view of a float array: exact comparison that tells −0.0
+    from +0.0 and compares NaN payloads."""
+    a = np.asarray(a)
+    return a.view(np.int32 if a.dtype == np.float32 else np.int64)
+
+
+def special_values(rng, n, dtype):
+    """Random data salted with −0.0, ±inf and NaN."""
+    x = rng.standard_normal(n).astype(dtype)
+    if n >= 4:
+        x[::4] = -0.0
+        x[1] = np.inf
+        x[3] = -np.inf
+    if n >= 8:
+        x[5] = np.nan
+    return x
+
+
 def make_launch(nb=64, tpb=64, device="v100"):
     return LaunchConfig(device=get_device(device), n_blocks=nb, threads_per_block=tpb)
 
 
 class TestIterRunChunks:
-    def test_covers_all_runs_once(self):
-        spans = list(iter_run_chunks(10, 3, chunk_runs=4))
+    def test_covers_all_runs_once(self, run_chunk_budget):
+        run_chunk_budget(12)  # 4 runs of 3 elements per chunk
+        spans = list(iter_run_chunks(10, 3))
         assert spans == [(0, 4), (4, 8), (8, 10)]
 
     def test_zero_runs(self):
@@ -76,28 +110,25 @@ class TestIterRunChunks:
         spans = list(iter_run_chunks(7, 10**9))
         assert spans == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
 
-    def test_invalid_chunk(self):
-        with pytest.raises(Exception):
-            list(iter_run_chunks(3, 4, chunk_runs=0))
-
 
 class TestPermutedSums:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", SIZES)
     def test_matches_scalar_bitwise(self, dtype, n):
         rng = np.random.default_rng(n + 17)
-        x = rng.standard_normal(n).astype(dtype)
+        x = special_values(rng, n, dtype)
         perms = np.stack([rng.permutation(n) for _ in range(5)]) if n else np.empty((5, 0), dtype=np.int64)
         batched = permuted_sums(x, perms)
         scalar = np.array([permuted_sum(x, p) for p in perms])
-        np.testing.assert_array_equal(batched, scalar)
+        assert np.array_equal(bits(batched), bits(scalar))
 
-    def test_chunking_does_not_change_bits(self):
+    def test_chunking_does_not_change_bits(self, run_chunk_budget):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(33)
         perms = np.stack([rng.permutation(33) for _ in range(9)])
-        a = permuted_sums(x, perms, chunk_runs=2)
-        b = permuted_sums(x, perms, chunk_runs=None)
+        b = permuted_sums(x, perms)
+        run_chunk_budget(2 * 33)
+        a = permuted_sums(x, perms)
         np.testing.assert_array_equal(a, b)
 
     def test_bad_shapes_rejected(self):
@@ -108,7 +139,7 @@ class TestPermutedSums:
 
     def test_out_of_range_rejected(self):
         perms = np.array([[0, 1, 4]])
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError):
             permuted_sums(np.ones(3), perms)
 
 
@@ -117,16 +148,16 @@ class TestBatchedTreeFold:
     @pytest.mark.parametrize("n", SIZES)
     def test_matches_scalar_bitwise(self, dtype, n):
         rng = np.random.default_rng(n + 5)
-        mat = rng.standard_normal((6, n)).astype(dtype)
+        mat = np.stack([special_values(rng, n, dtype) for _ in range(6)])
         batched = batched_tree_fold(mat)
         scalar = np.array([tree_fold(row) for row in mat])
-        np.testing.assert_array_equal(batched, scalar)
+        assert np.array_equal(bits(batched), bits(scalar))
 
-    def test_chunked(self):
+    def test_chunked(self, run_chunk_budget):
         mat = np.random.default_rng(1).standard_normal((7, 19)).astype(np.float32)
-        np.testing.assert_array_equal(
-            batched_tree_fold(mat, chunk_runs=3), batched_tree_fold(mat)
-        )
+        whole = batched_tree_fold(mat)
+        run_chunk_budget(3 * 32)  # 3 runs of the 32-wide padded tree
+        np.testing.assert_array_equal(batched_tree_fold(mat), whole)
 
 
 class TestBatchedAtomicFold:
@@ -143,6 +174,16 @@ class TestBatchedAtomicFold:
     def test_shape_validation(self):
         with pytest.raises(SchedulerError):
             batched_atomic_fold(np.ones(3), np.zeros((2, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", ([0, 1, 7], [2, 1, -1], [3, 0, 1]))
+    @pytest.mark.parametrize("per_run", (False, True))
+    def test_out_of_range_orders_rejected(self, bad, per_run):
+        """An order outside ``[0, n)`` is a named error on every backend —
+        never a wrapped (NumPy) or out-of-bounds (C) read."""
+        vals = np.array([1.0, 2.0, 4.0])
+        orders = np.array([[0, 1, 2], bad])
+        with pytest.raises(SchedulerError, match="outside"):
+            batched_atomic_fold(np.stack([vals, vals]) if per_run else vals, orders)
 
 
 class TestSchedulerBatchEquivalence:
@@ -208,12 +249,21 @@ class TestSchedulerBatchEquivalence:
         with pytest.raises(SchedulerError):
             WaveSchedulerBatch(launch, RunContext(0)).thread_retirement_warp_orders(3, 70)
 
-    def test_chunking_preserves_bits(self):
+    def test_chunking_preserves_bits(self, run_chunk_budget):
         launch = make_launch(29, 64)
-        ca, cb = RunContext(6), RunContext(6)
-        a = WaveSchedulerBatch(launch, ca, chunk_runs=2).block_completion_orders(7)
-        b = WaveSchedulerBatch(launch, cb).block_completion_orders(7)
-        np.testing.assert_array_equal(a, b)
+
+        def sample():
+            batch = WaveSchedulerBatch(launch, RunContext(6))
+            return (
+                batch.block_completion_orders(7),
+                batch.thread_retirement_orders(5, 1000),
+                batch.thread_retirement_warp_orders(5, 960),
+            )
+
+        whole = sample()
+        run_chunk_budget(1)  # one run per chunk
+        for a, b in zip(sample(), whole):
+            np.testing.assert_array_equal(a, b)
 
     def test_deterministic_device(self):
         import repro.lpu  # registers the lpu device  # noqa: F401
@@ -261,7 +311,7 @@ class TestSegmentPlanFoldRuns:
             scalar = plan.fold(vals, order=orders[r], reduce=reduce)
             np.testing.assert_array_equal(batched[r], scalar)
 
-    def test_with_init_and_payload(self):
+    def test_with_init_and_payload(self, run_chunk_budget):
         rng = np.random.default_rng(8)
         n, t = 30, 9
         idx = rng.integers(0, t, n)
@@ -269,7 +319,8 @@ class TestSegmentPlanFoldRuns:
         vals = rng.standard_normal((n, 4)).astype(np.float32)
         init = rng.standard_normal((t, 4)).astype(np.float32)
         orders = np.stack([plan.source_order(plan.multi_targets, rng) for _ in range(3)])
-        batched = plan.fold_runs(vals, orders, reduce="sum", init=init, chunk_runs=2)
+        run_chunk_budget(2 * t * (plan.k_max + 1) * 4)  # 2 runs per chunk
+        batched = plan.fold_runs(vals, orders, reduce="sum", init=init)
         for r in range(3):
             scalar = plan.fold(vals, order=orders[r], reduce="sum", init=init)
             np.testing.assert_array_equal(batched[r], scalar)
@@ -381,6 +432,23 @@ class TestCumsumRuns:
             np.testing.assert_array_equal(batched[r], scalar)
         assert ca.peek_run_counter() == cb.peek_run_counter()
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("chunk", (1, 2, 30, 31, 32, 4096))
+    def test_blocked_scan_special_values_bitwise(self, dtype, chunk):
+        """The row-batched blocked scan against a per-row, per-chunk
+        sequential reference: −0.0 keeps its sign in chunk 0 and ±inf/NaN
+        propagate with the same operand order, bit for bit."""
+        rng = np.random.default_rng(chunk)
+        mat = np.stack([special_values(rng, 31, dtype) for _ in range(3)])
+        got = cumsum(mat, 1, deterministic=False, chunk_ladder=(chunk,), ctx=RunContext(0))
+        for row, out in zip(mat, got):
+            scans = [np.add.accumulate(row[lo : lo + chunk]) for lo in range(0, 31, chunk)]
+            offsets = np.add.accumulate(np.array([s[-1] for s in scans]))
+            ref = np.concatenate(
+                [scans[0]] + [s + off for s, off in zip(scans[1:], offsets)]
+            )
+            assert np.array_equal(bits(out), bits(ref))
+
     def test_n_below_every_chunk_is_stable(self):
         # n smaller than the smallest ladder entry: every chunk choice is
         # the strict serial scan, so all runs agree bitwise.
@@ -485,11 +553,11 @@ class TestBlockPartialsRuns:
         for r in range(6):
             np.testing.assert_array_equal(batched[r], block_partials(mat[r], nb, bs))
 
-    def test_chunking_preserves_bits(self):
+    def test_chunking_preserves_bits(self, run_chunk_budget):
         mat = np.random.default_rng(0).standard_normal((9, 50))
-        np.testing.assert_array_equal(
-            block_partials_runs(mat, 7, chunk_runs=2), block_partials_runs(mat, 7)
-        )
+        whole = block_partials_runs(mat, 7)
+        run_chunk_budget(2 * 7 * 8)  # 2 runs of 7 blocks x 8-wide trees
+        np.testing.assert_array_equal(block_partials_runs(mat, 7), whole)
 
     def test_validation(self):
         with pytest.raises(ShapeError):
@@ -696,17 +764,17 @@ class TestSweepVariability:
         assert v.ermv_mean == float(finite.mean())
         assert v.n_unique == 3
 
-    def test_stacked_chunked_runs_match_list_api(self):
+    def test_stacked_chunked_runs_match_list_api(self, run_chunk_budget):
         rng = np.random.default_rng(6)
         n, t = 500, 120
         idx = rng.integers(0, t, n)
         src = rng.standard_normal(n).astype(np.float32)
         inp = rng.standard_normal(t).astype(np.float32)
         ca, cb = RunContext(4), RunContext(4)
-        stacked = scatter_reduce_runs(
-            inp, 0, idx, src, "sum", 7, ctx=ca, stacked=True, chunk_runs=3
-        )
         listed = scatter_reduce_runs(inp, 0, idx, src, "sum", 7, ctx=cb)
+        plan = SegmentPlan(idx, t)
+        run_chunk_budget(3 * t * (plan.k_max + 1))  # 3 runs per chunk
+        stacked = scatter_reduce_runs(inp, 0, idx, src, "sum", 7, ctx=ca, stacked=True)
         for r in range(7):
             np.testing.assert_array_equal(stacked[r], listed[r])
 
