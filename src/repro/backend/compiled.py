@@ -194,6 +194,14 @@ def _u8p(arr: np.ndarray):
     return _ffi.cast("uint8_t *", arr.ctypes.data)
 
 
+def _u64p(arr: np.ndarray):
+    return _ffi.cast("uint64_t *", arr.ctypes.data)
+
+
+def _rowsp(rows: np.ndarray | None):
+    return _ffi.NULL if rows is None else _i64p(rows)
+
+
 def _batched_atomic_fold(arr: np.ndarray, om: np.ndarray, per_run: bool):
     """Compiled sequential-fold core behind
     :func:`repro.gpusim.atomics.batched_atomic_fold` and
@@ -343,9 +351,77 @@ def _stratified_refold(
     return out
 
 
+# Run-stream kernels.  ``states`` is a window's C-contiguous ``(R, 6)``
+# uint64 PCG64 state array, advanced in place; ``rows`` (int64, or None
+# for all of ``0..n-1``) picks the rows one call draws from.  Every
+# wrapper returns ``NotImplemented`` when the library was built without
+# 128-bit integers.
+
+
+def _pcg64_seed(words: np.ndarray):
+    """``(R, 6)`` PCG64 state rows seeded from ``(R, 4)`` SeedSequence
+    words, as ``PCG64(seed_seq)`` seeds itself."""
+    lib = load_library()
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    states = np.empty((words.shape[0], 6), dtype=np.uint64)
+    if lib.repro_pcg64_seed(_u64p(words), words.shape[0], _u64p(states)):
+        return NotImplemented
+    return states
+
+
+def _pcg64_bounded(states, rows, n: int, bound: int):
+    """One ``integers(bound + 1)`` per row (``1 <= bound < 2**32``)."""
+    lib = load_library()
+    out = np.empty(n, dtype=np.int64)
+    if lib.repro_pcg64_bounded(_u64p(states), _rowsp(rows), n, bound, _i64p(out)):
+        return NotImplemented
+    return out
+
+
+def _pcg64_fill_f32(states, rows, n: int, m: int):
+    """``(n, m)``: one ``random(m, dtype=float32)`` per row."""
+    lib = load_library()
+    out = np.empty((n, m), dtype=np.float32)
+    if lib.repro_pcg64_fill_f32(_u64p(states), _rowsp(rows), n, m, _f32p(out)):
+        return NotImplemented
+    return out
+
+
+def _pcg64_bernoulli(states, rows, n: int, q: float, counts: np.ndarray):
+    """``(mask, row_keys)``: ``random(C) < q`` per row as an ``(n, C)``
+    bool mask, and each row's key count ``counts[mask[r]].sum()``."""
+    lib = load_library()
+    counts = _i64(counts)
+    mask = np.empty((n, counts.size), dtype=np.uint8)
+    row_keys = np.empty(n, dtype=np.int64)
+    if lib.repro_pcg64_bernoulli(
+        _u64p(states), _rowsp(rows), n, counts.size, float(q), _i64p(counts),
+        _u8p(mask), _i64p(row_keys),
+    ):
+        return NotImplemented
+    return mask.view(bool), row_keys
+
+
+def _pcg64_fill_f64(states, rows, row_counts: np.ndarray):
+    """``random(row_counts[r])`` per row, concatenated in row order."""
+    lib = load_library()
+    row_counts = _i64(row_counts)
+    out = np.empty(int(row_counts.sum()), dtype=np.float64)
+    if lib.repro_pcg64_fill_f64(
+        _u64p(states), _rowsp(rows), row_counts.size, _i64p(row_counts), _f64p(out)
+    ):
+        return NotImplemented
+    return out
+
+
 #: Primitive name -> compiled implementation, consumed by the registry.
 IMPLS = {
     "batched_atomic_fold": _batched_atomic_fold,
     "segment_fold": _segment_fold,
     "stratified_refold": _stratified_refold,
+    "pcg64_seed": _pcg64_seed,
+    "pcg64_bounded": _pcg64_bounded,
+    "pcg64_fill_f32": _pcg64_fill_f32,
+    "pcg64_bernoulli": _pcg64_bernoulli,
+    "pcg64_fill_f64": _pcg64_fill_f64,
 }

@@ -208,4 +208,9 @@ def warm_up() -> str:
         init_rows=None,
         run_of_seg=None,
     )
+    states = compiled.IMPLS["pcg64_seed"](np.zeros((2, 4), dtype=np.uint64))
+    compiled.IMPLS["pcg64_bounded"](states, None, 2, 5)
+    compiled.IMPLS["pcg64_fill_f32"](states, None, 2, 3)
+    _, row_keys = compiled.IMPLS["pcg64_bernoulli"](states, None, 2, 0.5, np.array([2, 3]))
+    compiled.IMPLS["pcg64_fill_f64"](states, None, row_keys)
     return backend

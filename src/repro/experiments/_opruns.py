@@ -32,6 +32,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,9 @@ from ..errors import ConfigurationError
 from ..ops import index_add, index_add_runs, scatter_reduce_runs
 from ..ops.nondet import OP_CONTENTION
 from ..ops.scatter import _finalize_scatter_reduce
-from ..ops.segmented import _IDENTITY, _UFUNC, SegmentPlan, _stratified_refold
+from ..ops.segmented import _IDENTITY, _UFUNC, RaceDraws, SegmentPlan, _stratified_refold
 from ..runtime import RunContext
-from .sharding import RunConcat, RunList, run_digests
+from .sharding import RunConcat, RunList
 
 __all__ = [
     "OpVariability",
@@ -290,10 +291,10 @@ def _refold_pool(group: list[dict]) -> dict:
     }
 
 
-def _pooled_refold(pool: dict, draws: list[list]) -> list[tuple]:
+def _pooled_refold(pool: dict, draws: list[RaceDraws]) -> list[tuple]:
     """Raced re-fold pooled across a group of same-payload cells.
 
-    ``draws[i]`` is cell ``i``'s list of per-run ``(raced, keys)`` draws
+    ``draws[i]`` is cell ``i``'s :class:`~repro.ops.segmented.RaceDraws`
     (one run chunk); ``pool`` is the group's :func:`_refold_pool`.  All
     cells' raced segments fold in one stratified pass, and each cell gets
     back sparse ``(runs, targets, values)`` triples: chunk-relative run
@@ -306,22 +307,13 @@ def _pooled_refold(pool: dict, draws: list[list]) -> list[tuple]:
     different fold widths never changes a fold.  The group must share one
     reduce family (the caller groups by payload shape *and* fold operator).
     """
-    seg_t_parts: list[np.ndarray] = []
-    seg_run_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
-    ent_sizes = []
-    for cell_draws in draws:
-        sizes = [raced.size for raced, _ in cell_draws]
-        seg_t_parts += [raced for raced, _ in cell_draws]
-        seg_run_parts.append(np.repeat(np.arange(len(sizes)), sizes))
-        key_parts += [keys for _, keys in cell_draws if keys is not None]
-        ent_sizes.append(sum(sizes))
-    if not key_parts:
+    ent_sizes = [d.targets.size for d in draws]
+    if not sum(ent_sizes):
         none = np.empty(0, dtype=np.int64)
         return [(none, none, pool["vals"][:0])] * len(draws)
-    seg_t = np.concatenate(seg_t_parts)
-    seg_run = np.concatenate(seg_run_parts)
-    keys = np.concatenate(key_parts)
+    seg_t = np.concatenate([d.targets for d in draws])
+    seg_run = np.concatenate([d.runs for d in draws])
+    keys = np.concatenate([d.keys for d in draws])
     n_seg = seg_t.size
     seg_ent = np.repeat(np.arange(len(draws)), ent_sizes)
     gt = seg_t + pool["toff"][seg_ent]  # global target ids
@@ -374,13 +366,48 @@ def _rebuild_rows(e: dict, n: int, triples: tuple) -> np.ndarray:
     return rows.astype(inp.dtype, copy=False)
 
 
-def _draw_chunk(group: list[dict], starts: list[int], n: int, ctx: RunContext) -> list[list]:
+def _draw_chunk(group: list[dict], starts: list[int], n: int, ctx: RunContext) -> list[RaceDraws]:
     """Each cell's draws for ``n`` runs, starting at its stream in ``starts``."""
     draws = []
     for e, start in zip(group, starts):
         ctx.seek_runs(start)
         draws.append(e["plan"].sample_run_draws(n, e["model"], ctx))
     return draws
+
+
+def _delta_digests(rows: np.ndarray, canon: np.ndarray, runs, targets) -> list[str]:
+    """Per-run digests of each run's delta from the canonical rows.
+
+    Run ``r`` hashes the ``dtype``/row-``shape`` prefix, then the sorted
+    ids of its rows whose bytes differ from ``canon`` and those rows'
+    bytes.  Every other row of a run equals ``canon`` by construction
+    (only the ``(runs, targets)`` rows can differ), so two runs share a
+    digest exactly when their outputs share their bits (up to SHA-256
+    collisions) — all the distinct-output count needs, at the cost of
+    hashing the changed rows only.  ``runs`` is ascending with ascending
+    ``targets`` within a run.
+    """
+    n = len(rows)
+    width = canon[0].nbytes
+    got = np.ascontiguousarray(rows[runs, targets]).view(np.uint8).reshape(-1, width)
+    base = np.ascontiguousarray(canon[targets]).view(np.uint8).reshape(-1, width)
+    diff = (got != base).any(axis=1)
+    runs, targets, got = runs[diff], targets[diff].astype("<i8"), got[diff]
+    bounds = np.searchsorted(runs, np.arange(n + 1)).tolist()
+    prefix = hashlib.sha256()
+    prefix.update(str(rows.dtype).encode())
+    prefix.update(str(rows.shape[1:]).encode())
+    canonical = prefix.hexdigest()
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            out.append(canonical)
+            continue
+        h = prefix.copy()
+        h.update(targets[lo:hi])
+        h.update(got[lo:hi])
+        out.append(h.hexdigest())
+    return out
 
 
 def _sweep_group(group: list[dict], n: int, ctx: RunContext) -> None:
@@ -399,7 +426,7 @@ def _sweep_group(group: list[dict], n: int, ctx: RunContext) -> None:
             e["reference"] = _rebuild_rows(e, 1, triples)[0]
             # Rows can differ from the reference only where it raced or
             # the compared run raced.
-            e["ref_raced"] = d[0][0]
+            e["ref_raced"] = d.targets
     else:
         for e in group:
             # The deterministic index_add reference is exactly the
@@ -410,6 +437,7 @@ def _sweep_group(group: list[dict], n: int, ctx: RunContext) -> None:
         e["vcs"] = np.empty(n)
         e["ermvs"] = np.empty(n)
         e["digests"] = []
+        e["canon_rows"] = _rebuild_rows(e, 1, (none, none, None))[0]
     step = max(1, _RUN_CHUNK_BYTES // sum(e["canonical"].nbytes for e in group))
     for lo in range(0, n, step):
         size = min(step, n - lo)
@@ -423,7 +451,7 @@ def _sweep_group(group: list[dict], n: int, ctx: RunContext) -> None:
             e["vcs"][span], e["ermvs"][span] = _per_run_stats_sparse(
                 e["reference"], rows, run_ids, row_ids
             )
-            e["digests"] += run_digests(rows)
+            e["digests"] += _delta_digests(rows, e["canon_rows"], triples[0], triples[1])
 
 
 def sweep_run_payloads(

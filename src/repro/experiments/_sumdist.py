@@ -96,7 +96,10 @@ def spa_vs_samples_arrays(
     loop's stream consumption; explicit ``rngs`` override the stream
     source per run), and the combines folded with per-run values.  Entry
     ``[a, r]`` is bit-identical to run ``r`` of
-    ``spa_vs_samples(xs[a], ...)``.
+    ``spa_vs_samples(xs[a], ...)``.  ``rngs`` is best a
+    :class:`~repro.runtime.RunStreams` window (e.g. the per-array windows
+    joined by :meth:`~repro.runtime.RunStreams.concat`), whose chunk views
+    draw in one batched pass.
 
     Returns
     -------
@@ -116,7 +119,7 @@ def spa_vs_samples_arrays(
     for lo, hi in iter_run_chunks(total, nb):
         orders = batch.block_completion_orders(
             hi - lo, contention=0.0,
-            rngs=None if rngs is None else list(rngs[lo:hi]),
+            rngs=None if rngs is None else rngs[lo:hi],
         )
         arr_of_run = np.arange(lo, hi) // max(n_runs, 1)
         sums[lo:hi] = batched_atomic_fold(partials[arr_of_run], orders)
@@ -306,7 +309,7 @@ def ao_vs_samples_arrays(
         for lo, hi in iter_run_chunks(total, n):
             worders = batch.thread_retirement_warp_orders(
                 hi - lo, n, contention=1.0,
-                rngs=None if rngs is None else list(rngs[lo:hi]),
+                rngs=None if rngs is None else rngs[lo:hi],
             )
             for i in range(hi - lo):
                 folded = np.add.accumulate(xw[(lo + i) // n_runs][worders[i]].ravel())
@@ -315,7 +318,7 @@ def ao_vs_samples_arrays(
         for lo, hi in iter_run_chunks(total, n):
             orders = batch.thread_retirement_orders(
                 hi - lo, n, contention=1.0,
-                rngs=None if rngs is None else list(rngs[lo:hi]),
+                rngs=None if rngs is None else rngs[lo:hi],
             )
             arr_of_run = np.arange(lo, hi) // max(n_runs, 1)
             sums[lo:hi] = batched_atomic_fold(xs[arr_of_run], orders)

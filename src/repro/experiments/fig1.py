@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..metrics.distribution import estimate_pdf, normality_report
-from ..runtime import RunContext
+from ..runtime import RunContext, RunStreams
 from .axes import AxisSpec, plan_sweep
 from .base import ShardableExperiment, register
 from .sharding import RunConcat
@@ -76,10 +76,11 @@ class Fig1SpaPdf(ShardableExperiment):
             # orders are drawn array-major in run order, bit-identical to
             # the per-array loop this replaces; pre-draw each block's
             # [lo, hi) window explicitly.
-            rngs = []
+            windows = []
             for a in range(n_arrays):
                 ctx.seek_runs(plan.run_block_base(base, distribution=d, array=a) + lo)
-                rngs.extend(ctx.schedulers(r))
+                windows.append(ctx.schedulers(r))
+            rngs = RunStreams.concat(windows)
             vs_mat = spa_vs_samples_arrays(
                 xs, r, ctx,
                 device=params["device"],

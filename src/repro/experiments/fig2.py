@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..metrics.distribution import estimate_pdf, normality_report
-from ..runtime import RunContext
+from ..runtime import RunContext, RunStreams
 from .axes import AxisSpec, plan_sweep
 from .base import ShardableExperiment, register
 from .sharding import RunConcat
@@ -75,20 +75,20 @@ class Fig2AoPdf(ShardableExperiment):
             xs["SPA"].append(sample_array(data_rng, params["spa_n_elements"], "uniform"))
             for i, name in enumerate(plan.axis("impl").values):
                 ctx.seek_runs(plan.run_block_base(base, array=a, impl=i) + lo)
-                run_rngs[name].extend(ctx.schedulers(r))
+                run_rngs[name].append(ctx.schedulers(r))
         vs_axis = plan.merge_axis("array", "run")
         payload = {
             "AO": RunConcat(ao_vs_samples_arrays(
                 np.stack(xs["AO"]), r, ctx,
                 device=params["device"],
                 threads_per_block=params["threads_per_block"],
-                rngs=run_rngs["AO"],
+                rngs=RunStreams.concat(run_rngs["AO"]),
             ), axis=vs_axis),
             "SPA": RunConcat(spa_vs_samples_arrays(
                 np.stack(xs["SPA"]), r, ctx,
                 device=params["device"],
                 threads_per_block=params["threads_per_block"],
-                rngs=run_rngs["SPA"],
+                rngs=RunStreams.concat(run_rngs["SPA"]),
             ), axis=vs_axis),
         }
         ctx.seek_runs(base + plan.ladder_span())

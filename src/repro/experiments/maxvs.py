@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..metrics.powerlaw import fit_power_law
-from ..runtime import RunContext
+from ..runtime import RunContext, RunStreams
 from .axes import AxisSpec, plan_sweep
 from .base import ShardableExperiment, register
 from .sharding import RunConcat
@@ -73,12 +73,13 @@ class MaxVsPowerLaw(ShardableExperiment):
                 ])
                 # Block bases from the declaration; pre-draw each array's
                 # [lo, hi) window explicitly.
-                rngs = []
+                windows = []
                 for a in range(n_arrays):
                     ctx.seek_runs(
                         plan.run_block_base(base, distribution=d, size=s, array=a) + lo
                     )
-                    rngs.extend(ctx.schedulers(r))
+                    windows.append(ctx.schedulers(r))
+                rngs = RunStreams.concat(windows)
                 vs_mat = spa_vs_samples_arrays(
                     xs, r, ctx,
                     device=params["device"],

@@ -39,7 +39,6 @@ counting across process boundaries.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "DigestSet",
     "Invariant",
     "run_digest",
-    "run_digests",
     "plan_shards",
     "merge_payloads",
 ]
@@ -72,26 +70,6 @@ def run_digest(arr) -> str:
     h.update(str(a.shape).encode())
     h.update(a.tobytes())
     return h.hexdigest()
-
-
-def run_digests(rows) -> list[str]:
-    """:func:`run_digest` of every row of a stack, in row order.
-
-    The ``dtype``/row-``shape`` prefix is hashed once and the hasher
-    copied per row; each digest equals ``run_digest(rows[i])``.
-    """
-    stack = np.ascontiguousarray(np.asarray(rows))
-    if stack.ndim < 2:
-        raise ExperimentError(f"run_digests needs a stack of rows, got shape {stack.shape}")
-    prefix = hashlib.sha256()
-    prefix.update(str(stack.dtype).encode())
-    prefix.update(str(stack.shape[1:]).encode())
-    out = []
-    for row in stack.reshape(len(stack), math.prod(stack.shape[1:])):
-        h = prefix.copy()
-        h.update(row)
-        out.append(h.hexdigest())
-    return out
 
 
 def plan_shards(total: int, n_shards: int, *, min_per_shard: int = 1) -> list[tuple[int, int]]:

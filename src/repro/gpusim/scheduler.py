@@ -49,9 +49,17 @@ Everything downstream of the draws is elementwise float32 arithmetic plus
 produce identical bits whether evaluated on one run's 1-D vector or on the
 rows of an ``(R, n)`` matrix.  That invariant is what makes the batched
 :class:`WaveSchedulerBatch` **bit-identical** to constructing a fresh
-:class:`WaveScheduler` per run: the batch loops only to draw (one small RNG
-call sequence per run, in run order) and then folds the transform, sort and
-expansion over the whole run axis at once.  Thread retirement orders are
+:class:`WaveScheduler` per run: the batch draws each step of the sequence
+for every run in one pass over a :class:`repro.runtime.RunStreams` window
+(step 1 for all runs, then step 2, then step 3 — runs own independent
+streams, so this is each run's own sequence) and then folds the transform,
+sort and expansion over the whole run axis at once.  Under the compiled
+backend the window's PCG64 states advance in C (the ``repro_pcg64_*``
+kernels, bit-identical to NumPy's ``Generator``), otherwise through a
+per-run loop over the materialised Generators.  **Ownership rule:** a
+window row is drawn either through these batched passes or through its
+materialised Generator, never both — mixing them on one row raises
+:class:`~repro.errors.SchedulerError`.  Thread retirement orders are
 never sorted at element granularity: lanes retire in lane order within a
 warp, so both paths sort the ``n_blocks * warps_per_block`` warp keys and
 expand each warp to its (precomputed) lane-ordered element ids.
@@ -159,7 +167,10 @@ The one-stream-per-run rule generalises beyond this module; every batched
 path draws per run, in run order, exactly what its scalar twin draws.  A
 window of run streams may be derived in one
 :meth:`repro.runtime.RunContext.schedulers` call with bits identical to
-that many ``scheduler()`` calls:
+that many ``scheduler()`` calls; the returned
+:class:`~repro.runtime.RunStreams` serves the batched draw patterns in one
+pass (wave-scheduler inputs, float32 fills, raced-candidate keys) and
+stays a ``Sequence[Generator]`` for the consumers that iterate it:
 
 * **cumsum chunk ladder** (:func:`repro.ops.cumsum.cumsum_runs`) — each
   run's stream contributes exactly one ``integers(len(chunk_ladder))``
@@ -169,7 +180,9 @@ that many ``scheduler()`` calls:
   (:meth:`repro.ops.segmented.SegmentPlan.sample_run_draws`) — per run:
   the raced-target Bernoulli vector over the multiply-hit targets, then
   one uniform key per position of every raced segment (ascending target,
-  then rank), consumed only when at least one target raced.
+  then rank), consumed only when at least one target raced
+  (:meth:`~repro.runtime.RunStreams.raced_keys`; transposed convolutions
+  draw the same pattern with ``T`` tap keys per raced output element).
 * **OpenMP trials** (:meth:`repro.openmp.runtime.OpenMPRuntime.
   reduce_many`) — per trial: the dynamic/guided schedule draws (static
   draws nothing), then the ``permutation`` of the active thread partials.
@@ -179,8 +192,9 @@ that many ``scheduler()`` calls:
   follow the per-launch sequence above).  The run batch pre-draws the
   ``R`` solve streams in run order and threads them through
   :meth:`repro.reductions.base.ReductionImpl.sum_runs` via explicit
-  ``rngs`` — which is why runs that converge early simply stop drawing
-  without perturbing their neighbours.
+  ``rngs`` (a :meth:`~repro.runtime.RunStreams.take` view of the
+  still-active runs) — which is why runs that converge early simply stop
+  drawing without perturbing their neighbours.
 * **GNN training / inference** (:mod:`repro.experiments._gnn`) — one
   stream per non-deterministic *training run*, drawn at run start and
   pinned (:func:`repro.tensor.use_kernel_stream`); every ND ``index_add``
@@ -190,7 +204,7 @@ that many ``scheduler()`` calls:
   inference pass draws one stream the same way.  The lockstep batch
   (:class:`repro.tensor.RunBatch`, used by ``train_graphsage_runs`` /
   ``run_inference_runs``) pre-draws the ``R`` streams in run order and
-  hands each batched kernel invocation the per-run generators via
+  hands each batched kernel invocation the window via
   :meth:`repro.ops.segmented.SegmentPlan.sample_run_draws_rngs` — so the
   lockstep runs' weights, losses and logits are bit-identical to a
   scalar train-then-infer loop's.
@@ -202,8 +216,10 @@ The compiled backend sits *below* every contract in this catalogue: when
 ``SegmentPlan.fold*`` family execute in C under the **identical
 accumulation-order contract** (same IEEE-754 operation sequences, same
 f32/f64 intermediate widths, same −0.0/NaN/inf handling).  No draw moves: orders, permutations, chunk
-choices and raced-segment keys are all sampled before dispatch, so the
-backends differ in wall-clock only, never in bits or stream positions.
+choices and raced-segment keys are all sampled before dispatch, and the
+compiled stream kernels replay NumPy's PCG64 draws exactly (gated by a
+one-time self-check against NumPy's ``Generator``), so the backends
+differ in wall-clock only, never in bits or stream positions.
 """
 
 from __future__ import annotations
@@ -214,7 +230,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import SchedulerError
-from ..runtime import RunContext
+from ..runtime import RunContext, RunStreams
 from .kernel import LaunchConfig
 
 __all__ = ["SchedulerParams", "WaveScheduler", "WaveSchedulerBatch"]
@@ -296,13 +312,6 @@ def _resolve_params(launch: LaunchConfig, params: SchedulerParams | None) -> Sch
             residual_jitter=0.0, straggler_rate=0.0, straggler_delay=0.0,
         )
     return params
-
-
-def _sample_rotation(rng: np.random.Generator, num_gpcs: int, per_gpc: int, mod: int) -> int:
-    """One rotation-mode draw: the round-robin start slot at GPC
-    granularity.  The single definition shared by the scalar and batched
-    paths (one ``integers`` draw per run)."""
-    return (int(rng.integers(num_gpcs)) * per_gpc) % mod
 
 
 @lru_cache(maxsize=64)
@@ -393,9 +402,7 @@ class WaveScheduler:
             return 0
         dev = self.launch.device
         per_gpc = max(1, self.launch.resident_blocks // dev.num_gpcs)
-        return _sample_rotation(
-            self.rng, dev.num_gpcs, per_gpc, max(self.launch.n_blocks, 1)
-        )
+        return (int(self.rng.integers(dev.num_gpcs)) * per_gpc) % max(self.launch.n_blocks, 1)
 
     def _needs_block_draw(self, sigma: float, nb: int) -> bool:
         return sigma > 0.0 or (self.params.straggler_rate > 0 and nb > 1)
@@ -628,38 +635,37 @@ class WaveSchedulerBatch:
         sigma = proto._effective_jitter(self.params.block_jitter, contention)
         return proto._needs_block_draw(sigma, self.launch.n_blocks)
 
-    def _draw_block_inputs(
-        self, n_runs: int, sigma: float, rngs: list[np.random.Generator] | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None, list[np.random.Generator]]:
-        """Consume ``n_runs`` scheduler streams, mirroring the scalar draw
-        order: rotation first, then the block vector.
-
-        ``rngs`` supplies explicit per-run generators instead of fresh
-        context streams — the run-batched reductions' mode, where each
-        simulated run owns one stream for its whole launch *sequence* (the
-        CG draw contract) and every launch continues consuming it.
-        """
-        nb = self.launch.n_blocks
-        proto = self._proto
-        need_u = proto._needs_block_draw(sigma, nb)
-        u = np.empty((n_runs, nb), dtype=np.float32) if need_u else None
-        num_gpcs, per_gpc, mod = self._num_gpcs, self._per_gpc, self._mod
-        rotate = self.params.rotation
-        f32 = np.float32
-        rot_list = [0] * n_runs
+    def _streams(self, n_runs: int, rngs) -> RunStreams:
+        """The ``n_runs`` streams one request draws: explicit ``rngs``
+        (a :class:`~repro.runtime.RunStreams` window or plain
+        Generators), else the next ``n_runs`` context streams."""
         if rngs is None:
             if self.ctx is None:
                 raise SchedulerError("WaveSchedulerBatch needs a ctx or explicit rngs")
-            rngs = self.ctx.schedulers(n_runs)
-        elif len(rngs) != n_runs:
+            return self.ctx.schedulers(n_runs)
+        if len(rngs) != n_runs:
             raise SchedulerError(f"expected {n_runs} rngs, got {len(rngs)}")
-        for r in range(n_runs):
-            rng = rngs[r]
-            if rotate:
-                rot_list[r] = _sample_rotation(rng, num_gpcs, per_gpc, mod)
-            if need_u:
-                rng.random(out=u[r], dtype=f32)
-        return np.asarray(rot_list, dtype=np.int64), u, list(rngs)
+        return RunStreams.wrap(rngs)
+
+    def _draw_block_inputs(
+        self, streams: RunStreams, sigma: float
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Draw every run's rotation, then its block vector, mirroring
+        the scalar draw order — one batched pass over the window.
+
+        ``streams`` may be a caller's persistent window (the run-batched
+        reductions' mode, where each simulated run owns one stream for
+        its whole launch *sequence* — the CG draw contract — and every
+        launch continues consuming it).
+        """
+        nb = self.launch.n_blocks
+        need_u = self._proto._needs_block_draw(sigma, nb)
+        raw, u = streams.block_inputs(
+            self._num_gpcs if self.params.rotation else None, nb if need_u else 0
+        )
+        if raw is None:
+            return np.zeros(len(streams), dtype=np.int64), u
+        return (raw * self._per_gpc) % self._mod, u
 
     # ------------------------------------------------------------------ waves
     def block_arrival_times_batch(
@@ -676,7 +682,7 @@ class WaveSchedulerBatch:
             raise SchedulerError(f"n_runs must be >= 0, got {n_runs}")
         proto = self._proto
         sigma = proto._effective_jitter(self.params.block_jitter, contention)
-        rots, u, _ = self._draw_block_inputs(n_runs, sigma, rngs)
+        rots, u = self._draw_block_inputs(self._streams(n_runs, rngs), sigma)
         return proto._block_times_from(rots, u, contention)
 
     def block_completion_orders(
@@ -733,9 +739,9 @@ class WaveSchedulerBatch:
         """Yield per-chunk ``(lo, hi, korder)`` warp-key argsorts.
 
         Shared machinery of the element- and warp-granular order methods:
-        per-run draws (in run order, per the RNG contract — from explicit
-        ``rngs`` when given, else fresh context streams), batched key
-        build, one axis-1 argsort per chunk.
+        each chunk's draws (per run, in the contracted order — from
+        explicit ``rngs`` when given, else fresh context streams) in
+        batched passes, batched key build, one axis-1 argsort per chunk.
         """
         from ..fp.summation import iter_run_chunks
 
@@ -745,18 +751,13 @@ class WaveSchedulerBatch:
         w_total = nb * wpb
         sigma = proto._effective_jitter(self.params.block_jitter, contention)
         sigma_w = proto._effective_jitter(self.params.warp_jitter, contention)
-        if rngs is not None and len(rngs) != n_runs:
-            raise SchedulerError(f"expected {n_runs} rngs, got {len(rngs)}")
+        if rngs is not None:
+            rngs = self._streams(n_runs, rngs)
         for lo, hi in iter_run_chunks(n_runs, chunk_elems):
             chunk = hi - lo
-            rots, u, chunk_rngs = self._draw_block_inputs(
-                chunk, sigma, None if rngs is None else list(rngs[lo:hi])
-            )
-            uw = None
-            if sigma_w > 0:
-                uw = np.empty((chunk, nb, wpb), dtype=np.float32)
-                for r, rng in enumerate(chunk_rngs):
-                    rng.random(out=uw[r], dtype=np.float32)
+            streams = self._streams(chunk, None if rngs is None else rngs[lo:hi])
+            rots, u = self._draw_block_inputs(streams, sigma)
+            uw = streams.random_f32((nb, wpb)) if sigma_w > 0 else None
             block_t = proto._block_times_from(rots, u, contention)
             keys = proto._warp_keys_from(block_t, uw, sigma_w)
             yield lo, hi, np.argsort(keys.reshape(chunk, w_total), axis=-1)

@@ -76,6 +76,8 @@ class JobSpec:
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(f"JobSpec.seed must be an int, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"JobSpec.seed must be >= 0, got {self.seed}")
         if self.devices is not None:
             if isinstance(self.devices, str) or not all(
                 isinstance(d, str) and d for d in self.devices

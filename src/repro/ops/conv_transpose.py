@@ -22,7 +22,8 @@ canonical (deterministic) fold once; each non-deterministic run then only
 re-folds its *raced* output elements in the sampled order.
 :func:`conv_transpose_runs` executes ``n_runs`` such runs against one plan
 — per-run randomness drawn exactly like the scalar path (one scheduler
-stream per run: raced Bernoulli, tap-permutation keys, key argsort), so
+stream per run: raced Bernoulli, tap-permutation keys, key argsort; all
+runs' draws in one batched pass), so
 every output is bit-identical to the corresponding scalar
 ``conv_transposeNd(..., deterministic=False)`` call.
 """
@@ -35,7 +36,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from ..runtime import RunContext, get_context
+from ..runtime import RunContext, RunStreams, get_context
 from .nondet import OP_CONTENTION, ContentionModel
 from .registry import resolve_determinism
 
@@ -59,6 +60,11 @@ def _normalize(val, nd: int, name: str) -> tuple[int, ...]:
     if name != "stride" and any(v < 0 for v in out):
         raise ConfigurationError(f"{name} entries must be >= 0, got {out}")
     return out
+
+
+#: Key budget of one run chunk of :meth:`_ConvTransposePlan.nd_outputs`
+#: (race candidates x taps, summed over the chunk's runs).
+_CHUNK_KEYS = 1 << 18
 
 
 def _tap_fold(flat: np.ndarray) -> np.ndarray:
@@ -166,29 +172,42 @@ class _ConvTransposePlan:
     def det_output(self) -> np.ndarray:
         return self.det_flat.reshape(self.out_shape).copy()
 
-    def nd_output(self, rng: np.random.Generator, model: ContentionModel) -> np.ndarray:
-        """One non-deterministic run: shuffle raced elements' tap order.
+    def nd_outputs(self, streams: RunStreams, model: ContentionModel) -> np.ndarray:
+        """Non-deterministic runs, one per stream: shuffle raced elements'
+        tap order.  Returns ``(R, *out_shape)``.
 
         Draw order (per run, one scheduler stream): raced Bernoulli over
         the candidates, then ``(raced, T)`` permutation keys, argsorted
-        row-wise.  Un-raced elements reuse the canonical fold.
+        row-wise — drawn for a run chunk at a time in one batched pass.  Un-raced
+        elements reuse the canonical fold.
         """
-        n_elems = self.flat.shape[0]
-        raced = model.sample_raced(self.candidates, n_elems, n_elems, rng)
-        out = self.det_flat.copy()
-        if raced.size:
-            keys = rng.random((raced.size, self.n_taps))
-            perm = np.argsort(keys, axis=1)
+        n_elems, T = self.flat.shape
+        q = model.race_probability(n_elems, n_elems)
+        counts = np.full(self.candidates.size, T)
+        n_runs = len(streams)
+        out = np.empty((n_runs, n_elems), dtype=self.det_flat.dtype)
+        # Run chunks keep the keys, their argsort and the tap gather
+        # cache-sized; every run's draws and adds are chunk-independent.
+        step = max(1, _CHUNK_KEYS // max(counts.size * T, 1))
+        for lo in range(0, n_runs, step):
+            hi = min(lo + step, n_runs)
+            runs, cand, keys = streams[lo:hi].raced_keys(q, counts)
+            rows = out[lo:hi]
+            rows[:] = self.det_flat
+            if not runs.size:
+                continue
+            raced = self.candidates[cand]
+            perm = np.argsort(keys.reshape(-1, T), axis=1)
             # One flat gather straight into tap-major order: row ``t`` holds
             # every raced element's ``t``-th tap in the sampled order, so the
             # fold below adds contiguous rows — the same per-element adds
             # (and bits) as _tap_fold over the gathered (raced, T) matrix.
-            taps = self.flat.reshape(-1).take(perm.T + raced * self.n_taps)
+            taps = self.flat.reshape(-1).take(perm.T + raced * T)
             acc = taps[0].copy()
-            for t in range(1, self.n_taps):
+            for t in range(1, T):
                 acc += taps[t]
-            out[raced] = acc
-        return out.reshape(self.out_shape)
+            rows[runs, raced] = acc
+        return out.reshape((n_runs,) + self.out_shape)
 
 
 def _add_bias(out: np.ndarray, bias, dtype, C_out: int, nd: int) -> np.ndarray:
@@ -224,7 +243,9 @@ def _conv_transpose_nd(
     else:
         if rng is None:
             rng = (ctx or get_context()).scheduler()
-        out = plan.nd_output(rng, model or OP_CONTENTION["conv_transpose"])
+        out = plan.nd_outputs(
+            RunStreams.wrap([rng]), model or OP_CONTENTION["conv_transpose"]
+        )[0]
     C_out = plan.out_shape[1]
     return _add_bias(out, bias, plan.dtype, C_out, nd)
 
@@ -263,8 +284,8 @@ def conv_transpose_runs(
     C_out = plan.out_shape[1]
     ref = _add_bias(plan.det_output(), bias, plan.dtype, C_out, nd)
     outs = [
-        _add_bias(plan.nd_output(rng, model), bias, plan.dtype, C_out, nd)
-        for rng in ctx.schedulers(n_runs)
+        _add_bias(out, bias, plan.dtype, C_out, nd)
+        for out in plan.nd_outputs(ctx.schedulers(n_runs), model)
     ]
     return ref, outs
 

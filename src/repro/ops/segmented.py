@@ -32,12 +32,15 @@ per run in run order via :meth:`SegmentPlan.sample_run_draws` /
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import backend as _backend
 from ..errors import ConfigurationError, ShapeError
+from ..runtime import RunStreams
 
-__all__ = ["SegmentPlan", "segmented_fold"]
+__all__ = ["RaceDraws", "SegmentPlan", "segmented_fold"]
 
 _IDENTITY = {
     "sum": 0.0,
@@ -196,6 +199,32 @@ def _fold_axis(mat: np.ndarray, ufunc: np.ufunc, axis: int) -> np.ndarray:
     return acc
 
 
+@dataclass(frozen=True)
+class RaceDraws:
+    """A run batch's raced segments and shuffle keys, run-major.
+
+    Segment ``s`` is target ``targets[s]`` of run ``runs[s]``, with
+    ``counts[s]`` contributions; its keys are the next ``counts[s]``
+    entries of ``keys`` (segments in run, then target order, keys in rank
+    order).
+    """
+
+    n_runs: int
+    runs: np.ndarray
+    targets: np.ndarray
+    counts: np.ndarray
+    keys: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n_runs
+
+    def key_offsets(self) -> np.ndarray:
+        """Offset of each segment's keys in :attr:`keys`."""
+        off = np.zeros(self.counts.size, dtype=np.int64)
+        np.cumsum(self.counts[:-1], out=off[1:])
+        return off
+
+
 class SegmentPlan:
     """Reusable fold plan for one (index, n_targets) pair.
 
@@ -288,81 +317,40 @@ class SegmentPlan:
         resort = np.lexsort((keys, self.sorted_targets))
         return self.order[resort]
 
-    def sample_orders(self, n_runs: int, model, ctx) -> np.ndarray:
-        """Draw ``n_runs`` per-run fold orders — the batched ops' shared
-        RNG front end.
-
-        One scheduler stream per run, consumed in run order, each drawing
-        the raced-target Bernoulli then the segment shuffle — exactly the
-        per-call sequence of the scalar scatter/index kernels, which is
-        what keeps the batched runs bit-identical to a scalar loop.
-
-        Parameters
-        ----------
-        n_runs:
-            Number of runs to sample.
-        model:
-            :class:`~repro.ops.nondet.ContentionModel` deciding which
-            multiply-hit targets race each run.
-        ctx:
-            :class:`~repro.runtime.RunContext` supplying the streams.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(n_runs, n_sources)`` order matrix for :meth:`fold_runs`.
-        """
-        orders = np.empty((n_runs, self.n_sources), dtype=np.int64)
-        for r, rng in enumerate(ctx.schedulers(n_runs)):
-            raced = model.sample_raced(
-                self.multi_targets, self.n_sources, self.n_targets, rng
-            )
-            orders[r] = self.source_order(raced, rng)
-        return orders
-
-    def sample_run_draws(self, n_runs: int, model, ctx) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    def sample_run_draws(self, n_runs: int, model, ctx) -> RaceDraws:
         """Draw ``n_runs`` runs' raced targets and shuffle keys — the
-        sparse front end of :meth:`fold_runs_sparse`.
+        front end of the batched folds.
 
-        Consumes exactly the RNG sequence of :meth:`sample_orders` (one
-        scheduler stream per run, in run order: raced-target Bernoulli,
-        then one uniform key per position of every raced segment, in
-        ascending target-then-rank order), but returns the raw draws
-        instead of materialising ``(n_runs, n_sources)`` order matrices.
+        One scheduler stream per run, in run order, consuming exactly the
+        per-call sequence of the scalar scatter/index kernels (what keeps
+        the batched runs bit-identical to a scalar loop): the raced-target
+        Bernoulli over :attr:`multi_targets`, then one uniform key per
+        position of every raced segment, in ascending target-then-rank
+        order — the keys :meth:`source_order` sorts by.
         """
         return self._draw_runs(ctx.schedulers(n_runs), model)
 
-    def sample_run_draws_rngs(
-        self, rngs, model
-    ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """:meth:`sample_run_draws` over *explicit* per-run generators.
+    def sample_run_draws_rngs(self, rngs, model) -> RaceDraws:
+        """:meth:`sample_run_draws` over *explicit* per-run streams (a
+        :class:`~repro.runtime.RunStreams` window or Generators).
 
         The persistent-stream mode of the batched scatter front end (the
         GNN training contract): each simulated run owns one scheduler
         stream for its whole kernel *sequence*, and every batched kernel
         invocation consumes each run's stream exactly like the scalar
-        kernel would — the raced-target Bernoulli, then one uniform key
-        per position of every raced segment.
+        kernel would.
         """
-        return self._draw_runs(rngs, model)
+        return self._draw_runs(RunStreams.wrap(rngs), model)
 
-    def _draw_runs(self, rngs, model) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        draws: list[tuple[np.ndarray, np.ndarray | None]] = []
-        # The race probability is run-invariant: hoist it so the per-run
-        # loop only performs the contracted draws (the Bernoulli compare
-        # below is exactly ContentionModel.sample_raced's).
-        q = model.race_probability(self.n_sources, self.n_targets)
+    def _draw_runs(self, streams: RunStreams, model) -> RaceDraws:
+        # The Bernoulli compare is exactly ContentionModel.sample_raced's,
+        # drawn for the whole window in one batched pass.
         mt = self.multi_targets
-        mt_counts = self.counts[mt]
-        for rng in rngs:
-            if q <= 0.0 or mt.size == 0:
-                draws.append((mt[:0], None))
-                continue
-            mask = rng.random(mt.size) < q
-            raced = mt[mask]
-            keys = rng.random(int(np.dot(mt_counts, mask))) if raced.size else None
-            draws.append((raced, keys))
-        return draws
+        counts = self.counts[mt]
+        runs, cand, keys = streams.raced_keys(
+            model.race_probability(self.n_sources, self.n_targets), counts
+        )
+        return RaceDraws(len(streams), runs, mt[cand], counts[cand], keys)
 
     # ----------------------------------------------------------------- fold
     def fold(
@@ -532,7 +520,7 @@ class SegmentPlan:
     def fold_runs_sparse(
         self,
         values: np.ndarray,
-        draws: list[tuple[np.ndarray, np.ndarray | None]],
+        draws: RaceDraws,
         *,
         reduce: str = "sum",
         init: np.ndarray | None = None,
@@ -557,8 +545,7 @@ class SegmentPlan:
         values:
             ``(n_sources, *payload)`` contributions, shared by all runs.
         draws:
-            Per-run ``(raced_targets, keys)`` pairs from
-            :meth:`sample_run_draws`.
+            The batch's :class:`RaceDraws` from :meth:`sample_run_draws`.
         reduce, init:
             As in :meth:`fold`.
         canonical:
@@ -583,17 +570,11 @@ class SegmentPlan:
             )
         if canonical is None:
             canonical = self.fold(vals, reduce=reduce, init=init)
-        n_runs = len(draws)
-        out = np.empty((n_runs,) + canonical.shape, dtype=canonical.dtype)
+        out = np.empty((len(draws),) + canonical.shape, dtype=canonical.dtype)
         out[:] = canonical
-        seg_targets, seg_runs, keys = _concat_draws(draws)
-        if seg_targets is None:
+        if not draws.targets.size:
             return out
-        seg_counts = self.counts[seg_targets]
-        # Key offsets: keys are concatenated in (run, target, rank) order,
-        # so segment s's keys span [pos_off[s], pos_off[s] + count).
-        pos_off = np.zeros(seg_targets.size, dtype=np.int64)
-        np.cumsum(seg_counts[:-1], out=pos_off[1:])
+        seg_targets, seg_counts = draws.targets, draws.counts
         payload = vals.shape[1:]
         dtype = vals.dtype if np.issubdtype(vals.dtype, np.floating) else np.float64
         ufunc = _UFUNC[reduce]
@@ -609,21 +590,21 @@ class SegmentPlan:
             seg_start=self.segment_starts[seg_targets],
             seg_count=seg_counts,
             seg_pad=seg_counts < self.k_max,
-            pos_off=pos_off,
-            keys=keys,
+            pos_off=draws.key_offsets(),
+            keys=draws.keys,
             order=self.order,
             vals=vals.astype(dtype, copy=False),
             init_rows=None if init_arr is None else init_arr[seg_targets],
             ufunc=ufunc,
             identity=identity,
         )
-        out[seg_runs, seg_targets] = folded
+        out[draws.runs, seg_targets] = folded
         return out
 
     def fold_runs_values(
         self,
         values: np.ndarray,
-        draws: list[tuple[np.ndarray, np.ndarray | None]] | None = None,
+        draws: RaceDraws | None = None,
         *,
         reduce: str = "sum",
         init: np.ndarray | None = None,
@@ -645,9 +626,8 @@ class SegmentPlan:
         values:
             ``(n_runs, n_sources, *payload)`` per-run contributions.
         draws:
-            Per-run ``(raced_targets, keys)`` pairs from
-            :meth:`sample_run_draws` / :meth:`sample_run_draws_rngs`;
-            ``None`` folds every run in canonical order (the deterministic
+            :class:`RaceDraws` from :meth:`sample_run_draws` /
+            :meth:`sample_run_draws_rngs`; ``None`` folds every run in canonical order (the deterministic
             lockstep path).
         reduce, init:
             As in :meth:`fold` (``init`` is shared by all runs).
@@ -709,32 +689,27 @@ class SegmentPlan:
                 if self.n_sources:
                     mat[:, self.sorted_targets, self.ranks + 1] = vals[lo:hi][:, self.order]
                 out[lo:hi] = _fold_axis(mat, ufunc, axis=2)
-        if draws is None:
+        if draws is None or not draws.targets.size:
             return out
-        seg_targets, seg_runs, keys = _concat_draws(draws)
-        if seg_targets is None:
-            return out
-        seg_counts = self.counts[seg_targets]
-        pos_off = np.zeros(seg_targets.size, dtype=np.int64)
-        np.cumsum(seg_counts[:-1], out=pos_off[1:])
+        seg_targets, seg_counts = draws.targets, draws.counts
         folded = _stratified_refold(
             seg_start=self.segment_starts[seg_targets],
             seg_count=seg_counts,
             seg_pad=seg_counts < self.k_max,
-            pos_off=pos_off,
-            keys=keys,
+            pos_off=draws.key_offsets(),
+            keys=draws.keys,
             order=self.order,
             vals=vals,
             init_rows=None if init_arr is None else init_arr[seg_targets],
             ufunc=ufunc,
             identity=identity,
-            run_of_seg=seg_runs,
+            run_of_seg=draws.runs,
         )
-        out[seg_runs, seg_targets] = folded
+        out[draws.runs, seg_targets] = folded
         return out
 
     def winner_sources_runs(
-        self, draws: list[tuple[np.ndarray, np.ndarray | None]]
+        self, draws: RaceDraws
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-run last-writer winners of the raced segments.
 
@@ -752,13 +727,12 @@ class SegmentPlan:
             Parallel arrays: for each raced ``(run, target)`` pair, the
             winning source id.
         """
-        seg_targets, seg_runs, keys = _concat_draws(draws)
-        if seg_targets is None:
+        if not draws.targets.size:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
-        seg_counts = self.counts[seg_targets]
-        pos_off = np.zeros(seg_targets.size, dtype=np.int64)
-        np.cumsum(seg_counts[:-1], out=pos_off[1:])
+        seg_targets, seg_runs, keys = draws.targets, draws.runs, draws.keys
+        seg_counts = draws.counts
+        pos_off = draws.key_offsets()
         seg_start = self.segment_starts[seg_targets]
         winners = np.empty(seg_targets.size, dtype=np.int64)
         for k in np.unique(seg_counts):
@@ -778,29 +752,6 @@ class SegmentPlan:
                 last = np.argsort(keys_k, axis=1, kind="stable")[:, -1]
                 winners[sel] = np.take_along_axis(src_k, last[:, None], axis=1)[:, 0]
         return seg_runs, seg_targets, winners
-
-
-def _concat_draws(
-    draws: list[tuple[np.ndarray, np.ndarray | None]]
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Concatenate per-run ``(raced, keys)`` draws into parallel
-    ``(seg_targets, seg_runs, keys)`` arrays (``(None, None, None)`` when
-    no run raced)."""
-    seg_t_parts: list[np.ndarray] = []
-    seg_r_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
-    for r, (raced, keys) in enumerate(draws):
-        if raced.size:
-            seg_t_parts.append(raced)
-            seg_r_parts.append(np.full(raced.size, r, dtype=np.int64))
-            key_parts.append(keys)
-    if not seg_t_parts:
-        return None, None, None
-    return (
-        np.concatenate(seg_t_parts),
-        np.concatenate(seg_r_parts),
-        np.concatenate(key_parts),
-    )
 
 
 def sampled_copy_runs(

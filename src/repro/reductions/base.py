@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from ..errors import ConfigurationError
 from ..gpusim.device import DeviceSpec, get_device
 from ..gpusim.kernel import LaunchConfig
 from ..gpusim.scheduler import SchedulerParams, WaveScheduler
-from ..runtime import RunContext, get_context
+from ..runtime import RunContext, RunStreams, get_context
 
 __all__ = ["ReductionProperties", "ReductionImpl"]
 
@@ -112,7 +113,7 @@ class ReductionImpl(abc.ABC):
         xs,
         *,
         ctx: RunContext | None = None,
-        rngs: list[np.random.Generator] | None = None,
+        rngs: RunStreams | Sequence[np.random.Generator] | None = None,
     ) -> np.ndarray:
         """Batched run-axis sums: one simulated run per row of ``xs``.
 
@@ -123,6 +124,9 @@ class ReductionImpl(abc.ABC):
         ``rngs`` lets a caller thread *persistent* per-run streams through
         repeated batched sums — the CG run batch, where each solve is one
         simulated run whose stream every inner product keeps consuming.
+        A :class:`~repro.runtime.RunStreams` window (or a
+        :meth:`~repro.runtime.RunStreams.take` view of its active runs)
+        keeps the batched strategies' draws in one pass per sum.
         Deterministic strategies consume no randomness either way.
 
         Parameters
@@ -133,7 +137,7 @@ class ReductionImpl(abc.ABC):
         ctx:
             Run context supplying fresh streams when ``rngs`` is omitted.
         rngs:
-            Optional per-run generators (non-deterministic strategies).
+            Optional per-run streams (non-deterministic strategies).
 
         Returns
         -------
@@ -159,7 +163,7 @@ class ReductionImpl(abc.ABC):
         self,
         mat: np.ndarray,
         launch: LaunchConfig,
-        rngs: list[np.random.Generator] | None,
+        rngs: RunStreams | Sequence[np.random.Generator] | None,
     ) -> np.ndarray:
         """Default run-batch: loop the scalar :meth:`_reduce` per row
         (bit-exact by construction).  Strategies with a vectorised batch

@@ -24,7 +24,13 @@ kinds of streams:
     invocations see *different* interleavings — exactly like back-to-back
     launches on a real GPU.  :meth:`RunContext.schedulers` hands out a
     whole window of these streams in one vectorised derivation, bit for
-    bit the streams the same number of ``scheduler()`` calls would.
+    bit the streams the same number of ``scheduler()`` calls would, as a
+    :class:`RunStreams`: one PCG64 state array whose batched methods draw
+    a contracted pattern for every run in one pass (in C under the
+    compiled backend), and which stays a ``Sequence[Generator]`` for
+    consumers that iterate it.  Ownership rule: a row is drawn through
+    the batched methods or through its materialised Generator, never
+    both (mixing raises :class:`~repro.errors.SchedulerError`).
 
 ``init``
     For model parameter initialisation; stable across runs so that training
@@ -60,17 +66,21 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import operator
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigurationError
+from . import backend as _backend
+from .errors import ConfigurationError, SchedulerError
 
 __all__ = [
     "RunContext",
+    "RunStreams",
     "default_context",
     "seed_all",
     "get_context",
@@ -242,6 +252,340 @@ def _reference_scheduler(seed: int, run: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _reference_words(seed: int, run: int) -> np.ndarray:
+    """PCG64 seed words of scheduler stream ``run``, by NumPy's SeedSequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SCHED_TAG, run))
+    return ss.generate_state(4, np.uint64)
+
+
+def _derived_generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_DerivedSeed(words)))
+
+
+def _pcg64_state_words(gen: np.random.Generator) -> list[int]:
+    """A PCG64 generator's state in the kernels' six-word row layout."""
+    st = gen.bit_generator.state
+    s, inc = st["state"]["state"], st["state"]["inc"]
+    return [s >> 64, s & (2**64 - 1), inc >> 64, inc & (2**64 - 1),
+            st["has_uint32"], st["uinteger"]]
+
+
+@functools.cache
+def _stream_kernels_ok() -> bool:
+    """One-time self-check of the compiled run-stream kernels against
+    NumPy's own PCG64 ``Generator``: seeding, Lemire bounds (rejection
+    included), float32 fills that leave a half-word buffered, the
+    raced-candidate Bernoulli and its keys, on all rows and on a row
+    subset.  A mismatch (a future NumPy changing PCG64, Lemire or the
+    buffer) keeps every window on the per-run ``Generator`` loop."""
+    from .backend import compiled
+
+    k = compiled.IMPLS
+    words = np.stack([
+        _reference_words(seed, run)
+        for seed, run in ((0, 0), (5, 1), (2**40 + 3, 7), (2**127 + 9, 2**31))
+    ])
+    gens = [_derived_generator(w) for w in words]
+    counts = np.array([2, 3, 1, 5, 2, 4, 2, 7], dtype=np.int64)
+    sub = np.array([3, 1], dtype=np.int64)
+    try:
+        states = k["pcg64_seed"](words)
+        if states is NotImplemented:
+            return False
+        for rows, bound, m, q in (
+            (None, 5, 3, 0.4), (sub, 2**31, 5, 0.9), (None, 2**32 - 1, 1, 0.1),
+            (sub, 1, 4, 0.5), (None, 2**31 + 7, 2, 0.3),
+        ):
+            picked = [gens[i] for i in (range(len(gens)) if rows is None else rows)]
+            n = len(picked)
+            got = k["pcg64_bounded"](states, rows, n, bound)
+            if got.tolist() != [int(g.integers(bound + 1)) for g in picked]:
+                return False
+            got = k["pcg64_fill_f32"](states, rows, n, m)
+            if not np.array_equal(got, [g.random(m, dtype=np.float32) for g in picked]):
+                return False
+            mask, row_keys = k["pcg64_bernoulli"](states, rows, n, q, counts)
+            keys = k["pcg64_fill_f64"](states, rows, row_keys)
+            want = [g.random(counts.size) < q for g in picked]
+            if not np.array_equal(mask, want):
+                return False
+            want_keys = [g.random(int(counts[w].sum())) for g, w in zip(picked, want)]
+            if not np.array_equal(keys, np.concatenate(want_keys)):
+                return False
+        return states.tolist() == [_pcg64_state_words(g) for g in gens]
+    except Exception:  # noqa: BLE001 - any kernel failure => Generator loop
+        return False
+
+
+def _stream_kernels() -> dict | None:
+    """The compiled run-stream kernels, or ``None`` for the per-run
+    ``Generator`` loop (NumPy backend, or a failed self-check)."""
+    seed = _backend.resolve("pcg64_seed")
+    if seed is None or not _stream_kernels_ok():
+        return None
+    return {
+        "seed": seed,
+        "bounded": _backend.resolve("pcg64_bounded"),
+        "fill_f32": _backend.resolve("pcg64_fill_f32"),
+        "bernoulli": _backend.resolve("pcg64_bernoulli"),
+        "fill_f64": _backend.resolve("pcg64_fill_f64"),
+    }
+
+
+# Row owners of a window: untouched, drawn by the batched methods,
+# materialised as a Generator, or handed to another window by concat.
+_FRESH, _BATCHED, _MATERIALISED, _MOVED = 0, 1, 2, 3
+
+
+class _Window:
+    """Storage shared by a window's :class:`RunStreams` views."""
+
+    __slots__ = ("words", "gens", "owner", "states", "kernels")
+
+    def __init__(self, words, gens, owner) -> None:
+        #: ``(R, 4)`` PCG64 seed words (``None`` for wrapped Generators).
+        self.words = words
+        #: Per-row Generator, materialised on first need.
+        self.gens = gens
+        #: ``(R,)`` uint8 row owners (``None`` for wrapped Generators,
+        #: whose caller holds them: there is no rule to enforce).
+        self.owner = owner
+        #: ``(R, 6)`` uint64 PCG64 states, once the kernels draw.
+        self.states = None
+        #: Fixed by the first batched draw: the kernel dict, or ``False``
+        #: for the per-run Generator loop.
+        self.kernels = None
+
+    def generator(self, row: int) -> np.random.Generator:
+        if self.owner is not None:
+            own = self.owner[row]
+            if own == _BATCHED or own == _MOVED:
+                raise SchedulerError(
+                    f"run stream row {row} was "
+                    + ("drawn by the batched methods" if own == _BATCHED
+                       else "handed to another window by concat")
+                    + "; it cannot also be drawn as a Generator"
+                )
+            self.owner[row] = _MATERIALISED
+        return self._gen(row)
+
+    def _gen(self, row: int) -> np.random.Generator:
+        g = self.gens[row]
+        if g is None:
+            g = self.gens[row] = _derived_generator(self.words[row])
+        return g
+
+
+class RunStreams(Sequence):
+    """A window of per-run scheduler streams, held as one PCG64 state array.
+
+    :meth:`RunContext.schedulers` returns one.  Row ``r`` is the stream a
+    ``scheduler()`` call would have returned, bit for bit, and the window
+    serves it two ways:
+
+    * **as a** ``Sequence[Generator]`` — indexing or iterating
+      materialises a row's NumPy Generator lazily, with the row's exact
+      fresh state (the consumers that iterate: cumsum chunk draws,
+      OpenMP trials, permutations, collectives);
+    * **through the batched draw methods** — :meth:`block_inputs`,
+      :meth:`random_f32` and :meth:`raced_keys` draw one contracted
+      pattern for every row in one pass.  Under the compiled backend the
+      ``repro_pcg64_*`` kernels advance the ``(R, 6)`` uint64 state
+      array in C (state and increment as 128-bit pairs, then NumPy's
+      buffered 32-bit half-word); otherwise the same draws come from a
+      per-run loop over the materialised Generators.  Either way every
+      row yields the draws its own Generator would, in the same order.
+
+    **Ownership rule.**  A row is drawn either through the batched
+    methods or through its materialised Generator, never both: mixing the
+    two on one row raises :class:`~repro.errors.SchedulerError` (the two
+    would otherwise hold diverging copies of one stream).
+    :meth:`take` gives a view on a row subset that draws from (and
+    advances) the same rows — the run batch's active runs — and
+    :meth:`concat` joins untouched windows into one, retiring the parts.
+    :meth:`wrap` adapts a plain list of Generators (e.g. device-plane
+    streams) to the batched methods, drawing through the Generators.
+    """
+
+    __slots__ = ("_win", "_rows")
+
+    def __init__(self, win: _Window, rows: np.ndarray | None = None) -> None:
+        self._win = win
+        self._rows = rows
+
+    @classmethod
+    def _from_words(cls, words: np.ndarray) -> "RunStreams":
+        n = len(words)
+        return cls(_Window(words, [None] * n, np.zeros(n, dtype=np.uint8)))
+
+    @classmethod
+    def wrap(cls, rngs) -> "RunStreams":
+        """``rngs`` itself when it is a :class:`RunStreams`, else a window
+        drawing through the given Generators."""
+        if isinstance(rngs, RunStreams):
+            return rngs
+        return cls(_Window(None, list(rngs), None))
+
+    @classmethod
+    def concat(cls, parts) -> "RunStreams":
+        """One window of the rows of ``parts``, in order.
+
+        Only untouched windows of context streams concatenate; their rows
+        move to the new window (any later draw through a part raises).
+        """
+        words = []
+        for part in parts:
+            win, rows = part._win, part._row_ids()
+            if win.words is None or (win.owner[rows] != _FRESH).any():
+                raise SchedulerError("only untouched context stream windows concatenate")
+            words.append(win.words[rows])
+            win.owner[rows] = _MOVED
+        return cls._from_words(
+            np.concatenate(words) if words else np.empty((0, 4), dtype=np.uint64)
+        )
+
+    def __len__(self) -> int:
+        return len(self._win.gens) if self._rows is None else self._rows.size
+
+    def _row_ids(self) -> np.ndarray:
+        return np.arange(len(self._win.gens)) if self._rows is None else self._rows
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"run stream index {i} out of range for {n} runs")
+        i %= n
+        return self._win.generator(i if self._rows is None else int(self._rows[i]))
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        win = self._win
+        for row in self._row_ids().tolist():
+            yield win.generator(row)
+
+    def take(self, idx) -> "RunStreams":
+        """A view on rows ``idx`` (positions in this window): its draws
+        advance those rows of the shared window."""
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        n = len(self)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"run stream rows {idx} out of range for {n} runs")
+        return RunStreams(self._win, idx if self._rows is None else self._rows[idx])
+
+    # ------------------------------------------------------- batched draws
+    def _claim(self):
+        """Mark the rows batched-owned; return the kernels (or ``False``)."""
+        win, rows = self._win, self._rows
+        if win.owner is not None:
+            sel = win.owner if rows is None else win.owner[rows]
+            if (sel >= _MATERIALISED).any():
+                raise SchedulerError(
+                    "run stream rows already drawn as Generators (or handed "
+                    "to another window) cannot be drawn by the batched methods"
+                )
+            if rows is None:
+                win.owner[:] = _BATCHED
+            else:
+                win.owner[rows] = _BATCHED
+        if win.kernels is None:
+            kernels = _stream_kernels() if win.words is not None else None
+            states = kernels["seed"](win.words) if kernels else NotImplemented
+            if states is NotImplemented:
+                win.kernels = False
+            else:
+                win.kernels, win.states = kernels, states
+        return win.kernels
+
+    def _loop_gens(self) -> list[np.random.Generator]:
+        win = self._win
+        return [win._gen(row) for row in self._row_ids().tolist()]
+
+    def block_inputs(
+        self, num_gpcs: int | None, n_blocks: int
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Per row, in order: one ``integers(num_gpcs)`` (skipped when
+        ``num_gpcs`` is ``None``), then one ``random(n_blocks,
+        dtype=float32)`` (skipped when ``n_blocks`` is 0) — the wave
+        scheduler's rotation and block vector.
+
+        Returns ``(rotations, u)``: ``(R,)`` int64 raw rotation draws and
+        the ``(R, n_blocks)`` float32 block matrix, each ``None`` when
+        skipped.  ``num_gpcs = 1`` draws nothing (NumPy's ``integers(1)``
+        consumes no randomness).
+        """
+        if num_gpcs is not None and not 1 <= num_gpcs <= 2**32:
+            raise SchedulerError(f"num_gpcs must be in [1, 2**32], got {num_gpcs}")
+        n = len(self)
+        k = self._claim()
+        if k:
+            st, rows = self._win.states, self._rows
+            rot = None
+            if num_gpcs is not None:
+                rot = (
+                    np.zeros(n, dtype=np.int64) if num_gpcs == 1
+                    else k["bounded"](st, rows, n, num_gpcs - 1)
+                )
+            u = k["fill_f32"](st, rows, n, n_blocks) if n_blocks else None
+            return rot, u
+        rot = None if num_gpcs is None else np.empty(n, dtype=np.int64)
+        u = np.empty((n, n_blocks), dtype=np.float32) if n_blocks else None
+        for r, g in enumerate(self._loop_gens()):
+            if rot is not None:
+                rot[r] = g.integers(num_gpcs)
+            if u is not None:
+                g.random(out=u[r], dtype=np.float32)
+        return rot, u
+
+    def random_f32(self, shape: tuple[int, ...]) -> np.ndarray:
+        """``(R, *shape)`` float32: one ``random(shape, dtype=float32)``
+        per row (the warp jitter)."""
+        n, shape = len(self), tuple(shape)
+        k = self._claim()
+        if k:
+            m = int(np.prod(shape, dtype=np.int64))
+            return k["fill_f32"](self._win.states, self._rows, n, m).reshape((n,) + shape)
+        out = np.empty((n,) + shape, dtype=np.float32)
+        for r, g in enumerate(self._loop_gens()):
+            g.random(out=out[r], dtype=np.float32)
+        return out
+
+    def raced_keys(
+        self, q: float, counts
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, in order: ``random(C) < q`` over ``C = len(counts)``
+        race candidates, then, when any raced, ``random(k)`` float64
+        shuffle keys with ``k`` the raced candidates' ``counts`` summed.
+
+        Returns ``(runs, cands, keys)``: the raced ``(row, candidate)``
+        pairs, row-major, and every row's keys concatenated in the same
+        order.  Draws nothing when ``q <= 0`` or there are no candidates
+        (the contention models' no-race short cut).
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        n, c = len(self), counts.size
+        if q <= 0.0 or c == 0:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, np.empty(0, dtype=np.float64)
+        k = self._claim()
+        if k:
+            st, rows = self._win.states, self._rows
+            mask, row_keys = k["bernoulli"](st, rows, n, q, counts)
+            keys = k["fill_f64"](st, rows, row_keys)
+        else:
+            mask = np.empty((n, c), dtype=bool)
+            parts = []
+            for r, g in enumerate(self._loop_gens()):
+                raced = mask[r] = g.random(c) < q
+                n_keys = int(np.dot(counts, raced))
+                if n_keys:
+                    parts.append(g.random(n_keys))
+            keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+        runs, cands = np.divmod(np.flatnonzero(mask), c)
+        return runs, cands, keys
+
+
 @dataclass
 class RunContext:
     """Replayable randomness hub for a set of simulated runs.
@@ -277,6 +621,8 @@ class RunContext:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigurationError(f"seed must be an int, got {type(self.seed).__name__}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         self.seed = int(self.seed)
         if not isinstance(self.run_offset, (int, np.integer)):
             raise ConfigurationError(
@@ -310,20 +656,22 @@ class RunContext:
             self._run_counter += 1
         return _reference_scheduler(self.seed, run)
 
-    def schedulers(self, n: int) -> list[np.random.Generator]:
-        """Return the next ``n`` scheduler streams and advance the run
-        counter by ``n`` in one step.
+    def schedulers(self, n: int) -> RunStreams:
+        """Return the next ``n`` scheduler streams as one
+        :class:`RunStreams` window and advance the run counter by ``n``
+        in one step.
 
-        Bit-identical to ``[self.scheduler() for _ in range(n)]`` (equal
-        ``bit_generator.state``, equal draws), but the window's PCG64 seed
-        words come from one vectorised pass of SeedSequence's pool mixing
-        over the run word, with the ``(seed, tag)`` part memoised per seed:
-        about 2.5 µs per stream against ~22 µs for :meth:`scheduler`.  The
-        generators' ``bit_generator.seed_seq`` is a stand-in that cannot
-        spawn.  Single-stream windows (where the batch does not pay),
-        windows reaching run ``2**32`` (where the spawn key grows a word)
-        and a NumPy whose SeedSequence fails the one-time self-check take
-        the per-run reference path.
+        Row ``i`` is bit-identical to the ``i``-th of ``n`` successive
+        :meth:`scheduler` calls (equal ``bit_generator.state``, equal
+        draws), but the window's PCG64 seed words come from one vectorised
+        pass of SeedSequence's pool mixing over the run word, with the
+        ``(seed, tag)`` part memoised per seed, and no Generator is built
+        until a consumer indexes the window.  A materialised row's
+        ``bit_generator.seed_seq`` is a stand-in that cannot spawn.
+        Single-stream windows (where the batch does not pay), windows
+        reaching run ``2**32`` (where the spawn key grows a word) and a
+        NumPy whose SeedSequence fails the one-time self-check derive
+        their words per run through SeedSequence itself.
         """
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ConfigurationError(f"n must be a non-negative int, got {n!r}")
@@ -332,11 +680,14 @@ class RunContext:
             start = self._run_counter
             self._run_counter += n
         stop = start + n
-        if n < _BATCH_MIN_RUNS or stop > 2**32 or self.seed < 0 or not _batch_derivation_ok():
-            return [_reference_scheduler(self.seed, run) for run in range(start, stop)]
-        words = _sched_seed_words(self.seed, np.arange(start, stop, dtype=np.uint32))
-        Generator, PCG64 = np.random.Generator, np.random.PCG64
-        return [Generator(PCG64(_DerivedSeed(w))) for w in words]
+        if n < _BATCH_MIN_RUNS or stop > 2**32 or not _batch_derivation_ok():
+            words = np.array(
+                [_reference_words(self.seed, run) for run in range(start, stop)],
+                dtype=np.uint64,
+            ).reshape(n, 4)
+        else:
+            words = _sched_seed_words(self.seed, np.arange(start, stop, dtype=np.uint32))
+        return RunStreams._from_words(words)
 
     def device_stream(
         self, device: str, cell: int = 0, *, anchor: int = 0

@@ -219,22 +219,20 @@ def conjugate_gradient_runs(
         raise ShapeError(f"b must be 1-D, got shape {b.shape}")
     n = b.size
     matvec = _matvec_for(A, n)
+    A_mat = None if callable(A) else np.asarray(A, dtype=np.float64)
     max_iter = max_iter if max_iter is not None else 10 * n
 
     nd = reduction is not None and not reduction.properties.deterministic
-    rngs: list[np.random.Generator | None]
-    if nd:
-        c = ctx or get_context()
-        rngs = c.schedulers(n_runs)
-    else:
-        rngs = [None] * n_runs
+    # One persistent stream per solve; the active runs' subset view draws
+    # from (and advances) the same window rows.
+    rngs = (ctx or get_context()).schedulers(n_runs) if nd else None
 
     def dots(U: np.ndarray, V: np.ndarray, run_ids: np.ndarray) -> np.ndarray:
         if reduction is None:
             return np.array([float(U[i] @ V[i]) for i in range(len(run_ids))])
         sub = None
         if nd:
-            sub = rngs if run_ids is all_runs else [rngs[i] for i in run_ids]
+            sub = rngs if run_ids is all_runs else rngs.take(run_ids)
         return reduction.sum_runs(U * V, rngs=sub)
 
     if x0 is None:
@@ -263,8 +261,13 @@ def conjugate_gradient_runs(
         # common case): whole-matrix updates, no fancy-index round trips.
         full = active.all()
         act = all_runs if full else np.flatnonzero(active)
-        for j, i in enumerate(act):
-            Ap[j] = matvec(P[i])
+        if A_mat is not None:
+            # Lockstep matvec: NumPy runs the same gemv per batch element,
+            # bit-identical to the per-run ``A @ p``.
+            np.matmul(A_mat, P[act, :, None], out=Ap[: act.size, :, None])
+        else:
+            for j, i in enumerate(act):
+                Ap[j] = matvec(P[i])
         Apv = Ap if full else Ap[: act.size]
         Pg = P if full else P[act]
         pAp = dots(Pg, Apv, act)

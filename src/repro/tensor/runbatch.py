@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from collections.abc import Sequence
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..ops.segmented import SegmentPlan
-from ..runtime import RunContext, get_context
+from ..runtime import RunContext, RunStreams, get_context
 
 __all__ = [
     "RunBatch",
@@ -59,8 +60,10 @@ class RunBatch:
         ``rngs`` is given or ``deterministic=True``); defaults to the
         active context.
     rngs:
-        Explicit per-run generators (length ``n_runs``) — for callers that
-        pre-drew the streams, e.g. to interleave several batches' draws.
+        Explicit per-run streams (length ``n_runs``: a
+        :class:`~repro.runtime.RunStreams` window or Generators) — for
+        callers that pre-drew the streams, e.g. to interleave several
+        batches' draws.
     deterministic:
         ``True`` builds a draw-free batch (canonical fold orders only):
         the lockstep-inference mode for run-batched models under
@@ -72,7 +75,7 @@ class RunBatch:
         n_runs: int,
         *,
         ctx: RunContext | None = None,
-        rngs: list[np.random.Generator] | None = None,
+        rngs: RunStreams | Sequence[np.random.Generator] | None = None,
         deterministic: bool = False,
     ) -> None:
         if n_runs < 1:
@@ -80,17 +83,18 @@ class RunBatch:
         self.n_runs = int(n_runs)
         self.deterministic = bool(deterministic)
         if deterministic:
-            self.rngs: list[np.random.Generator] | None = None
+            self.rngs: RunStreams | None = None
         elif rngs is not None:
             if len(rngs) != n_runs:
                 raise ConfigurationError(
                     f"expected {n_runs} rngs, got {len(rngs)}"
                 )
-            self.rngs = list(rngs)
+            self.rngs = RunStreams.wrap(rngs)
         else:
             ctx = ctx or get_context()
             # One scheduler stream per run, drawn in run order — exactly
-            # the streams a scalar loop's runs would pin one at a time.
+            # the streams a scalar loop's runs would pin one at a time;
+            # every batched kernel draws all runs in one pass.
             self.rngs = ctx.schedulers(n_runs)
         self._plans: dict[tuple, tuple[np.ndarray, SegmentPlan]] = {}
 

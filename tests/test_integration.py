@@ -14,7 +14,7 @@ from repro.graph import cora_like
 from repro.lpu import LPUExecutor, Program
 from repro.nn import Adam, GraphSAGE, functional as F
 from repro.ops import index_add
-from repro.runtime import RunContext
+from repro.runtime import RunContext, use_context
 from repro.tensor import Tensor
 
 
@@ -63,7 +63,10 @@ class TestEndToEndGnnPipeline:
         opt = Adam(model.parameters(), lr=0.01)
         x = Tensor(ds.features)
         idx = np.flatnonzero(ds.train_mask)
-        with deterministic_mode(deterministic):
+        # The kernels draw from the active context: install this one, so
+        # the draws do not depend on what earlier tests left in the
+        # process-wide default context.
+        with deterministic_mode(deterministic), use_context(ctx):
             for _ in range(epochs):
                 opt.zero_grad()
                 out = model(x, ds.graph.edge_index)

@@ -40,6 +40,12 @@ class TestJobSpecValidation:
             with pytest.raises(ConfigurationError, match="seed"):
                 JobSpec("table2", seed=bad)
 
+    def test_negative_seed_rejected(self):
+        # Rejected up front, not as a SeedSequence traceback mid-run.
+        for bad in (-1, -(2**40)):
+            with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+                JobSpec("table3", seed=bad)
+
     def test_devices_lowercased_and_tupled(self):
         spec = JobSpec("figS1", devices=("V100", "LPU"))
         assert spec.devices == ("v100", "lpu")

@@ -170,8 +170,8 @@ class TestConvTranspose:
         w = rng.standard_normal((3, 4) + (k,) * nd).astype(np.float32)
         plan = _ConvTransposePlan(x, w, nd=nd, stride=stride, padding=0, output_padding=0)
         assert plan.n_taps > 1
-        for rng_a, rng_b in zip(ctx.schedulers(4), RunContext(ctx.seed).schedulers(4)):
-            got = plan.nd_output(rng_a, ALWAYS_RACE)
+        batch = plan.nd_outputs(ctx.schedulers(4), ALWAYS_RACE)
+        for got, rng_b in zip(batch, RunContext(ctx.seed).schedulers(4)):
             n_elems = plan.flat.shape[0]
             raced = ALWAYS_RACE.sample_raced(plan.candidates, n_elems, n_elems, rng_b)
             perm = np.argsort(rng_b.random((raced.size, plan.n_taps)), axis=1)
