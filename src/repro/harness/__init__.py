@@ -10,9 +10,10 @@ from .results import (
     ResultCache,
 )
 from .parallel import ShardedExecutor, default_workers
-from .jobs import JobSpec, JobOutcome, CellOutcome, JobRunner, device_overrides_for
+from .jobs import (
+    JobSpec, Cell, JobOutcome, CellOutcome, JobRunner, device_overrides_for,
+)
 from .farm import (
-    FarmCell,
     FarmReport,
     DriftEntry,
     SweepFarm,
@@ -22,6 +23,7 @@ from .farm import (
 
 __all__ = [
     "JobSpec",
+    "Cell",
     "JobOutcome",
     "CellOutcome",
     "JobRunner",
@@ -35,7 +37,6 @@ __all__ = [
     "ResultCache",
     "ShardedExecutor",
     "default_workers",
-    "FarmCell",
     "FarmReport",
     "DriftEntry",
     "SweepFarm",

@@ -81,19 +81,22 @@ drift into a non-zero exit (CI gate); ``--report-json`` archives the
 machine-readable report.
 
 Job core: every subcommand above rides one transport-agnostic lifecycle
-(:mod:`repro.harness.jobs`).  A submission — CLI flags, a farm grid
-cell, or a service POST body — becomes a
-:class:`~repro.harness.jobs.JobSpec`, canonicalised exactly like the
-cache-key inputs (override canonicalisation, lowercased device names),
-and runs through :class:`~repro.harness.jobs.JobRunner`: registry
-validation, cell decomposition, metadata-only hit probes, executor
-dispatch of the misses, store, bit-exact reassembly.  The contract is
-**zero drift** across transports: a cell computed by any entry point
-lands on byte-identical keys and bit-identical payloads for every other
-one, so a daemon warms the cache for the CLI and vice versa.  ``run``
-and ``run-all`` print the resulting per-experiment status
-(``cached``/``computed [k/n cells]`` + wall-clock) from the
-:class:`~repro.harness.jobs.JobOutcome` on stderr.
+(:mod:`repro.harness.jobs`).  A submission — CLI flags, a point of a
+farm grid, or a service POST body — becomes a
+:class:`~repro.harness.jobs.JobSpec`, validated and canonicalised
+exactly like the cache-key inputs (override canonicalisation,
+lowercased device names, non-negative seeds), and
+:meth:`~repro.harness.jobs.JobRunner.plan_cells` turns it into keyed
+cache cells: registry validation, device folding, cell decomposition,
+one key per cell.  That planner is the only place keys are derived, so
+a cell computed by any entry point lands on byte-identical keys and
+bit-identical payloads for every other one — a farm or daemon warms the
+cache for the CLI and vice versa — and an invalid farm grid point fails
+before any cell is dispatched.  ``run`` and ``run-all`` then probe,
+dispatch the misses, store and reassemble through
+:meth:`~repro.harness.jobs.JobRunner.run`, and print the resulting
+per-experiment status (``cached``/``computed [k/n cells]`` +
+wall-clock) from the :class:`~repro.harness.jobs.JobOutcome` on stderr.
 
 Service: ``serve`` (also ``python -m repro.harness.service``) runs a
 long-lived stdlib-only asyncio daemon over the same job core
@@ -327,7 +330,7 @@ def _run_farm(executor, cache, args) -> int:
         raise ConfigurationError(
             f"--seeds must be comma-separated integers, got {args.seeds!r}"
         ) from None
-    devices = tuple(n.lower() for n in _parse_names(args.devices, "--devices")) or None
+    devices = _parse_names(args.devices, "--devices") or None
     cells = plan_grid(experiment_ids, scales=scales, seeds=seeds, devices=devices)
     pins = load_pins(args.pins) if args.pins else None
     farm = SweepFarm(cache, executor, pins=pins)

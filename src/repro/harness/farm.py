@@ -5,13 +5,14 @@ x seed x device)`` cells, and the dominant wall-clock cost of iterating
 on the codebase is recomputing cells an edit could not have changed.  The
 farm is the orchestration layer that makes those re-runs incremental:
 
-1. **Expand** a declared grid into :class:`FarmCell`\\ s
-   (:func:`plan_grid`): every (experiment, scale, seed) point, crossed
-   with the device axis where the experiment has one, and further
-   decomposed through the axis planner's per-cell cache decomposition
-   (:meth:`~repro.experiments.base.Experiment.cache_cells`, e.g. a seed
-   ensemble's (member x device) grid) — exactly the cells the CLI
-   ``run`` path caches, under exactly the same keys.
+1. **Expand** a declared grid into keyed cache cells
+   (:class:`~repro.harness.jobs.Cell`, :func:`plan_grid`): every
+   (experiment, scale, seed) point, crossed with the device axis where
+   the experiment has one, becomes a :class:`~repro.harness.jobs.JobSpec`
+   (so an invalid point — a negative seed, an unknown scale or device —
+   fails before anything is dispatched) planned by the job core's
+   :meth:`~repro.harness.jobs.JobRunner.plan_cells`, the planner the CLI
+   ``run`` path uses too: same decomposition, same keys.
 2. **Probe** the result cache for every cell up front
    (:meth:`ResultCache.contains` — metadata heads only, no payload
    deserialisation, no worker dispatch).
@@ -39,6 +40,8 @@ Example
 >>> from repro.harness import ResultCache, ShardedExecutor
 >>> from repro.harness.farm import SweepFarm, plan_grid
 >>> cells = plan_grid(["fig4", "table2"], seeds=(0, 1))
+>>> [c.cell_id for c in cells]
+['fig4/default/seed0', 'fig4/default/seed1', 'table2/default/seed0', 'table2/default/seed1']
 >>> with ShardedExecutor(workers=2) as executor:
 ...     report = SweepFarm(ResultCache("~/.cache/repro"), executor).run(cells)
 >>> report.n_executed, report.n_hits, len(report.drift)
@@ -52,13 +55,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from ..experiments import get_experiment, list_experiments
+from ..experiments import list_experiments
 from . import fingerprint as _fingerprint
-from .jobs import JobRunner, device_overrides_for
-from .results import ResultCache, _canonical_override, cache_key, result_digest
+from .jobs import Cell, JobRunner, JobSpec
+from .results import ResultCache, result_digest
 
 __all__ = [
-    "FarmCell",
     "DriftEntry",
     "FarmReport",
     "SweepFarm",
@@ -72,55 +74,6 @@ __all__ = [
 _SCALE_COST = {"default": 1.0, "paper": 3600.0}
 
 
-@dataclass(frozen=True, eq=True)
-class FarmCell:
-    """One grid cell: a complete, independently cacheable invocation."""
-
-    experiment_id: str
-    scale: str
-    seed: int
-    overrides: dict = field(default_factory=dict)
-    #: Result-cache key — identical to what the CLI ``run`` path derives
-    #: for the same invocation, so farm-warmed entries serve CLI hits.
-    key: str = ""
-
-    @property
-    def cell_id(self) -> str:
-        """Human-stable cell name: ``id/scale/seedN[?canonical overrides]``."""
-        base = f"{self.experiment_id}/{self.scale}/seed{self.seed}"
-        if not self.overrides:
-            return base
-        canon = json.dumps(
-            self.canonical_overrides(), sort_keys=True, separators=(",", ":")
-        )
-        return f"{base}?{canon}"
-
-    def canonical_overrides(self) -> dict:
-        return {
-            k: _canonical_override(v, k) for k, v in self.overrides.items()
-        }
-
-    def identity(self) -> tuple:
-        """Code-independent cell identity — what previous-generation
-        entries share with this cell while their keys differ."""
-        return (
-            self.experiment_id,
-            self.scale,
-            self.seed,
-            json.dumps(self.canonical_overrides(), sort_keys=True),
-        )
-
-
-def _make_cell(experiment_id: str, scale: str, seed: int, overrides: dict) -> FarmCell:
-    return FarmCell(
-        experiment_id=experiment_id,
-        scale=scale,
-        seed=int(seed),
-        overrides=dict(overrides),
-        key=cache_key(experiment_id, scale, seed, overrides),
-    )
-
-
 def plan_grid(
     experiment_ids=None,
     *,
@@ -128,47 +81,42 @@ def plan_grid(
     seeds=(0,),
     devices: tuple[str, ...] | None = None,
     overrides: dict | None = None,
-) -> list[FarmCell]:
+) -> list[Cell]:
     """Expand a declared grid into its cache cells.
 
+    Every (experiment, scale, seed, device name or none) point becomes a
+    :class:`~repro.harness.jobs.JobSpec` planned by
+    :meth:`~repro.harness.jobs.JobRunner.plan_cells`, so farm keys and
+    CLI keys coincide cell for cell and an invalid point raises
+    :class:`~repro.errors.ConfigurationError` before any dispatch.
     ``devices`` is a farm axis: each name becomes its own cell for every
     experiment it fits (device-axis experiments run as a single-device
     subset — the anchored device-plane contract makes the subset rows
     bit-identical to the full sweep's), while experiments without a
     device parameter contribute one device-free cell per (scale, seed)
-    point instead of one per device.  ``overrides`` maps experiment ids
-    onto extra parameter overrides applied to every cell of that
-    experiment.  Experiments whose axis declaration decomposes
-    (:meth:`~repro.experiments.base.Experiment.cache_cells`) expand into
-    their per-cell invocations, so farm keys and CLI keys coincide
-    cell for cell.
+    point instead of one per device (cells dedupe by key).
+    ``overrides`` maps experiment ids onto extra parameter overrides
+    applied to every cell of that experiment.
     """
     if experiment_ids is None:
         experiment_ids = list_experiments()
     overrides = overrides or {}
-    cells: list[FarmCell] = []
-    seen: set[tuple] = set()
+    device_points = [(name,) for name in devices] if devices else [None]
+    planner = JobRunner(None, None)
+    cells: list[Cell] = []
+    seen: set[str] = set()
     for eid in experiment_ids:
-        exp = get_experiment(eid)  # fail fast on unknown ids
-        extra = dict(overrides.get(eid, {}))
         for scale in scales:
-            device_sets: list[dict] = [{}]
-            if devices:
-                device_sets = []
-                for name in devices:
-                    dev_ov = device_overrides_for(eid, scale, (name,), strict=False)
-                    device_sets.append(dev_ov)
             for seed in seeds:
-                for dev_ov in device_sets:
-                    base = {**extra, **dev_ov}
-                    sub = exp.cache_cells(scale, seed, base)
-                    for cell_ov in (sub if sub is not None else [base]):
-                        cell = _make_cell(eid, scale, seed, cell_ov)
-                        ident = (cell.key,)
-                        if ident in seen:  # device-free experiments dedupe
-                            continue
-                        seen.add(ident)
-                        cells.append(cell)
+                for names in device_points:
+                    spec = JobSpec(
+                        eid, scale=scale, seed=seed, devices=names,
+                        overrides=dict(overrides.get(eid, {})),
+                    )
+                    for cell in planner.plan_cells(spec, strict_devices=False):
+                        if cell.key not in seen:
+                            seen.add(cell.key)
+                            cells.append(cell)
     return cells
 
 
@@ -202,12 +150,12 @@ class DriftEntry:
 class FarmReport:
     """Consolidated outcome of one farm pass over a grid."""
 
-    cells: list[FarmCell]
-    hits: list[FarmCell]
-    misses: list[FarmCell]
+    cells: list[Cell]
+    hits: list[Cell]
+    misses: list[Cell]
     #: Miss cells in the order they were dispatched (largest estimated
     #: cost first); empty on a fully warm grid or a probe-only pass.
-    executed: list[FarmCell]
+    executed: list[Cell]
     drift: list[DriftEntry]
     elapsed_s: float = 0.0
     probe_only: bool = False
@@ -324,7 +272,7 @@ class SweepFarm:
         self.runner = JobRunner(executor, cache)
 
     # ------------------------------------------------------------- probing
-    def probe(self, cells: list[FarmCell]) -> tuple[list[FarmCell], list[FarmCell]]:
+    def probe(self, cells: list[Cell]) -> tuple[list[Cell], list[Cell]]:
         """Split ``cells`` into (hits, misses) — metadata probes only."""
         hits, misses = [], []
         for cell in cells:
@@ -345,7 +293,7 @@ class SweepFarm:
         return index
 
     @staticmethod
-    def _previous_generation(cell: FarmCell, index: dict) -> dict | None:
+    def _previous_generation(cell: Cell, index: dict) -> dict | None:
         """Newest entry sharing ``cell``'s identity under a different key
         — the same invocation as computed by an earlier code state."""
         candidates = [
@@ -357,7 +305,7 @@ class SweepFarm:
             return None
         return max(candidates, key=lambda m: m.get("created_at") or "")
 
-    def estimated_cost(self, cell: FarmCell, index: dict) -> float:
+    def estimated_cost(self, cell: Cell, index: dict) -> float:
         """Dispatch-priority estimate: the cell identity's last recorded
         wall-clock when any generation of it is cached, else a scale
         heuristic.  Ordering misses largest-first keeps the pool busy on
@@ -372,7 +320,7 @@ class SweepFarm:
         return _SCALE_COST.get(cell.scale, 1.0)
 
     # ------------------------------------------------------------- running
-    def run(self, cells: list[FarmCell], *, probe_only: bool = False) -> FarmReport:
+    def run(self, cells: list[Cell], *, probe_only: bool = False) -> FarmReport:
         """One farm pass: probe everything, recompute only the misses,
         consolidate drift.  With ``probe_only`` nothing is dispatched —
         the report just names the stale cells."""
@@ -380,9 +328,11 @@ class SweepFarm:
         index = self._generation_index()
         hits, misses = self.probe(cells)
         drift: list[DriftEntry] = []
-        executed: list[FarmCell] = []
-        for cell in hits:
-            self._check_pin(cell, self.cache.read_meta(cell.key), drift)
+        executed: list[Cell] = []
+        if self.pins:
+            for cell in hits:
+                meta = self.cache.read_meta(cell.key) or {}
+                self._check_pin(cell, meta.get("digest"), drift)
         if not probe_only:
             schedule = sorted(
                 misses,
@@ -390,18 +340,10 @@ class SweepFarm:
                 reverse=True,
             )
             for cell in schedule:
-                # Dispatch + store through the job core (bit- and
-                # key-identical to the inline path it replaced).
-                result = self.runner.execute(
-                    cell.experiment_id,
-                    cell.scale,
-                    cell.seed,
-                    cell.overrides,
-                    key=cell.key,
-                )
+                digest = result_digest(self.runner.execute(cell))
                 executed.append(cell)
-                digest = result_digest(result)
                 self._check_drift(cell, digest, index, drift)
+                self._check_pin(cell, digest, drift)
         return FarmReport(
             cells=list(cells),
             hits=hits,
@@ -414,7 +356,7 @@ class SweepFarm:
 
     # --------------------------------------------------------------- drift
     def _check_drift(
-        self, cell: FarmCell, digest: str, index: dict, drift: list[DriftEntry]
+        self, cell: Cell, digest: str, index: dict, drift: list[DriftEntry]
     ) -> None:
         prev = self._previous_generation(cell, index)
         if prev is not None and prev.get("digest") and prev["digest"] != digest:
@@ -434,26 +376,12 @@ class SweepFarm:
                     ),
                 )
             )
-        pin = self.pins.get(cell.cell_id)
-        if pin is not None and pin != digest:
-            drift.append(
-                DriftEntry(
-                    cell_id=cell.cell_id,
-                    key=cell.key,
-                    kind="golden-pin",
-                    old_digest=pin,
-                    new_digest=digest,
-                )
-            )
 
     def _check_pin(
-        self, cell: FarmCell, meta: dict | None, drift: list[DriftEntry]
+        self, cell: Cell, digest: str | None, drift: list[DriftEntry]
     ) -> None:
         pin = self.pins.get(cell.cell_id)
-        if pin is None or meta is None:
-            return
-        digest = meta.get("digest")
-        if digest and digest != pin:
+        if pin is not None and digest and digest != pin:
             drift.append(
                 DriftEntry(
                     cell_id=cell.cell_id,

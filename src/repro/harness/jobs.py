@@ -1,28 +1,30 @@
 """Transport-agnostic experiment job core.
 
-One submission -> cache probe -> executor dispatch -> store -> outcome
-lifecycle, shared by every entry point.  Before this module the CLI
-``run`` path, ``run-all`` and the sweep farm each re-implemented slices
-of that lifecycle inline, so a long-running service could not reuse it
-without copy-paste; now they all ride :class:`JobRunner`, and so does the
-asyncio daemon (:mod:`repro.harness.service`).
+One submission -> cell plan -> cache probe -> executor dispatch -> store
+-> outcome lifecycle, shared by every entry point: the CLI ``run`` and
+``run-all`` paths, the sweep farm (:mod:`repro.harness.farm`) and the
+asyncio daemon (:mod:`repro.harness.service`) all ride :class:`JobRunner`.
 
-The contract is **zero drift** with the pre-extraction CLI:
-
-* :class:`JobSpec` canonicalises its identity exactly like the CLI's
-  cache-key inputs (``_canonical_override`` over the overrides, device
-  names lowercased, seeds as ``int``), so a job's cells land on byte-for-
-  byte the same :func:`~repro.harness.results.cache_key` values the CLI
-  ``run`` path derives — caches warmed before the refactor stay warm
-  after it, and entries stored by a daemon serve CLI hits.
-* The execution path is the executor's
-  (:meth:`~repro.harness.parallel.ShardedExecutor.run`), so results are
-  bit-identical to the one-shot CLI, golden pins included.
-* Experiments whose axis declaration decomposes
+* :class:`JobSpec` validates and canonicalises a submission exactly like
+  the cache-key inputs (``_canonical_override`` over the overrides,
+  device names lowercased, seeds as non-negative ``int``), so every
+  transport derives byte-for-byte the same
+  :func:`~repro.harness.results.cache_key` values and entries stored by
+  one serve hits for all the others.
+* :meth:`JobRunner.plan_cells` is the one place a submission becomes
+  keyed cache cells: it folds the device list into the overrides
+  (:meth:`JobRunner.plan_overrides`), decomposes the invocation through
+  the experiment's axis declaration
   (:meth:`~repro.experiments.base.Experiment.cache_cells`, e.g. the
-  seed-ensemble grid) run and cache **per cell** under per-cell keys and
-  reassemble via ``combine_cells`` — the same decomposition the CLI and
-  the farm perform.
+  seed-ensemble grid) and keys each :class:`Cell`.  Monolithic
+  experiments plan exactly one cell.
+* :meth:`JobRunner.run` probes every planned cell, dispatches the misses
+  through the executor (:meth:`~repro.harness.parallel.ShardedExecutor.
+  run`, so results are bit-identical to a one-shot run, golden pins
+  included), stores them, and reassembles a decomposed job with
+  ``combine_cells``.  The farm plans its grid through the same
+  :meth:`~JobRunner.plan_cells` and sends each stale cell to
+  :meth:`JobRunner.execute`.
 
 :class:`JobOutcome` carries everything an observer needs without
 re-deriving it: the assembled result, per-cell hit/miss with payload
@@ -33,6 +35,7 @@ from cache (the service's "no worker was touched" signal; the CLI's
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +45,10 @@ from ..experiments.base import ExperimentResult
 from ..gpusim.device import list_devices
 from .results import ResultCache, _canonical_override, cache_key, result_digest
 
-__all__ = ["JobSpec", "CellOutcome", "JobOutcome", "JobRunner", "device_overrides_for"]
+__all__ = [
+    "JobSpec", "Cell", "CellOutcome", "JobOutcome", "JobRunner",
+    "device_overrides_for",
+]
 
 
 @dataclass(frozen=True)
@@ -141,16 +147,24 @@ class JobSpec:
                 devices = tuple(
                     part.strip() for part in devices.split(",") if part.strip()
                 )
-            else:
+            elif isinstance(devices, list):
                 devices = tuple(devices)
+            else:
+                raise ConfigurationError(
+                    "job 'devices' must be a comma-separated string or a "
+                    f"list of names, got {devices!r}"
+                )
             if not devices:
                 raise ConfigurationError("job 'devices' needs at least one name")
+        overrides = doc.get("overrides")
         return cls(
             experiment_id=doc["experiment_id"],
             scale=doc.get("scale", "default"),
             seed=doc.get("seed", 0),
             devices=devices,
-            overrides=dict(doc.get("overrides") or {}),
+            # Passed through as sent, so a non-object fails the mapping
+            # check in __post_init__ (a 400 at the service boundary).
+            overrides={} if overrides is None else overrides,
             backend=doc.get("backend"),
             workers=doc.get("workers"),
         )
@@ -166,6 +180,40 @@ class JobSpec:
             "backend": self.backend,
             "workers": self.workers,
         }
+
+
+@dataclass(frozen=True, eq=True)
+class Cell:
+    """One cache cell of a job: a complete, independently cacheable
+    invocation, keyed exactly as every transport keys it."""
+
+    experiment_id: str
+    scale: str
+    seed: int
+    overrides: dict = field(default_factory=dict)
+    #: Result-cache key of this invocation (:func:`~repro.harness.
+    #: results.cache_key`).
+    key: str = ""
+
+    def _canonical_json(self, **dumps_kwargs) -> str:
+        canon = {k: _canonical_override(v, k) for k, v in self.overrides.items()}
+        return json.dumps(canon, sort_keys=True, **dumps_kwargs)
+
+    @property
+    def cell_id(self) -> str:
+        """Human-stable cell name: ``id/scale/seedN[?canonical overrides]``
+        (the key of a golden-pin file)."""
+        base = f"{self.experiment_id}/{self.scale}/seed{self.seed}"
+        if not self.overrides:
+            return base
+        return f"{base}?{self._canonical_json(separators=(',', ':'))}"
+
+    def identity(self) -> tuple:
+        """Code-independent cell identity — what previous-generation
+        entries share with this cell while their keys differ."""
+        return (
+            self.experiment_id, self.scale, self.seed, self._canonical_json()
+        )
 
 
 @dataclass
@@ -335,109 +383,89 @@ class JobRunner:
             )
         return overrides
 
-    def probe(self, spec: JobSpec, *, strict_devices: bool = True) -> list[tuple[str, bool]]:
-        """Metadata-only hit probe: ``[(cell key, cached?), ...]``.
+    def plan_cells(self, spec: JobSpec, *, strict_devices: bool = True) -> list[Cell]:
+        """The job's keyed cache cells, in ``combine_cells`` order.
 
-        Touches no worker and deserialises no payload — the service's
-        ``GET /results`` path and capacity planning ride this.
+        One cell unless the experiment's axis declaration decomposes the
+        invocation (:meth:`~repro.experiments.base.Experiment.
+        cache_cells`).  Touches neither the cache nor a worker; the farm
+        plans its grid through here with ``strict_devices=False``.
         """
+        return self._plan(spec, strict_devices)[1]
+
+    def _plan(self, spec: JobSpec, strict_devices: bool) -> tuple[dict, list[Cell]]:
+        """:meth:`plan_cells` plus the job-level overrides that
+        ``combine_cells`` resolves a decomposed job's params from."""
         overrides = self.plan_overrides(spec, strict_devices=strict_devices)
-        exp = get_experiment(spec.experiment_id)
-        cells = exp.cache_cells(spec.scale, spec.seed, overrides)
-        out = []
-        for cell_ov in [overrides] if cells is None else cells:
-            key = cache_key(spec.experiment_id, spec.scale, spec.seed, cell_ov)
-            hit = self.cache is not None and self.cache.contains(key)
-            out.append((key, hit))
-        return out
+        eid, scale, seed = spec.experiment_id, spec.scale, spec.seed
+        decomposed = get_experiment(eid).cache_cells(scale, seed, overrides)
+        cells = [
+            Cell(eid, scale, seed, dict(cell_ov), cache_key(eid, scale, seed, cell_ov))
+            for cell_ov in ([overrides] if decomposed is None else decomposed)
+        ]
+        return overrides, cells
 
     # ----------------------------------------------------------------- run
     def run(self, spec: JobSpec, *, strict_devices: bool = True) -> JobOutcome:
         """Execute one job through the full lifecycle; returns the outcome.
 
-        Bit- and key-compatible with the pre-extraction CLI ``run`` path:
-        same cell decomposition, same cache keys, same executor dispatch,
-        same ``combine_cells`` reassembly.  A cell deleted between the
-        ``contains`` probe and the payload read (GC, a concurrent
-        process) degrades to a clean recompute — a daemon under traffic
-        hits that window.
+        Each planned cell is probed and, on a miss, dispatched and
+        stored; a decomposed job is reassembled bit-exactly with
+        ``combine_cells``.  A cell deleted between the ``contains`` probe
+        and the payload read (GC, a concurrent process) degrades to a
+        clean recompute — a daemon under traffic hits that window.
         """
         start = time.perf_counter()
-        overrides = self.plan_overrides(spec, strict_devices=strict_devices)
-        exp = get_experiment(spec.experiment_id)
-        cells = exp.cache_cells(spec.scale, spec.seed, overrides)
-        if cells is None:
-            result, outcome = self._run_cell(spec, overrides)
-            job = JobOutcome(
-                spec=spec,
-                result=result,
-                cells=[outcome],
-                cached=outcome.hit,
-                elapsed_s=time.perf_counter() - start,
-            )
-            job._digest = outcome.digest  # taken over this same result
-            return job
-        params = exp.resolve_params(spec.scale, dict(overrides))
+        overrides, cells = self._plan(spec, strict_devices)
         results: list[ExperimentResult] = []
         outcomes: list[CellOutcome] = []
-        for cell_ov in cells:
-            result, outcome = self._run_cell(spec, cell_ov)
+        for cell in cells:
+            result, outcome = self._run_cell(cell)
             results.append(result)
             outcomes.append(outcome)
-        combined = exp.combine_cells(spec.scale, params, spec.seed, results)
-        return JobOutcome(
+        if len(cells) == 1:
+            # The cell's digest is taken over this same result.
+            result, digest = results[0], outcomes[0].digest
+        else:
+            exp = get_experiment(spec.experiment_id)
+            params = exp.resolve_params(spec.scale, dict(overrides))
+            result = exp.combine_cells(spec.scale, params, spec.seed, results)
+            digest = None
+        job = JobOutcome(
             spec=spec,
-            result=combined,
+            result=result,
             cells=outcomes,
             cached=all(o.hit for o in outcomes),
             elapsed_s=time.perf_counter() - start,
         )
+        job._digest = digest
+        return job
 
-    def _run_cell(
-        self, spec: JobSpec, overrides: dict
-    ) -> tuple[ExperimentResult, CellOutcome]:
+    def _run_cell(self, cell: Cell) -> tuple[ExperimentResult, CellOutcome]:
         """One cache cell: probe, then dispatch + store on a miss."""
-        key = cache_key(spec.experiment_id, spec.scale, spec.seed, overrides)
-        if self.cache is not None and self.cache.contains(key):
-            cached = self.cache.lookup(key)
-            if cached is not None:
-                return cached, CellOutcome(
-                    key=key,
-                    overrides=dict(overrides),
-                    hit=True,
-                    digest=result_digest(cached),
-                    elapsed_s=cached.elapsed_s,
-                )
-        result = self.execute(
-            spec.experiment_id, spec.scale, spec.seed, overrides, key=key
-        )
+        result = None
+        if self.cache is not None and self.cache.contains(cell.key):
+            result = self.cache.lookup(cell.key)
+        hit = result is not None
+        if not hit:
+            result = self.execute(cell)
         return result, CellOutcome(
-            key=key,
-            overrides=dict(overrides),
-            hit=False,
+            key=cell.key,
+            overrides=dict(cell.overrides),
+            hit=hit,
             digest=result_digest(result),
             elapsed_s=result.elapsed_s,
         )
 
-    def execute(
-        self,
-        experiment_id: str,
-        scale: str,
-        seed: int,
-        overrides: dict,
-        *,
-        key: str | None = None,
-    ) -> ExperimentResult:
-        """Unconditional dispatch + store of one cell (no probe).
+    def execute(self, cell: Cell) -> ExperimentResult:
+        """Unconditional dispatch + store of one planned cell (no probe).
 
         The farm's miss path: it has already probed its grid, so it
-        hands each stale cell here with the key it derived.
+        hands each stale cell straight here.
         """
         result = self.executor.run(
-            experiment_id, scale=scale, seed=seed, **overrides
+            cell.experiment_id, scale=cell.scale, seed=cell.seed, **cell.overrides
         )
         if self.cache is not None:
-            if key is None:
-                key = cache_key(experiment_id, scale, seed, overrides)
-            self.cache.store(key, result, overrides=overrides)
+            self.cache.store(cell.key, result, overrides=cell.overrides)
         return result

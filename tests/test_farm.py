@@ -1,7 +1,9 @@
 """Tests for the incremental sweep farm (:mod:`repro.harness.farm`).
 
 Covers grid expansion (device crossing, cache-cell decomposition, key
-identity with the CLI ``run`` path), cache-first execution (cold grid
+identity with the CLI ``run`` path through the job core's
+``plan_cells``, JobSpec validation of every grid point, the pinned
+``cell_id`` spelling), cache-first execution (cold grid
 recomputes everything, warm grid dispatches nothing), digest drift against
 previous-generation entries and golden pins, module-granular invalidation
 (a single-module edit recomputes only its dependents), and the ``farm``
@@ -18,9 +20,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import get_experiment
 from repro.harness import (
+    JobRunner,
+    JobSpec,
     ResultCache,
     SweepFarm,
     cache_key,
@@ -106,6 +110,51 @@ class TestPlanGrid:
     def test_cell_id_is_stable_and_readable(self):
         cell = plan_grid(["fig4"], overrides={"fig4": {"n_runs": 3}})[0]
         assert cell.cell_id == 'fig4/default/seed0?{"n_runs":3}'
+
+    def test_cell_id_format_is_pinned(self):
+        # Pin files key on cell_id, so its spelling is user-facing: these
+        # literals must not move under any refactor of the planner.
+        cells = plan_grid(["table2", "maxvs", "figS1"], devices=("v100",))
+        assert [c.cell_id for c in cells] == [
+            "table2/default/seed0",
+            'maxvs/default/seed0?{"device":"v100"}',
+            'figS1/default/seed0?{"devices":["v100"]}',
+        ]
+        ens = plan_grid(["seedens"], devices=("v100",),
+                        overrides={"seedens": _OVERRIDES["seedens"]})
+        assert ens[1].cell_id == (
+            'seedens/default/seed0?{"devices":["v100"],"n_arrays":2,'
+            '"n_elements":2000,"n_runs":12,"seeds":[1]}'
+        )
+
+    def test_plan_grid_is_the_job_core_plan_of_every_point(self):
+        # The farm owns no planning of its own: its grid is exactly the
+        # key-deduplicated concatenation of plan_cells over one JobSpec
+        # per (experiment, seed, device name) point, registry-wide.
+        from repro.experiments import list_experiments
+
+        seeds, devices = (0, 3), ("v100", "lpu")
+        runner = JobRunner(None, None)
+        expected, seen = [], set()
+        for eid in list_experiments():
+            for seed in seeds:
+                for name in devices:
+                    spec = JobSpec(eid, seed=seed, devices=(name,),
+                                   overrides=dict(_OVERRIDES.get(eid, {})))
+                    for cell in runner.plan_cells(spec, strict_devices=False):
+                        if cell.key not in seen:
+                            seen.add(cell.key)
+                            expected.append(cell)
+        grid = plan_grid(seeds=seeds, devices=devices, overrides=_OVERRIDES)
+        assert grid == expected
+
+    def test_invalid_grid_points_fail_before_planning_finishes(self):
+        # Validated through JobSpec: a bad seed or scale is a named
+        # configuration error, not a stale cell that dies at dispatch.
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            plan_grid(["table2"], seeds=(0, -1))
+        with pytest.raises(ConfigurationError, match="scale"):
+            plan_grid(["table2"], scales=("huge",))
 
 
 class TestFarmRuns:
@@ -350,6 +399,25 @@ class TestFarmCli:
             "--cache-dir", str(tmp_path / "cache"),
         ]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--experiments", "table2,table1", "--seeds", "0,-1"],
+        ["--experiments", "table2", "--scales", "huge"],
+    ])
+    @pytest.mark.parametrize("probe_only", [False, True])
+    def test_invalid_grid_point_exits_1_with_empty_cache(
+        self, tmp_path, capsys, flags, probe_only
+    ):
+        # The whole grid is planned before any dispatch: one bad point
+        # stores nothing (not even the valid seed-0 cells) and is never
+        # listed as a stale cell.
+        cache_dir = tmp_path / "cache"
+        argv = ["farm", *flags, "--cache-dir", str(cache_dir)]
+        assert main(argv + (["--probe-only"] if probe_only else [])) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "JobSpec" in captured.err
+        assert "sweep farm" not in captured.out
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
     def test_farm_warmed_cache_serves_run_command(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -1,9 +1,10 @@
 """Tests for the transport-agnostic job core (:mod:`repro.harness.jobs`).
 
-The contract under test is **zero drift** with the pre-extraction CLI:
-specs canonicalise exactly like the CLI's cache-key inputs, the
-probe/dispatch/store lifecycle lands on byte-identical keys, and
-decomposed experiments reassemble bit-exactly.  The service and the CLI
+The contract under test is **zero drift** across transports: specs
+canonicalise exactly like the cache-key inputs, ``plan_cells`` derives
+byte-identical keys to direct ``cache_key`` calls, the
+probe/dispatch/store lifecycle stores under those keys, and decomposed
+experiments reassemble bit-exactly.  The service and the CLI
 both ride this module, so these tests are the compatibility floor for
 every transport.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import get_experiment
-from repro.harness import JobOutcome, JobRunner, JobSpec, ResultCache, cache_key
+from repro.harness import Cell, JobOutcome, JobRunner, JobSpec, ResultCache, cache_key
 from repro.harness import fingerprint
 from repro.harness.parallel import ShardedExecutor
 from repro.runtime import RunContext
@@ -103,8 +104,21 @@ class TestJobSpecFromDict:
         with pytest.raises(ConfigurationError, match="devices"):
             JobSpec.from_dict({"experiment_id": "figS1", "devices": " , "})
 
+    def test_wrongly_typed_overrides_and_devices_are_configuration_errors(self):
+        # Passed through unchanged, so the mapping check names them — a
+        # list of pairs is not silently coerced into a mapping.
+        for bad in ("ab", 5, [["n_runs", 3]]):
+            with pytest.raises(ConfigurationError, match="overrides"):
+                JobSpec.from_dict({"experiment_id": "table2", "overrides": bad})
+        for bad in (5, {"v100": 1}, ("v100",)):
+            with pytest.raises(ConfigurationError, match="devices"):
+                JobSpec.from_dict({"experiment_id": "figS1", "devices": bad})
+        assert JobSpec.from_dict(
+            {"experiment_id": "table2", "overrides": None}
+        ).overrides == {}
 
-class TestPlanAndProbe:
+
+class TestPlanCells:
     def test_unknown_experiment_fails_at_plan(self):
         runner = JobRunner(None, None)
         with pytest.raises(ExperimentError, match="nope"):
@@ -126,42 +140,52 @@ class TestPlanAndProbe:
             runner.plan_overrides(spec)
         assert runner.plan_overrides(spec, strict_devices=False) == {}
 
-    def test_probe_keys_match_cli_cache_keys(self, tmp_path):
+    def test_plan_cells_keys_match_cli_cache_keys(self):
         # The compatibility pin: the job core must derive byte-identical
         # keys to a direct cache_key call on the same inputs, so caches
         # warmed before the refactor stay warm after it.
-        runner = JobRunner(None, ResultCache(tmp_path))
+        runner = JobRunner(None, None)
         spec = JobSpec("fig4", seed=2, overrides={"n_runs": 3})
-        probed = runner.probe(spec)
-        assert probed == [
-            (cache_key("fig4", "default", 2, {"n_runs": 3}), False)
+        assert runner.plan_cells(spec) == [
+            Cell("fig4", "default", 2, {"n_runs": 3},
+                 cache_key("fig4", "default", 2, {"n_runs": 3}))
         ]
 
-    def test_probe_is_metadata_only_and_flips_on_store(self, tmp_path):
+    def test_plan_cells_touches_no_cache(self, tmp_path):
+        # Planning is pure: the same cells before and after a store, and
+        # nothing is written.
         cache = ResultCache(tmp_path)
         runner = JobRunner(None, cache)
         spec = JobSpec("table2")
-        [(key, hit)] = runner.probe(spec)
-        assert not hit
-        cache.store(key, get_experiment("table2").run(ctx=RunContext(seed=0)))
-        assert runner.probe(spec) == [(key, True)]
+        [cell] = runner.plan_cells(spec)
+        assert not cache.contains(cell.key)
+        assert not any(tmp_path.iterdir())
+        cache.store(cell.key, get_experiment("table2").run(ctx=RunContext(seed=0)))
+        assert runner.plan_cells(spec) == [cell]
+        assert cache.contains(cell.key)
 
-    def test_probe_without_cache_is_all_misses(self):
+    def test_plan_cells_folds_devices_like_plan_overrides(self):
         runner = JobRunner(None, None)
-        assert runner.probe(JobSpec("table2")) == [
-            (cache_key("table2", "default", 0), False)
+        [cell] = runner.plan_cells(JobSpec("maxvs", devices=("V100",)))
+        assert cell.overrides == {"device": "v100"}
+        assert cell.cell_id == 'maxvs/default/seed0?{"device":"v100"}'
+        spec = JobSpec("table2", devices=("v100",))
+        with pytest.raises(ConfigurationError, match="device"):
+            runner.plan_cells(spec)
+        assert runner.plan_cells(spec, strict_devices=False) == [
+            Cell("table2", "default", 0, {}, cache_key("table2", "default", 0))
         ]
 
-    def test_probe_decomposed_lists_every_cell(self):
+    def test_plan_cells_decomposed_lists_every_cell(self):
         overrides = {"seeds": (0, 1), "devices": ("v100", "lpu"),
                      "n_elements": 1_000, "n_arrays": 2, "n_runs": 6}
         runner = JobRunner(None, None)
-        probed = runner.probe(JobSpec("seedens", overrides=overrides))
-        cells = get_experiment("seedens").cache_cells("default", 0, overrides)
-        assert [k for k, _ in probed] == [
-            cache_key("seedens", "default", 0, cell) for cell in cells
+        cells = runner.plan_cells(JobSpec("seedens", overrides=overrides))
+        expected = get_experiment("seedens").cache_cells("default", 0, overrides)
+        assert [c.key for c in cells] == [
+            cache_key("seedens", "default", 0, cell) for cell in expected
         ]
-        assert len(probed) == 4
+        assert len(cells) == 4
 
 
 class TestLayering:
@@ -211,9 +235,10 @@ class TestJobRunnerLifecycle:
         # recorded overrides; the job core's store path must record them.
         cache = ResultCache(tmp_path)
         runner = JobRunner(ShardedExecutor(workers=1), cache)
-        runner.execute("fig4", "default", 0, {"n_runs": 3})
-        key = cache_key("fig4", "default", 0, {"n_runs": 3})
-        meta = cache.read_meta(key)
+        [cell] = runner.plan_cells(JobSpec("fig4", overrides={"n_runs": 3}))
+        runner.execute(cell)
+        assert cell.key == cache_key("fig4", "default", 0, {"n_runs": 3})
+        meta = cache.read_meta(cell.key)
         assert meta is not None
         assert meta["overrides"] == {"n_runs": 3}
 
@@ -224,14 +249,15 @@ class TestJobRunnerLifecycle:
                      "n_elements": 1_000, "n_arrays": 2, "n_runs": 6}
         spec = JobSpec("seedens", overrides=overrides)
         exp = get_experiment("seedens")
-        cells = exp.cache_cells("default", 0, overrides)
         runner = self._runner(tmp_path)
+        cells = runner.plan_cells(spec)
         for cell in cells[:2]:
-            runner.execute("seedens", "default", 0, cell)
+            runner.execute(cell)
         out = runner.run(spec)
         assert not out.cached
         assert out.n_cells == 4 and out.n_hits == 2
         assert [c.hit for c in out.cells] == [True, True, False, False]
+        assert [c.key for c in out.cells] == [c.key for c in cells]
         mono = exp.run(scale="default", **overrides)
         assert out.result.rows == mono.rows
         assert out.result.extra == mono.extra

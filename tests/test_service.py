@@ -258,7 +258,11 @@ class TestServiceEndpoints:
         assert code == 404 and "no cached result" in body["error"]
 
     def test_admission_rejects_bad_submissions_with_400(self, service):
+        # Wrongly typed overrides/devices are the client's fault too: a
+        # 400 naming the field, never a 500 from a coercion inside the
+        # daemon.  None of these reaches the queue.
         url = service.base_url + "/jobs"
+        before = _get(service.base_url + "/stats")["submitted"]
         for payload, fragment in [
             (b"{not json", "not valid JSON"),
             (json.dumps({"experiment_id": "nope"}).encode(), "nope"),
@@ -268,10 +272,19 @@ class TestServiceEndpoints:
                          "devices": ["warp9"]}).encode(), "warp9"),
             (json.dumps({"experiment_id": "table2",
                          "devices": ["v100"]}).encode(), "device"),
+            (json.dumps({"experiment_id": "table2",
+                         "overrides": "ab"}).encode(), "overrides"),
+            (json.dumps({"experiment_id": "table2",
+                         "overrides": 5}).encode(), "overrides"),
+            (json.dumps({"experiment_id": "table2",
+                         "overrides": [["n_runs", 3]]}).encode(), "overrides"),
+            (json.dumps({"experiment_id": "figS1",
+                         "devices": 5}).encode(), "devices"),
         ]:
             status, body = _post_error(url, payload)
-            assert status == 400, body
+            assert status == 400, (payload, body)
             assert fragment in body["error"]
+        assert _get(service.base_url + "/stats")["submitted"] == before
 
     def test_oversized_body_is_rejected(self, service):
         status, body = _post_error(service.base_url + "/jobs",
