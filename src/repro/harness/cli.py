@@ -4,21 +4,23 @@ Usage::
 
     repro-experiments list
     repro-experiments run table1 [--scale default|paper] [--seed N]
-                                 [--workers N] [--json] [--out DIR]
-                                 [--devices NAMES] [--backend MODE]
-                                 [--no-cache] [--cache-dir DIR]
-    repro-experiments run-all [--scale default] [--seed N] [--workers N]
-                              [--out DIR] [--devices NAMES]
-                              [--backend MODE]
-                              [--no-cache] [--cache-dir DIR]
+                                 [--json] [--out DIR] [--devices NAMES]
+                                 PROCESS [--no-cache]
+    repro-experiments run-all [--scale default] [--seed N] [--out DIR]
+                              [--devices NAMES] PROCESS [--no-cache]
     repro-experiments farm [--experiments IDS] [--scales NAMES]
-                           [--seeds NS] [--devices NAMES] [--workers N]
-                           [--backend MODE] [--cache-dir DIR]
+                           [--seeds NS] [--devices NAMES] PROCESS
                            [--pins FILE] [--report-json PATH]
                            [--probe-only] [--fail-on-drift]
     repro-experiments serve [--host HOST] [--port N] [--queue-limit N]
-                            [--workers N] [--backend MODE]
-                            [--cache-dir DIR] [--no-cache]
+                            PROCESS [--no-cache]
+
+    PROCESS = [--workers N] [--backend MODE] [--cache-dir DIR]
+
+The ``PROCESS`` flags are declared once and mean the same everywhere:
+they configure the one process-wide setup every subcommand runs through
+(backend selection, result cache, one executor pool for the life of the
+process).
 
 Device axis: ``--devices v100,gh200,lpu`` overrides the device list of the
 cross-architecture experiments (e.g. ``figS1``, whose report carries one
@@ -98,16 +100,20 @@ dispatch the misses, store and reassemble through
 per-experiment status (``cached``/``computed [k/n cells]`` +
 wall-clock) from the :class:`~repro.harness.jobs.JobOutcome` on stderr.
 
-Service: ``serve`` (also ``python -m repro.harness.service``) runs a
-long-lived stdlib-only asyncio daemon over the same job core
-(:mod:`repro.harness.service`): ``POST /jobs`` admits into a bounded
-queue (429 + queue depth when full, 503 while draining), ``GET
-/results/<key>`` answers cache keys without touching a worker, ``GET
-/stats`` reports throughput, hit rate, queue depth, latency percentiles
-and the executor's dispatch/pool counters, and SIGTERM triggers a
-graceful drain (in-flight and queued jobs finish, then the sockets
-close).  One persistent executor pool serves every job the daemon ever
-runs.
+Service: ``serve`` runs a long-lived stdlib-only asyncio daemon over
+the same job core (:mod:`repro.harness.service`);
+``python -m repro.harness.service ARGS`` is exactly ``serve ARGS``.
+``POST /jobs`` admits into a bounded queue (429 + queue depth when full,
+503 while draining) after planning the job, so an unknown experiment,
+device or override name is a 400 before any work runs; a body names what
+to compute (``experiment_id``, ``scale``, ``seed``, ``devices``,
+``overrides``) and nothing else — workers and backend are the daemon's
+flags.  ``GET /results/<key>`` answers cache keys without touching a
+worker, ``GET /stats`` reports throughput, hit rate, queue depth,
+latency percentiles and the executor's dispatch/pool counters, and
+SIGTERM triggers a graceful drain (in-flight and queued jobs finish,
+then the sockets close).  One persistent executor pool serves every job
+the daemon ever runs.
 
 Environment validation: malformed ``REPRO_WORKERS`` (non-integer or
 < 1) and ``REPRO_BACKEND`` (unknown mode) values fail at CLI entry with
@@ -118,8 +124,11 @@ ignored or surfacing mid-run.
 from __future__ import annotations
 
 import argparse
+import asyncio
+import contextlib
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -145,16 +154,38 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-experiments"
 
 
-def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", default="default", choices=("default", "paper"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="directory to archive the result JSON")
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the argument parser (exposed for tests)."""
+    process = argparse.ArgumentParser(add_help=False)
+    process.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="shard runs across N processes (default: $REPRO_WORKERS or 1); "
-        "merging is bit-exact, so results never depend on N",
+        help="worker processes that shard each experiment's runs (default: "
+        "$REPRO_WORKERS or 1); merging is bit-exact, so results never "
+        "depend on N",
     )
-    p.add_argument(
+    process.add_argument(
+        "--backend", default=None, choices=_backend.MODES,
+        help="compute backend under the fold primitives (default: "
+        "$REPRO_BACKEND or auto); backends are bit-identical, so this "
+        "changes wall-clock, never results",
+    )
+    process.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result-cache directory (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro-experiments)",
+    )
+    no_cache = argparse.ArgumentParser(add_help=False)
+    no_cache.add_argument(
+        "--no-cache", action="store_true",
+        help="run without a result cache (every job recomputes)",
+    )
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--scale", default="default", choices=("default", "paper"))
+    run_opts.add_argument("--seed", type=int, default=0)
+    run_opts.add_argument(
+        "--out", default=None, help="directory to archive the result JSON"
+    )
+    run_opts.add_argument(
         "--devices", default=None, metavar="NAMES",
         help="comma-separated device list overriding the experiment's "
         "device axis (e.g. --devices a100,mi300a,lpu); a single name also "
@@ -162,26 +193,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "where it fits (device-axis experiments always, single-device "
         "experiments only for a single name) and leaves the rest untouched",
     )
-    p.add_argument(
-        "--backend", default=None, choices=_backend.MODES,
-        help="compute backend under the fold primitives (default: "
-        "$REPRO_BACKEND or auto); backends are bit-identical — compiled "
-        "kernels replay the exact NumPy accumulation orders — so this "
-        "changes wall-clock, never results",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute even when a cached result exists",
-    )
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-experiments)",
-    )
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser (exposed for tests)."""
     p = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures.",
@@ -190,16 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list experiment ids")
 
-    run = sub.add_parser("run", help="run one experiment")
+    run = sub.add_parser(
+        "run", parents=[run_opts, process, no_cache], help="run one experiment"
+    )
     run.add_argument("experiment_id", help="e.g. table1, fig3, maxvs")
     run.add_argument("--json", action="store_true", help="print JSON instead of markdown")
-    _add_run_options(run)
 
-    runall = sub.add_parser("run-all", help="run every experiment")
-    _add_run_options(runall)
+    sub.add_parser(
+        "run-all", parents=[run_opts, process, no_cache], help="run every experiment"
+    )
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[process, no_cache],
         help="long-running experiment daemon: asyncio HTTP/JSON API over "
         "the job core (POST /jobs, GET /jobs/<id>, GET /results/<key>, "
         "GET /experiments, GET /stats)",
@@ -213,26 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=32, metavar="N",
         help="max pending jobs before POST /jobs returns 429",
     )
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="executor worker processes (default: $REPRO_WORKERS or 1)",
-    )
-    serve.add_argument(
-        "--backend", default=None, choices=_backend.MODES,
-        help="compute backend under the fold primitives",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-experiments)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without a result cache (every job recomputes)",
-    )
 
     farm = sub.add_parser(
-        "farm",
+        "farm", parents=[process],
         help="cache-first orchestration of an (experiment x scale x seed "
         "x device) grid: probe every cell, recompute only the misses, "
         "report digest drift",
@@ -256,20 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cell for every experiment it fits (device-axis experiments run "
         "single-device subsets — bit-identical to the full sweep's rows "
         "under the anchored-plane contract)",
-    )
-    farm.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker pool for miss cells (default: $REPRO_WORKERS or 1)",
-    )
-    farm.add_argument(
-        "--backend", default=None, choices=_backend.MODES,
-        help="compute backend under the fold primitives (part of every "
-        "cell's cache key)",
-    )
-    farm.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-experiments)",
     )
     farm.add_argument(
         "--pins", default=None, metavar="FILE",
@@ -315,8 +298,6 @@ def _job_spec(eid: str, args) -> JobSpec:
         scale=args.scale,
         seed=args.seed,
         devices=_parse_names(args.devices, "--devices") or None,
-        backend=getattr(args, "backend", None),
-        workers=args.workers,
     )
 
 
@@ -348,6 +329,21 @@ def _run_farm(executor, cache, args) -> int:
     return 0
 
 
+async def _serve(service) -> None:
+    """Serve until a SIGTERM/SIGINT-triggered graceful drain completes."""
+    await service.start()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(NotImplementedError):  # non-POSIX loops
+            loop.add_signal_handler(sig, service.begin_drain)
+    # One parseable readiness line; CI and scripts wait on it.
+    print(f"[serving http://{service.host}:{service.port} "
+          f"queue_limit={service.queue_limit} "
+          f"workers={service.runner.executor.workers}]", flush=True)
+    await service.serve_until_drained()
+    print("[drained: queue empty, shutting down]", flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -357,13 +353,7 @@ def main(argv: list[str] | None = None) -> int:
                 exp = get_experiment(eid)
                 print(f"{eid:10s} {exp.title}")
             return 0
-        if args.command == "serve":
-            # The daemon owns its own executor/cache lifecycle (one
-            # persistent pool for the daemon's whole lifetime).
-            from .service.__main__ import serve as _serve
-
-            return _serve(args)
-        if getattr(args, "backend", None):
+        if args.backend:
             _backend.set_backend(args.backend)
         else:
             # Validate $REPRO_BACKEND at entry: a typo'd mode fails here
@@ -372,10 +362,22 @@ def main(argv: list[str] | None = None) -> int:
         cache = None
         if not getattr(args, "no_cache", False):  # farm is always cached
             cache = ResultCache(args.cache_dir or default_cache_dir())
+        # One executor (one spawn pool) for the life of the process: every
+        # experiment of run-all, every miss of a farm pass and every job
+        # the daemon ever serves.
         with ShardedExecutor(workers=args.workers) as executor:
             if args.command == "farm":
                 return _run_farm(executor, cache, args)
             runner = JobRunner(executor, cache)
+            if args.command == "serve":
+                from .service.daemon import ExperimentService
+
+                service = ExperimentService(
+                    runner, queue_limit=args.queue_limit,
+                    host=args.host, port=args.port,
+                )
+                asyncio.run(_serve(service))
+                return 0
             if args.command == "run":
                 outcome = runner.run(
                     _job_spec(args.experiment_id, args), strict_devices=True
@@ -402,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # pragma: no cover - Ctrl-C before serve's handlers
+        return 130
     return 2  # pragma: no cover - unreachable with required subparsers
 
 

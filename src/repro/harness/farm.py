@@ -325,7 +325,6 @@ class SweepFarm:
         consolidate drift.  With ``probe_only`` nothing is dispatched —
         the report just names the stale cells."""
         start = time.perf_counter()
-        index = self._generation_index()
         hits, misses = self.probe(cells)
         drift: list[DriftEntry] = []
         executed: list[Cell] = []
@@ -333,7 +332,11 @@ class SweepFarm:
             for cell in hits:
                 meta = self.cache.read_meta(cell.key) or {}
                 self._check_pin(cell, meta.get("digest"), drift)
-        if not probe_only:
+        if misses and not probe_only:
+            # Built before the first store, so this pass's own entries
+            # never count as a previous generation; warm and probe-only
+            # passes skip the whole-directory scan.
+            index = self._generation_index()
             schedule = sorted(
                 misses,
                 key=lambda c: self.estimated_cost(c, index),

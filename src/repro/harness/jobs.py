@@ -12,11 +12,12 @@ asyncio daemon (:mod:`repro.harness.service`) all ride :class:`JobRunner`.
   :func:`~repro.harness.results.cache_key` values and entries stored by
   one serve hits for all the others.
 * :meth:`JobRunner.plan_cells` is the one place a submission becomes
-  keyed cache cells: it folds the device list into the overrides
-  (:meth:`JobRunner.plan_overrides`), decomposes the invocation through
-  the experiment's axis declaration
-  (:meth:`~repro.experiments.base.Experiment.cache_cells`, e.g. the
-  seed-ensemble grid) and keys each :class:`Cell`.  Monolithic
+  keyed cache cells: it folds the device list into the overrides and
+  checks every override name against the experiment's parameters
+  (:meth:`JobRunner.plan_overrides`, so an unknown name fails before any
+  work runs), decomposes the invocation through the experiment's axis
+  declaration (:meth:`~repro.experiments.base.Experiment.cache_cells`,
+  e.g. the seed-ensemble grid) and keys each :class:`Cell`.  Monolithic
   experiments plan exactly one cell.
 * :meth:`JobRunner.run` probes every planned cell, dispatches the misses
   through the executor (:meth:`~repro.harness.parallel.ShardedExecutor.
@@ -55,14 +56,14 @@ __all__ = [
 class JobSpec:
     """One experiment submission, canonicalised like a cache-key input.
 
-    Parameters mirror the CLI ``run`` flags: ``devices`` is the raw
+    Fields mirror the CLI ``run`` flags: ``devices`` is the raw
     ``--devices`` name tuple (translated into parameter overrides against
-    the experiment's device axis at plan time), ``overrides`` are direct
-    parameter overrides, and ``backend``/``workers`` are *execution*
-    preferences — they select how a job runs, never what it computes
-    (backends are bit-identical and sharding merges bit-exactly), so they
-    are validated here but take effect through the runner's executor and
-    the process-wide backend selection, exactly like the CLI flags.
+    the experiment's device axis at plan time) and ``overrides`` are
+    direct parameter overrides, whose names are checked against the
+    experiment's parameters at plan time too.  A spec says what a job
+    computes, never how: worker count and backend belong to the process
+    that runs it (``--workers``/``--backend``), and change wall-clock,
+    never bits.
     """
 
     experiment_id: str
@@ -70,8 +71,6 @@ class JobSpec:
     seed: int = 0
     devices: tuple[str, ...] | None = None
     overrides: dict = field(default_factory=dict)
-    backend: str | None = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.experiment_id, str) or not self.experiment_id:
@@ -103,23 +102,6 @@ class JobSpec:
             "overrides",
             {k: _canonical_override(v, k) for k, v in self.overrides.items()},
         )
-        if self.workers is not None:
-            if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-                raise ConfigurationError(
-                    f"JobSpec.workers must be an int, got {self.workers!r}"
-                )
-            if self.workers < 1:
-                raise ConfigurationError(
-                    f"JobSpec.workers must be >= 1, got {self.workers}"
-                )
-        if self.backend is not None:
-            from .. import backend as _backend
-
-            if self.backend not in _backend.MODES:
-                raise ConfigurationError(
-                    f"JobSpec.backend must be one of {_backend.MODES}, "
-                    f"got {self.backend!r}"
-                )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JobSpec":
@@ -130,10 +112,7 @@ class JobSpec:
         """
         if not isinstance(doc, dict):
             raise ConfigurationError("job document must be a JSON object")
-        known = {
-            "experiment_id", "scale", "seed", "devices", "overrides",
-            "backend", "workers",
-        }
+        known = {"experiment_id", "scale", "seed", "devices", "overrides"}
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigurationError(
@@ -165,8 +144,6 @@ class JobSpec:
             # Passed through as sent, so a non-object fails the mapping
             # check in __post_init__ (a 400 at the service boundary).
             overrides={} if overrides is None else overrides,
-            backend=doc.get("backend"),
-            workers=doc.get("workers"),
         )
 
     def as_dict(self) -> dict:
@@ -177,8 +154,6 @@ class JobSpec:
             "seed": self.seed,
             "devices": list(self.devices) if self.devices is not None else None,
             "overrides": dict(self.overrides),
-            "backend": self.backend,
-            "workers": self.workers,
         }
 
 
@@ -365,14 +340,15 @@ class JobRunner:
     def plan_overrides(self, spec: JobSpec, *, strict_devices: bool = True) -> dict:
         """Resolve a spec's full override dict (devices folded in).
 
-        Validates the experiment id against the registry by name and the
-        device names against the device registry — both fail here, at
-        submission, never mid-dispatch.  ``strict_devices`` mirrors the
-        CLI: ``run`` (and the service) raise when a device list does not
-        fit the experiment; ``run-all`` passes ``False`` and applies the
-        list only where it fits.
+        Validates the experiment id against the registry, the device
+        names against the device registry and the override names against
+        the experiment's parameters — all fail here, at submission, never
+        mid-dispatch.  ``strict_devices`` mirrors the CLI: ``run`` (and
+        the service) raise when a device list does not fit the
+        experiment; ``run-all`` passes ``False`` and applies the list
+        only where it fits.
         """
-        get_experiment(spec.experiment_id)  # fail fast on unknown ids
+        exp = get_experiment(spec.experiment_id)  # fail fast on unknown ids
         overrides = dict(spec.overrides)
         if spec.devices:
             overrides.update(
@@ -381,6 +357,7 @@ class JobRunner:
                     strict=strict_devices,
                 )
             )
+        exp.resolve_params(spec.scale, overrides)  # unknown names fail here
         return overrides
 
     def plan_cells(self, spec: JobSpec, *, strict_devices: bool = True) -> list[Cell]:

@@ -45,6 +45,10 @@ __all__ = ["ShardedExecutor", "default_workers"]
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
 
+#: Pool start method: ``spawn`` is the only portable choice (``fork``
+#: would inherit live NumPy state), and what the executor is tested with.
+_START_METHOD = "spawn"
+
 
 def default_workers() -> int:
     """Worker count from ``REPRO_WORKERS`` (unset/empty = 1).
@@ -102,17 +106,12 @@ class ShardedExecutor:
     workers:
         Shard/worker count; ``None`` reads ``REPRO_WORKERS`` (default 1).
         ``workers <= 1`` executes everything serially in-process.
-    start_method:
-        Multiprocessing start method; ``"spawn"`` (the default) is the
-        only portable choice (fork would inherit live NumPy state), and
-        what the executor is tested with.
     """
 
-    def __init__(self, workers: int | None = None, *, start_method: str = "spawn") -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {self.workers}")
-        self._start_method = start_method
         self._pool = None
         #: Experiment executions this executor has performed (serial or
         #: pooled).  A cache-answered job never increments it, so "the
@@ -129,7 +128,7 @@ class ShardedExecutor:
     # ------------------------------------------------------------------ pool
     def _get_pool(self):
         if self._pool is None:
-            mp_ctx = multiprocessing.get_context(self._start_method)
+            mp_ctx = multiprocessing.get_context(_START_METHOD)
             self._pool = mp_ctx.Pool(
                 processes=self.workers,
                 initializer=_worker_initializer,

@@ -57,6 +57,7 @@ __all__ = [
     "experiment_fingerprint",
     "result_digest",
     "cache_key",
+    "is_key_shaped",
     "ResultCache",
 ]
 
@@ -268,6 +269,13 @@ def cache_key(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def is_key_shaped(name: str) -> bool:
+    """``True`` iff ``name`` has the shape of a :func:`cache_key` (64
+    lowercase hex digits) — and so cannot name a path outside the cache
+    directory."""
+    return len(name) == 64 and all(c in "0123456789abcdef" for c in name)
+
+
 class ResultCache:
     """Content-addressed store of experiment results under one directory.
 
@@ -369,10 +377,9 @@ class ResultCache:
         except OSError:  # pragma: no cover - vanished directory
             return
         for path in entries:
-            stem = path.stem
-            if len(stem) != 64 or any(c not in "0123456789abcdef" for c in stem):
+            if not is_key_shaped(path.stem):
                 continue
-            meta = self.read_meta(stem)
+            meta = self.read_meta(path.stem)
             if meta is not None:
                 yield meta
 
@@ -439,7 +446,7 @@ class ResultCache:
         self._gc_done = True
         cutoff = time.time() - self.max_age_days * 86400.0
         for path in self.directory.glob("*.json"):
-            if len(path.stem) != 64 or any(c not in "0123456789abcdef" for c in path.stem):
+            if not is_key_shaped(path.stem):
                 continue
             try:
                 if path.stat().st_mtime < cutoff:

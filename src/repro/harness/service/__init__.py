@@ -12,12 +12,15 @@ daemon ever runs — plus a seeded NHPP load generator
 hit rate under traffic are pinned benchmarks (``BENCH_0009.json``)
 instead of guesses.
 
-Start a daemon::
+Start a daemon (the module is a shim over the CLI's ``serve``: one
+parser, one process setup, identical flags)::
 
-    python -m repro.harness.service --port 8752 --workers 2
-    # or: repro-experiments serve --port 8752 --workers 2
+    repro-experiments serve --port 8752 --workers 2
+    # or: python -m repro.harness.service --port 8752 --workers 2
 
-and talk JSON to it::
+and talk JSON to it (a job body carries only ``experiment_id``,
+``scale``, ``seed``, ``devices`` and ``overrides``; unknown fields and
+unknown override names are 400s)::
 
     POST /jobs            {"experiment_id": "table2", "seed": 1}
     GET  /jobs/<id>       queued/running/done + outcome

@@ -1,96 +1,21 @@
 """Daemon entry point: ``python -m repro.harness.service``.
 
-Builds the persistent executor + result cache + job runner, binds the
-asyncio server, installs SIGTERM/SIGINT handlers that trigger a graceful
-drain (in-flight and queued jobs finish; new submissions get 503), and
-serves until drained.  ``repro-experiments serve`` routes here too.
+The same front door as ``repro-experiments serve``: flags, backend
+selection, cache directory, executor lifetime and graceful drain all come
+from :func:`repro.harness.cli.main`.
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
-import contextlib
-import signal
 import sys
 
-from ... import backend as _backend
-from ...errors import ReproError
-from ..jobs import JobRunner
-from ..parallel import ShardedExecutor
-from ..results import ResultCache
-from .daemon import ExperimentService
+from ..cli import main as _cli_main
 
-__all__ = ["main", "serve"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.harness.service",
-        description="Long-running experiment daemon over the job core.",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8752,
-                   help="listen port (0 picks an ephemeral one)")
-    p.add_argument("--queue-limit", type=int, default=32, metavar="N",
-                   help="max pending jobs before POST /jobs returns 429")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="executor worker processes (default: $REPRO_WORKERS or 1)")
-    p.add_argument("--backend", default=None, choices=_backend.MODES,
-                   help="compute backend (default: $REPRO_BACKEND or auto)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="result-cache directory (default: $REPRO_CACHE_DIR "
-                   "or ~/.cache/repro-experiments)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="run without a result cache (every job recomputes)")
-    return p
-
-
-async def _serve(service: ExperimentService) -> None:
-    await service.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError):  # non-POSIX loops
-            loop.add_signal_handler(sig, service.begin_drain)
-    # One parseable readiness line; CI and scripts wait on it.
-    print(f"[serving http://{service.host}:{service.port} "
-          f"queue_limit={service.queue_limit} "
-          f"workers={service.runner.executor.workers}]", flush=True)
-    await service.serve_until_drained()
-    print("[drained: queue empty, shutting down]", flush=True)
-
-
-def serve(args: argparse.Namespace) -> int:
-    """Run the daemon until a graceful drain completes."""
-    if args.backend:
-        _backend.set_backend(args.backend)
-    else:
-        _backend.backend_mode()  # validate $REPRO_BACKEND at entry
-    from ..cli import default_cache_dir
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    with ShardedExecutor(workers=args.workers) as executor:
-        service = ExperimentService(
-            JobRunner(executor, cache),
-            queue_limit=args.queue_limit,
-            host=args.host,
-            port=args.port,
-        )
-        asyncio.run(_serve(service))
-    return 0
+__all__ = ["main"]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return serve(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C race
-        return 130
+    return _cli_main(["serve", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

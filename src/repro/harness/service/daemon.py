@@ -32,8 +32,8 @@ wherever the library runs.  Design:
   under any volume of traffic.
 
 Validation happens at admission: unknown experiment ids, unknown device
-names, malformed overrides and unknown body fields are 400s produced by
-the job core's named errors, never mid-run failures.
+names, malformed or unknown overrides and unknown body fields are 400s
+produced by the job core's named errors, never mid-run failures.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from urllib.parse import parse_qs, urlsplit
 from ...errors import ReproError
 from ...experiments import get_experiment, list_experiments
 from ..jobs import JobOutcome, JobRunner, JobSpec
+from ..results import is_key_shaped
 
 __all__ = ["ExperimentService", "JobRecord", "ServiceStats", "ServiceThread"]
 
@@ -59,6 +60,9 @@ _MAX_BODY_BYTES = 1_048_576
 #: older ones are dropped (their results stay in the result cache), so a
 #: long-lived daemon holds bounded memory whatever its traffic.
 _FINISHED_RECORDS_KEPT = 1024
+
+#: Most recent job latencies kept for the ``/stats`` percentiles.
+_LATENCIES_KEPT = 4096
 
 #: Largest over-limit body read and dropped before the 400 is sent.
 #: Closing a socket with unread input makes the kernel send RST, which
@@ -124,8 +128,8 @@ class ServiceStats:
 
     Latencies are end-to-end job latencies (admission to completion,
     queue wait included — what a submitter experiences), bounded to the
-    most recent :attr:`max_latencies` completions so a long-lived daemon
-    cannot grow without bound.
+    most recent :data:`_LATENCIES_KEPT` completions so a long-lived
+    daemon cannot grow without bound.
     """
 
     started_at: float = field(default_factory=time.monotonic)
@@ -135,7 +139,6 @@ class ServiceStats:
     rejected_429: int = 0
     rejected_503: int = 0
     jobs_cached: int = 0
-    max_latencies: int = 4096
     latencies_s: list[float] = field(default_factory=list)
 
     def record_completion(self, latency_s: float, *, cached: bool, failed: bool) -> None:
@@ -146,8 +149,8 @@ class ServiceStats:
             if cached:
                 self.jobs_cached += 1
         self.latencies_s.append(latency_s)
-        if len(self.latencies_s) > self.max_latencies:
-            del self.latencies_s[: -self.max_latencies]
+        if len(self.latencies_s) > _LATENCIES_KEPT:
+            del self.latencies_s[:-_LATENCIES_KEPT]
 
     def as_dict(self) -> dict:
         uptime = max(time.monotonic() - self.started_at, 1e-9)
@@ -495,8 +498,8 @@ class ExperimentService:
         try:
             spec = JobSpec.from_dict(doc)
             # Fail fast at admission: unknown experiment ids, unknown
-            # device names and ill-fitting device lists are 400s here,
-            # not failed jobs discovered by polling.
+            # device names, ill-fitting device lists and unknown override
+            # names are 400s here, not failed jobs discovered by polling.
             self.runner.plan_overrides(spec, strict_devices=True)
         except ReproError as exc:
             raise _HttpError(400, str(exc))
@@ -533,6 +536,8 @@ class ExperimentService:
         cache = self.runner.cache
         if cache is None:
             raise _HttpError(404, "service runs without a result cache")
+        if not is_key_shaped(key):  # never let a path reach the filesystem
+            raise _HttpError(404, "no cached result under this key")
         meta = cache.read_meta(key)
         if meta is None:
             raise _HttpError(404, "no cached result under this key")

@@ -156,6 +156,18 @@ class TestPlanGrid:
         with pytest.raises(ConfigurationError, match="scale"):
             plan_grid(["table2"], scales=("huge",))
 
+    def test_unknown_override_fails_planning_before_anything_is_stored(
+        self, tmp_path
+    ):
+        # The override names are checked against the experiment's
+        # parameters while planning, so the grid dies before its valid
+        # table2 cell is dispatched or stored.
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ExperimentError, match="bogus"):
+            cells = plan_grid(["table2", "fig4"], overrides={"fig4": {"bogus": 1}})
+            SweepFarm(cache, ExplodingExecutor()).run(cells)
+        assert not cache.directory.exists() or not any(cache.directory.iterdir())
+
 
 class TestFarmRuns:
     def test_cold_then_warm(self, tmp_path):
@@ -181,6 +193,28 @@ class TestFarmRuns:
         assert report.probe_only and report.n_misses == 1
         assert report.n_executed == 0
         assert "would recompute" in report.to_markdown()
+
+    def test_directory_scan_only_on_passes_with_misses(self, tmp_path, monkeypatch):
+        # The previous-generation index reads every entry's metadata head,
+        # so only a pass that dispatches misses may build it: warm and
+        # probe-only passes touch the grid's own cells alone.
+        scans = []
+        iter_meta = ResultCache.iter_meta
+
+        def counting_iter_meta(self):
+            scans.append(1)
+            return iter_meta(self)
+
+        monkeypatch.setattr(ResultCache, "iter_meta", counting_iter_meta)
+        cache = ResultCache(tmp_path)
+        cells = plan_grid(["table2"])
+        SweepFarm(cache, ExplodingExecutor()).run(cells, probe_only=True)
+        assert len(scans) == 0
+        SweepFarm(cache, FakeExecutor()).run(cells)
+        assert len(scans) == 1
+        SweepFarm(cache, ExplodingExecutor()).run(cells)
+        SweepFarm(cache, ExplodingExecutor()).run(cells, probe_only=True)
+        assert len(scans) == 1
 
     def test_farm_entries_serve_cli_lookups(self, tmp_path):
         # The farm stores under exactly the key the CLI run path derives.

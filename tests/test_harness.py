@@ -1,5 +1,6 @@
 """Tests for the results/cache/job-planning/CLI harness."""
 
+import argparse
 import json
 
 import numpy as np
@@ -509,6 +510,88 @@ class TestCli:
         p = build_parser()
         args = p.parse_args(["run", "fig1", "--scale", "paper"])
         assert args.experiment_id == "fig1" and args.scale == "paper"
+
+    def test_subcommand_flag_sets(self):
+        # Pinned: each subcommand accepts exactly these options.
+        p = build_parser()
+        sub = next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+        process = {"--workers", "--backend", "--cache-dir"}
+        run_opts = {"--scale", "--seed", "--out", "--devices", "--no-cache"}
+        expected = {
+            "list": set(),
+            "run": process | run_opts | {"--json"},
+            "run-all": process | run_opts,
+            "serve": process | {"--no-cache", "--host", "--port", "--queue-limit"},
+            "farm": process | {
+                "--experiments", "--scales", "--seeds", "--devices", "--pins",
+                "--report-json", "--probe-only", "--fail-on-drift",
+            },
+        }
+        for name, parser in sub.choices.items():
+            options = set(parser._option_string_actions) - {"-h", "--help"}
+            assert options == expected[name], name
+        # Shared flags are one declaration, not per-subcommand copies.
+        for flag in process:
+            actions = {id(sub.choices[c]._option_string_actions[flag])
+                       for c in ("run", "run-all", "serve", "farm")}
+            assert len(actions) == 1, flag
+
+    def test_daemon_module_is_the_serve_subcommand(self, capsys):
+        from repro.harness.service.__main__ import main as daemon_main
+
+        with pytest.raises(SystemExit) as exc:
+            daemon_main(["--help"])
+        assert exc.value.code == 0
+        daemon_help = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert daemon_help == capsys.readouterr().out
+        assert "--queue-limit" in daemon_help and "--no-cache" in daemon_help
+
+    def test_serve_validates_the_process_setup_first(self, monkeypatch, capsys):
+        from repro.backend import registry
+
+        # The daemon rides the CLI's process setup: a typo'd backend
+        # fails with the same named error before any socket is bound.
+        monkeypatch.setattr(registry, "_mode", None)
+        monkeypatch.setenv("REPRO_BACKEND", "garbage")
+        assert main(["serve", "--port", "0", "--no-cache"]) == 1
+        assert "REPRO_BACKEND" in capsys.readouterr().err
+        monkeypatch.setattr(registry, "_mode", None)
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert main(["serve", "--port", "0", "--queue-limit", "0",
+                     "--no-cache"]) == 1
+        assert "queue_limit" in capsys.readouterr().err
+
+    def test_daemon_process_serves_and_drains_on_sigterm(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.service", "--port", "0",
+             "--workers", "1", "--queue-limit", "64",
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            ready = proc.stdout.readline()
+            assert ready.startswith("[serving http://127.0.0.1:"), ready
+            assert "queue_limit=64 workers=1]" in ready
+            url = ready.split()[1]
+            with urllib.request.urlopen(url + "/stats", timeout=30) as resp:
+                assert json.loads(resp.read())["queue_limit"] == 64
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "[drained: queue empty, shutting down]" in out
 
     def test_devices_override_errors(self, capsys):
         # Unknown device, no device axis, and multi-name on a

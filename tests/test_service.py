@@ -88,8 +88,9 @@ class TestServiceStats:
         assert doc["latency_ms"]["n"] == 3
         assert doc["latency_ms"]["p50"] == pytest.approx(200.0)
 
-    def test_latency_record_is_bounded(self):
-        stats = ServiceStats(max_latencies=10)
+    def test_latency_record_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(daemon, "_LATENCIES_KEPT", 10)
+        stats = ServiceStats()
         for i in range(50):
             stats.record_completion(float(i), cached=False, failed=False)
         assert len(stats.latencies_s) == 10
@@ -260,10 +261,20 @@ class TestServiceEndpoints:
     def test_admission_rejects_bad_submissions_with_400(self, service):
         # Wrongly typed overrides/devices are the client's fault too: a
         # 400 naming the field, never a 500 from a coercion inside the
-        # daemon.  None of these reaches the queue.
+        # daemon.  Unknown override names are checked against the
+        # experiment's parameters, and workers/backend are the daemon's
+        # flags, not body fields.  None of these reaches the queue or a
+        # worker.
         url = service.base_url + "/jobs"
-        before = _get(service.base_url + "/stats")["submitted"]
+        before = _get(service.base_url + "/stats")
+        jobs_before = set(service.service.jobs)
         for payload, fragment in [
+            (json.dumps({"experiment_id": "table2",
+                         "overrides": {"bogus": 1}}).encode(), "bogus"),
+            (json.dumps({"experiment_id": "table2",
+                         "workers": 8}).encode(), "workers"),
+            (json.dumps({"experiment_id": "table2",
+                         "backend": "numpy"}).encode(), "backend"),
             (b"{not json", "not valid JSON"),
             (json.dumps({"experiment_id": "nope"}).encode(), "nope"),
             (json.dumps({"experiment_id": "table2",
@@ -284,7 +295,33 @@ class TestServiceEndpoints:
             status, body = _post_error(url, payload)
             assert status == 400, (payload, body)
             assert fragment in body["error"]
-        assert _get(service.base_url + "/stats")["submitted"] == before
+        after = _get(service.base_url + "/stats")
+        assert after["submitted"] == before["submitted"]
+        assert after["executor"]["dispatches"] == before["executor"]["dispatches"]
+        assert set(service.service.jobs) == jobs_before
+
+    def test_results_key_outside_the_cache_is_404(self, service):
+        # A path-shaped key must never reach the filesystem: plant a
+        # well-formed entry beside the cache directory and ask for it
+        # with a raw (un-normalised) request target.
+        cache_dir = service.service.runner.cache.directory
+        outside = cache_dir.parent / "outside"
+        outside.mkdir(exist_ok=True)
+        planted = "../outside/planted"
+        (outside / "planted.json").write_text(json.dumps(
+            {"cache": {"key": planted, "experiment_id": "table2"}, "result": {}}
+        ))
+        for target in (f"/results/{planted}", f"/results/{'A' * 64}",
+                       f"/results/{'0' * 63}"):
+            with socket.create_connection(
+                (service.service.host, service.service.port), timeout=30
+            ) as sock:
+                sock.sendall(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+                reply = b""
+                while chunk := sock.recv(65_536):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 404 "), (target, reply)
+            assert b"table2" not in reply
 
     def test_oversized_body_is_rejected(self, service):
         status, body = _post_error(service.base_url + "/jobs",
@@ -363,13 +400,13 @@ class TestServiceEndpoints:
             assert exc.value.code == 404
 
     def test_failed_job_does_not_kill_the_daemon(self, service):
-        # An override that passes admission but fails at dispatch must
-        # surface as a failed record, not as a dead worker task.
+        # An override that passes admission (a known name) but fails at
+        # dispatch (a negative run count) must surface as a failed
+        # record, not as a dead worker task.
         doc = _post(service.base_url + "/jobs?wait=1",
-                    {"experiment_id": "table2",
-                     "overrides": {"bogus_param": 1}})
+                    {"experiment_id": "fig4", "overrides": {"n_runs": -1}})
         assert doc["status"] == "failed"
-        assert "bogus_param" in doc["error"]
+        assert "must be >= 0" in doc["error"]
         follow = _post(service.base_url + "/jobs?wait=1",
                        {"experiment_id": "table2"})
         assert follow["status"] == "done"
