@@ -49,12 +49,18 @@ Every public entry point starts with one ``os.scandir`` walk of the
 package that stats each ``*.py`` file: the walk's ``{module: (path,
 (mtime_ns, size))}`` map is the package's *signature*.  While the
 signature equals the previous walk's, everything derived from it — module
-hashes, the import graph, each closure's hashes and fingerprint — is
-served from one in-process :class:`Snapshot`, so a warm ``cache_key``
-costs that stat walk plus dictionary lookups.  Any edit, addition or
-removal changes the signature, and the very next call rebuilds the
-snapshot through per-file memos keyed on ``(path, mtime_ns, size)``: only
-the files whose signature moved are re-read and re-parsed.
+hashes, import edges, each closure's hashes and fingerprint — is served
+from one in-process :class:`Snapshot`, so a warm ``cache_key`` costs that
+stat walk plus dictionary lookups.  A cold closure is built lazily: the
+walk parses a module only when it reaches it, so a process that keys a
+few experiments reads and parses only the modules their closures hold
+(about a third of the package for the lightest cells), and only the full
+:func:`import_graph` or :func:`package_fingerprint` touches every file.
+The parse extracts imports by walking statement lists alone (imports are
+always statements), never the expressions inside them.  Any edit,
+addition or removal changes the signature, and the very next call
+rebuilds the snapshot through per-file memos keyed on ``(path, mtime_ns,
+size)``: only the files whose signature moved are re-read and re-parsed.
 """
 
 from __future__ import annotations
@@ -170,11 +176,14 @@ class Snapshot:
     graph work.  Returned containers are shared — copy before mutating.
     """
 
-    __slots__ = ("signature", "_hashes", "_graph", "_fingerprint", "_closures")
+    __slots__ = (
+        "signature", "_hashes", "_deps", "_graph", "_fingerprint", "_closures"
+    )
 
     def __init__(self, signature: dict[str, tuple[str, _Sig]]) -> None:
         self.signature = signature
         self._hashes: dict[str, str] | None = None
+        self._deps: dict[str, frozenset[str]] = {}
         self._graph: dict[str, frozenset[str]] | None = None
         self._fingerprint: str | None = None
         self._closures: dict[str, tuple[dict[str, str], str]] = {}
@@ -196,32 +205,39 @@ class Snapshot:
             self._fingerprint = _combined(self.hashes)
         return self._fingerprint
 
+    def deps(self, module: str) -> frozenset[str]:
+        """Direct intra-package imports of ``module``: its source is parsed
+        the first time they are asked for, and only then."""
+        deps = self._deps.get(module)
+        if deps is None:
+            modules = self.signature
+            path, sig = modules[module]
+            is_package = os.path.basename(path) == "__init__.py"
+            deps = self._deps[module] = frozenset(
+                resolved
+                for target in _import_targets(path, sig, module, is_package)
+                if (resolved := _resolve(target, modules)) is not None
+                and resolved != module
+            )
+        return deps
+
     @property
     def graph(self) -> dict[str, frozenset[str]]:
         """Static intra-package import graph (:func:`import_graph`)."""
         if self._graph is None:
-            modules = self.signature
-            graph: dict[str, frozenset[str]] = {}
-            for name, (path, sig) in sorted(modules.items()):
-                is_package = os.path.basename(path) == "__init__.py"
-                graph[name] = frozenset(
-                    resolved
-                    for target in _import_targets(path, sig, name, is_package)
-                    if (resolved := _resolve(target, modules)) is not None
-                    and resolved != name
-                )
-            self._graph = graph
+            self._graph = {name: self.deps(name) for name in sorted(self.signature)}
         return self._graph
 
     def closure(self, module: str) -> tuple[dict[str, str], str]:
         """``(closure hashes, fingerprint)`` of ``module``'s transitive
-        closure (:func:`closure_hashes`, :func:`experiment_fingerprint`)."""
+        closure (:func:`closure_hashes`, :func:`experiment_fingerprint`).
+
+        Only the modules the walk reaches are parsed and hashed."""
         memo = self._closures.get(module)
         if memo is None:
-            hashes = self.hashes
+            reach = _reach(module, self.signature, self.deps)
             members = {
-                name: hashes[name]
-                for name in sorted(transitive_closure(module, self.graph))
+                name: _hash_file(*self.signature[name]) for name in sorted(reach)
             }
             memo = self._closures[module] = (members, _combined(members))
         return memo
@@ -285,7 +301,7 @@ def _import_targets(
         return memo[1]
     tree = ast.parse(Path(path).read_bytes(), filename=path)
     targets: set[str] = set()
-    for node in ast.walk(tree):
+    for node in _import_statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 targets.add(alias.name)
@@ -316,6 +332,27 @@ def _import_targets(
     return out
 
 
+def _import_statements(tree: ast.Module):
+    """Every ``import``/``from ... import`` statement in ``tree``.
+
+    Imports are statements, so only statement lists are walked (the
+    bodies, ``else``/``finally`` blocks, ``except`` handlers and ``match``
+    cases of compound statements, at any depth, function and class
+    bodies included); expressions are never entered.
+    """
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+            continue
+        for block in ("body", "orelse", "finalbody"):
+            todo.extend(getattr(node, block, ()))
+        for clauses in ("handlers", "cases"):
+            for clause in getattr(node, clauses, ()):
+                todo.extend(clause.body)
+
+
 def _resolve(target: str, modules: dict) -> str | None:
     """Deepest existing package module named by a dotted import target."""
     parts = target.split(".")
@@ -343,20 +380,27 @@ def transitive_closure(
 ) -> frozenset[str]:
     """Every package module ``module`` can reach (itself included).
 
-    Breadth-first over :func:`import_graph`; the seen-set makes import
-    cycles (``a <-> b``) terminate with both members in both closures.
+    Walks ``graph``, or without one the current snapshot's import edges,
+    parsing only the modules reached; the seen-set makes import cycles
+    (``a <-> b``) terminate with both members in both closures.
     """
     if graph is None:
-        graph = snapshot(root, package).graph
-    if module not in graph:
+        snap = snapshot(root, package)
+        return _reach(module, snap.signature, snap.deps)
+    return _reach(module, graph, graph.__getitem__)
+
+
+def _reach(module: str, known, deps) -> frozenset[str]:
+    """Every module reachable from ``module`` over ``deps(name)``;
+    ``known`` holds every module name of the package."""
+    if module not in known:
         raise ConfigurationError(
             f"module {module!r} is not part of the fingerprinted package"
         )
     seen = {module}
     frontier = [module]
     while frontier:
-        deps = graph[frontier.pop()]
-        fresh = deps - seen
+        fresh = deps(frontier.pop()) - seen
         seen |= fresh
         frontier.extend(fresh)
     return frozenset(seen)

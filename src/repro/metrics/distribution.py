@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ConfigurationError
 
@@ -78,6 +77,19 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, *, eps: float = 1e-12) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
+def _norm_pdf(x, mu: float, sigma: float) -> np.ndarray:
+    """Normal density at ``x`` with mean ``mu`` and standard deviation
+    ``sigma > 0``.
+
+    Bit for bit ``scipy.stats.norm.pdf(x, loc=mu, scale=sigma)`` for non-NaN
+    ``x``: the same operations in the same order (standardise, ``exp`` of
+    ``-z**2 / 2``, divide by ``sqrt(2 pi)``, then by ``sigma``), without
+    importing SciPy.
+    """
+    z = (np.asarray(x, dtype=np.float64) - mu) / sigma
+    return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi) / sigma
+
+
 def kl_to_normal(samples, bins: int = 101) -> float:
     """KL divergence between the sample histogram and a fitted normal.
 
@@ -96,7 +108,7 @@ def kl_to_normal(samples, bins: int = 101) -> float:
         return float("inf")
     centers, density = estimate_pdf(x, bins=bins)
     width = centers[1] - centers[0]
-    q = stats.norm.pdf(centers, loc=mu, scale=sigma)
+    q = _norm_pdf(centers, mu, sigma)
     return kl_divergence(density * width, q * width)
 
 
@@ -112,9 +124,6 @@ class DistributionSummary:
         Standard moments.
     kl_normal:
         KL divergence to the moment-fitted normal (paper's criterion).
-    shapiro_p:
-        Shapiro–Wilk p-value on a (sub)sample; high = consistent with
-        normal.  ``nan`` when the sample is degenerate.
     is_normal_kl:
         Convenience verdict ``kl_normal < kl_threshold``.
     """
@@ -125,7 +134,6 @@ class DistributionSummary:
     skewness: float
     excess_kurtosis: float
     kl_normal: float
-    shapiro_p: float
     is_normal_kl: bool
 
 
@@ -134,7 +142,6 @@ def normality_report(
     *,
     bins: int = 101,
     kl_threshold: float = 0.10,
-    shapiro_max_n: int = 4999,
 ) -> DistributionSummary:
     """Build a :class:`DistributionSummary` for a variability sample.
 
@@ -154,17 +161,11 @@ def normality_report(
             skewness=0.0,
             excess_kurtosis=0.0,
             kl_normal=float("inf"),
-            shapiro_p=float("nan"),
             is_normal_kl=False,
         )
     kl = kl_to_normal(x, bins=bins)
-    sub = x if x.size <= shapiro_max_n else x[:: max(1, x.size // shapiro_max_n)][:shapiro_max_n]
-    try:
-        shapiro_p = float(stats.shapiro(sub).pvalue)
-    except Exception:  # pragma: no cover - scipy internal edge cases
-        shapiro_p = float("nan")
-    # Biased sample moments (scipy's default definitions), computed directly
-    # — the generic scipy wrappers dominate the report's cost otherwise.
+    # Biased sample moments: the central moments over n, so skewness is
+    # m3 / m2**1.5 and excess kurtosis m4 / m2**2 - 3.
     d = x - np.mean(x)
     d2 = d * d
     m2 = float(np.mean(d2))
@@ -177,6 +178,5 @@ def normality_report(
         skewness=m3 / m2**1.5,
         excess_kurtosis=m4 / (m2 * m2) - 3.0,
         kl_normal=kl,
-        shapiro_p=shapiro_p,
         is_normal_kl=bool(kl < kl_threshold),
     )

@@ -11,6 +11,7 @@ reaches the edited module.
 
 from __future__ import annotations
 
+import ast
 import shutil
 from pathlib import Path
 
@@ -102,6 +103,135 @@ class TestImportGraph:
             "b.py": "def g():\n    return 1\n",
         })
         assert import_graph(root, "pkg")["pkg.a"] == frozenset({"pkg.b"})
+
+
+def _ast_walk_targets(path: Path, module: str, is_package: bool) -> tuple[str, ...]:
+    """The import extractor as it was before the statement-only walk:
+    ``ast.walk`` over every node.  Kept as the oracle the faster walker
+    must agree with, target for target."""
+    targets: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                targets.add(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module or ""
+            else:
+                parts = module.split(".")
+                if not is_package:
+                    parts = parts[:-1]
+                drop = node.level - 1
+                if drop >= len(parts):
+                    continue
+                if drop:
+                    parts = parts[: len(parts) - drop]
+                base = ".".join(parts)
+                if node.module:
+                    base = f"{base}.{node.module}"
+            if not base:
+                continue
+            for alias in node.names:
+                targets.add(base if alias.name == "*" else f"{base}.{alias.name}")
+    return tuple(sorted(targets))
+
+
+def _targets_both_ways(path: Path, module: str, is_package: bool = False):
+    st = path.stat()
+    new = fingerprint._import_targets(
+        str(path), (st.st_mtime_ns, st.st_size), module, is_package
+    )
+    return new, _ast_walk_targets(path, module, is_package)
+
+
+_NESTED_IMPORTS = """\
+import pkg.top
+if FLAG:
+    import pkg.if_body
+elif OTHER:
+    from . import elif_body
+else:
+    from .else_body import x
+try:
+    import pkg.try_body
+except ImportError:
+    import pkg.except_body
+else:
+    import pkg.try_else
+finally:
+    import pkg.finally_body
+try:
+    pass
+except* OSError:
+    import pkg.except_star_body
+with open(__file__) as fh:
+    import pkg.with_body
+for _ in range(1):
+    import pkg.for_body
+else:
+    import pkg.for_else
+while False:
+    import pkg.while_body
+else:
+    import pkg.while_else
+class C:
+    import pkg.class_body
+    def method(self):
+        import pkg.method_body
+        def inner():
+            from ..beyond import nothing
+            from .deep import inner_def
+        return inner
+async def coro():
+    import pkg.async_def
+    async with ctx() as c:
+        import pkg.async_with
+    async for _ in agen():
+        import pkg.async_for
+match VALUE:
+    case 1:
+        import pkg.match_case
+    case _:
+        if True:
+            from pkg.match_default import y
+lam = lambda: __import__("pkg.not_a_statement")
+from . import *
+"""
+
+
+class TestStatementWalk:
+    """The statement-only import walk finds exactly what ``ast.walk`` over
+    every node found, so no cache key moves."""
+
+    def test_nested_statement_fixture(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(_NESTED_IMPORTS)
+        new, old = _targets_both_ways(path, "pkg.mod")
+        assert new == old
+        for name in ("pkg.if_body", "pkg.elif_body", "pkg.else_body.x",
+                     "pkg.except_body", "pkg.except_star_body", "pkg.try_else",
+                     "pkg.finally_body", "pkg.with_body", "pkg.for_else",
+                     "pkg.while_body", "pkg.class_body", "pkg.method_body",
+                     "pkg.deep.inner_def", "pkg.async_with", "pkg.async_for",
+                     "pkg.match_case", "pkg.match_default.y", "pkg"):
+            assert name in new, name
+        assert "pkg.not_a_statement" not in new
+
+    def test_package_relative_fixture(self, tmp_path):
+        path = tmp_path / "__init__.py"
+        path.write_text("try:\n    from . import a\nexcept Exception:\n"
+                        "    from .. import b\n")
+        new, old = _targets_both_ways(path, "pkg.sub", is_package=True)
+        assert new == old == ("pkg.b", "pkg.sub.a")
+
+    def test_every_real_module_matches_the_ast_walk(self):
+        root = Path(repro.__file__).resolve().parent
+        modules = fingerprint._walk(str(root), "repro")
+        assert len(modules) > 50
+        for name, (path, _sig) in modules.items():
+            is_package = path.endswith("__init__.py")
+            new, old = _targets_both_ways(Path(path), name, is_package)
+            assert new == old, name
 
 
 class TestTransitiveClosure:
@@ -322,6 +452,38 @@ class TestSnapshot:
         finally:
             _unedit(target)
         assert cache_key("fig1", "default", 0) == key
+
+    def test_lazy_closure_is_the_full_graph_closure(self, patched_root):
+        from repro.experiments import get_experiment, list_experiments
+
+        fingerprint.invalidate_memo()
+        lazy = {
+            eid: frozenset(fingerprint.closure_hashes(eid))
+            for eid in list_experiments()
+        }
+        graph = import_graph()
+        for eid, members in lazy.items():
+            module = get_experiment(eid).source_module
+            assert members == transitive_closure(module, graph), eid
+            assert members == transitive_closure(module), eid
+
+    def test_cold_closure_parses_only_its_members(self, patched_root, monkeypatch):
+        parsed: list[str] = []
+        parse = ast.parse
+
+        def recording_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return parse(source, filename, *args, **kwargs)
+
+        fingerprint.invalidate_memo()
+        monkeypatch.setattr(ast, "parse", recording_parse)
+        members = fingerprint.closure_hashes("fig4")
+        n_modules = len(module_hashes())
+        assert len(parsed) == len(members) < n_modules
+        assert {Path(p).resolve() for p in parsed} == {
+            Path(fingerprint.snapshot().signature[name][0]).resolve()
+            for name in members
+        }
 
     def test_every_experiment_matches_a_from_scratch_reference(self, patched_root):
         import hashlib

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.metrics import estimate_pdf, kl_divergence, kl_to_normal, normality_report
+from repro.metrics.distribution import _norm_pdf
 
 
 class TestEstimatePdf:
@@ -74,6 +75,44 @@ class TestKlToNormal:
     def test_too_small_sample_raises(self):
         with pytest.raises(ConfigurationError):
             kl_to_normal([1.0, 2.0])
+
+
+class TestNormPdfTwin:
+    """The NumPy normal density ``kl_to_normal`` uses must reproduce
+    ``scipy.stats.norm.pdf`` bit for bit, so KL values (and the cached
+    results that carry them) do not depend on whether SciPy is there."""
+
+    def test_bit_identical_to_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(20241118)
+        for _ in range(400):
+            sigma = float(10.0 ** rng.uniform(-300, 300))
+            mu = float(rng.standard_normal() * sigma * 10.0 ** rng.uniform(-3, 3))
+            # |z| up to 60: past ~37 the exp underflows through the
+            # subnormals to zero.
+            centers = mu + sigma * rng.uniform(-60, 60, size=257)
+            want = stats.norm.pdf(centers, loc=mu, scale=sigma)
+            assert _norm_pdf(centers, mu, sigma).tobytes() == want.tobytes()
+
+    def test_extremes_bit_identical_to_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        centers = np.array([0.0, 1.0, -1.0, 37.5, -38.6, 40.0, 1e308, -1e308,
+                            5e-324, np.inf, -np.inf])
+        with np.errstate(over="ignore"):
+            for mu, sigma in [(0.0, 1.0), (0.5, 1e-300), (0.0, 5e-324),
+                              (1e300, 1e300), (0.0, 1e308), (-3.0, 0.01)]:
+                want = stats.norm.pdf(centers, loc=mu, scale=sigma)
+                got = _norm_pdf(centers, mu, sigma)
+                assert got.tobytes() == want.tobytes(), (mu, sigma)
+
+    def test_kl_to_normal_matches_the_scipy_formula(self):
+        stats = pytest.importorskip("scipy.stats")
+        x = np.random.default_rng(4).standard_normal(3000) * 1e-9 + 2.5
+        mu, sigma = float(np.mean(x)), float(np.std(x))
+        centers, density = estimate_pdf(x, bins=41)
+        width = centers[1] - centers[0]
+        q = stats.norm.pdf(centers, loc=mu, scale=sigma)
+        assert kl_to_normal(x, bins=41) == kl_divergence(density * width, q * width)
 
 
 class TestNormalityReport:
