@@ -102,6 +102,7 @@ def test_farm_probe_after_module_edit(benchmark, tmp_path, monkeypatch):
     SweepFarm(cache, SerialExecutor()).run(_grid())  # warm under the copy
     gnn = copy / "experiments" / "_gnn.py"
     gnn.write_text(gnn.read_text() + "\n# bench: single-module edit\n")
+    fingerprint.repin()
     cells = _grid()  # keys under the edited tree
 
     farm = SweepFarm(cache, SerialExecutor())

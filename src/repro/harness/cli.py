@@ -56,7 +56,10 @@ an edit invalidates precisely the experiments that can reach the edited
 module — touching ``experiments/_gnn.py`` misses only the GNN tables'
 keys while every summation experiment stays hot — and stale results are
 still never served, because any edit an experiment could observe changes
-its fingerprint.  Backend identity keeps numpy-produced and
+its fingerprint.  A process keys the tree it pinned at its first key
+derivation — the code it is running — so an edit made while ``serve``
+or ``run-all`` runs leaves that process's keys unchanged; a restart
+picks the edit up.  Backend identity keeps numpy-produced and
 compiled-produced entries on distinct keys.  Experiments whose axis
 declaration decomposes (seed-ensemble grids, e.g. ``seedens``) cache
 **per (seed, device) cell** — growing the grid recomputes only the new
@@ -105,12 +108,14 @@ the same job core (:mod:`repro.harness.service`);
 ``python -m repro.harness.service ARGS`` is exactly ``serve ARGS``.
 ``POST /jobs`` admits into a bounded queue (429 + queue depth when full,
 503 while draining) after planning the job, so an unknown experiment,
-device or override name is a 400 before any work runs; a body names what
+device or override name, or an override value of the wrong type or out
+of range, is a 400 before any work runs; a body names what
 to compute (``experiment_id``, ``scale``, ``seed``, ``devices``,
 ``overrides``) and nothing else — workers and backend are the daemon's
 flags.  ``GET /results/<key>`` answers cache keys without touching a
 worker, ``GET /stats`` reports throughput, hit rate, queue depth,
-latency percentiles and the executor's dispatch/pool counters, and
+latency percentiles, the executor's dispatch/pool counters and the
+pinned code identity (package fingerprint and pin time), and
 SIGTERM triggers a graceful drain (in-flight and queued jobs finish,
 then the sockets close).  One persistent executor pool serves every job
 the daemon ever runs.

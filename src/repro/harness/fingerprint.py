@@ -43,24 +43,32 @@ experiment module.  Conditional imports are treated as unconditional
 imports (``numpy`` ...) are outside the fingerprint by design: the
 environment is not part of the code state.
 
-Cost
-----
-Every public entry point starts with one ``os.scandir`` walk of the
-package that stats each ``*.py`` file: the walk's ``{module: (path,
-(mtime_ns, size))}`` map is the package's *signature*.  While the
-signature equals the previous walk's, everything derived from it — module
-hashes, import edges, each closure's hashes and fingerprint — is served
-from one in-process :class:`Snapshot`, so a warm ``cache_key`` costs that
-stat walk plus dictionary lookups.  A cold closure is built lazily: the
-walk parses a module only when it reaches it, so a process that keys a
-few experiments reads and parses only the modules their closures hold
-(about a third of the package for the lightest cells), and only the full
-:func:`import_graph` or :func:`package_fingerprint` touches every file.
-The parse extracts imports by walking statement lists alone (imports are
-always statements), never the expressions inside them.  Any edit,
-addition or removal changes the signature, and the very next call
-rebuilds the snapshot through per-file memos keyed on ``(path, mtime_ns,
-size)``: only the files whose signature moved are re-read and re-parsed.
+Pinning and cost
+----------------
+A process keys the tree it pinned.  The first call of any entry point
+below walks the package once (one ``os.scandir`` pass), reads every
+``*.py`` file and hashes it; that :class:`Snapshot` is *pinned* for the
+rest of the process, and every later ``cache_key``, :func:`closure_hashes`
+or drift lookup is served from it by dictionary lookups: no stat, no
+read.  Import edges are parsed lazily from the pinned bytes, one module
+at a time as a closure walk reaches it, so a process that keys a few
+experiments parses only the modules their closures hold (about a third
+of the package for the lightest cells); only the full
+:func:`import_graph` parses every module.  The parse extracts imports by
+walking statement lists alone (imports are always statements), never
+the expressions inside them.
+
+An on-disk edit is deliberately not seen by a running process.  The
+process still runs the code it imported, so a result it computes must be
+keyed under that code: keying it under the edited tree would let a later
+process, which does run the edit, be served the old bits as a cache hit.
+A restart picks up edits; tools and tests that edit a tree on purpose
+call :func:`repin`.  Spawn-pool workers pin their own snapshot when they
+start, and :class:`~repro.harness.parallel.ShardedExecutor` refuses
+shards computed under any tree other than its own process's pin
+(:class:`~repro.harness.parallel.CodeMismatchError`).  The pin is taken at the
+first key derivation, shortly after the package was imported; an edit
+inside that window is the one the pin cannot see.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ import ast
 import functools
 import hashlib
 import os
+import threading
+import time
 from pathlib import Path
 
 from ..errors import ConfigurationError
@@ -77,6 +87,7 @@ __all__ = [
     "package_root",
     "Snapshot",
     "snapshot",
+    "repin",
     "module_hashes",
     "package_fingerprint",
     "import_graph",
@@ -84,11 +95,7 @@ __all__ = [
     "experiment_fingerprint",
     "closure_hashes",
     "fingerprint_delta",
-    "invalidate_memo",
 ]
-
-#: ``(mtime_ns, size)`` of one source file.
-_Sig = tuple[int, int]
 
 
 @functools.cache
@@ -104,33 +111,20 @@ def package_root() -> tuple[Path, str]:
     return Path(repro.__file__).resolve().parent, "repro"
 
 
-# ------------------------------------------------------------------ memos
-#: path -> ((mtime_ns, size), sha256 hexdigest)
-_HASH_MEMO: dict[str, tuple[_Sig, str]] = {}
-#: path -> ((mtime_ns, size), raw dotted import targets)
-_IMPORT_MEMO: dict[str, tuple[_Sig, tuple[str, ...]]] = {}
-#: (root, package) -> the snapshot of the last walk
+#: (root, package) -> the snapshot pinned for this process
 _SNAPSHOTS: dict[tuple[str, str], "Snapshot"] = {}
+_PIN_LOCK = threading.Lock()
 
 
-def invalidate_memo() -> None:
-    """Drop every per-module memo and snapshot (tests; never needed in
-    production — the ``(mtime_ns, size)`` signature self-invalidates on
-    edits)."""
-    _HASH_MEMO.clear()
-    _IMPORT_MEMO.clear()
-    _SNAPSHOTS.clear()
-
-
-def _walk(root: str, package: str) -> dict[str, tuple[str, _Sig]]:
-    """``{dotted module name: (path, (mtime_ns, size))}`` for every
-    ``*.py`` under ``root``: one ``scandir`` pass, one ``stat`` per file.
+def _walk(root: str, package: str) -> dict[str, str]:
+    """``{dotted module name: path}`` for every ``*.py`` under ``root``,
+    in one ``scandir`` pass.
 
     ``__init__.py`` maps onto its package's dotted name, so ``repro.ops``
     names ``repro/ops/__init__.py``.  ``__pycache__`` holds no sources and
     is skipped; symlinked directories are not followed.
     """
-    modules: dict[str, tuple[str, _Sig]] = {}
+    modules: dict[str, str] = {}
     todo = [(root, package)]
     while todo:
         directory, prefix = todo.pop()
@@ -141,20 +135,9 @@ def _walk(root: str, package: str) -> dict[str, tuple[str, _Sig]]:
                     if name != "__pycache__":
                         todo.append((entry.path, f"{prefix}.{name}"))
                 elif name.endswith(".py"):
-                    st = entry.stat()
                     dotted = prefix if name == "__init__.py" else f"{prefix}.{name[:-3]}"
-                    modules[dotted] = (entry.path, (st.st_mtime_ns, st.st_size))
+                    modules[dotted] = entry.path
     return modules
-
-
-def _hash_file(path: str, sig: _Sig) -> str:
-    """Content hash of one source file, memoized on its signature."""
-    memo = _HASH_MEMO.get(path)
-    if memo is not None and memo[0] == sig:
-        return memo[1]
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    _HASH_MEMO[path] = (sig, digest)
-    return digest
 
 
 def _combined(hashes: dict[str, str]) -> str:
@@ -168,35 +151,37 @@ def _combined(hashes: dict[str, str]) -> str:
 
 
 class Snapshot:
-    """Everything derived from one package signature.
+    """One read of the package: every module's path, bytes and hash.
 
-    :attr:`signature` is the walk that built it; every other value is
-    computed on first use and then kept, so callers that find the
-    signature unchanged (:func:`snapshot`) pay no hashing, parsing or
-    graph work.  Returned containers are shared — copy before mutating.
+    The walk, the reads and the hashes happen at construction; import
+    edges, the package fingerprint and each closure's ``(hashes,
+    fingerprint)`` are derived from the pinned bytes on first use and
+    then kept, so nothing after construction touches the file system.
+    Returned containers are shared — copy before mutating.
     """
 
     __slots__ = (
-        "signature", "_hashes", "_deps", "_graph", "_fingerprint", "_closures"
+        "paths", "hashes", "pinned_at", "_sources", "_deps", "_graph",
+        "_fingerprint", "_closures",
     )
 
-    def __init__(self, signature: dict[str, tuple[str, _Sig]]) -> None:
-        self.signature = signature
-        self._hashes: dict[str, str] | None = None
+    def __init__(self, root: str, package: str) -> None:
+        #: ``{dotted name: source path}``, sorted by name.
+        self.paths = dict(sorted(_walk(root, package).items()))
+        self._sources = {
+            name: Path(path).read_bytes() for name, path in self.paths.items()
+        }
+        #: ``{dotted name: sha256}`` for every module, sorted by name.
+        self.hashes = {
+            name: hashlib.sha256(source).hexdigest()
+            for name, source in self._sources.items()
+        }
+        #: Wall-clock time (``time.time()``) the tree was read.
+        self.pinned_at = time.time()
         self._deps: dict[str, frozenset[str]] = {}
         self._graph: dict[str, frozenset[str]] | None = None
         self._fingerprint: str | None = None
         self._closures: dict[str, tuple[dict[str, str], str]] = {}
-
-    @property
-    def hashes(self) -> dict[str, str]:
-        """``{dotted name: sha256}`` for every module, sorted by name."""
-        if self._hashes is None:
-            self._hashes = {
-                name: _hash_file(path, sig)
-                for name, (path, sig) in sorted(self.signature.items())
-            }
-        return self._hashes
 
     @property
     def fingerprint(self) -> str:
@@ -206,17 +191,19 @@ class Snapshot:
         return self._fingerprint
 
     def deps(self, module: str) -> frozenset[str]:
-        """Direct intra-package imports of ``module``: its source is parsed
-        the first time they are asked for, and only then."""
+        """Direct intra-package imports of ``module``: its pinned source is
+        parsed the first time they are asked for, and only then."""
         deps = self._deps.get(module)
         if deps is None:
-            modules = self.signature
-            path, sig = modules[module]
+            path = self.paths[module]
             is_package = os.path.basename(path) == "__init__.py"
+            targets = _import_targets(
+                self._sources[module], path, module, is_package
+            )
             deps = self._deps[module] = frozenset(
                 resolved
-                for target in _import_targets(path, sig, module, is_package)
-                if (resolved := _resolve(target, modules)) is not None
+                for target in targets
+                if (resolved := _resolve(target, self.paths)) is not None
                 and resolved != module
             )
         return deps
@@ -225,20 +212,18 @@ class Snapshot:
     def graph(self) -> dict[str, frozenset[str]]:
         """Static intra-package import graph (:func:`import_graph`)."""
         if self._graph is None:
-            self._graph = {name: self.deps(name) for name in sorted(self.signature)}
+            self._graph = {name: self.deps(name) for name in self.paths}
         return self._graph
 
     def closure(self, module: str) -> tuple[dict[str, str], str]:
         """``(closure hashes, fingerprint)`` of ``module``'s transitive
         closure (:func:`closure_hashes`, :func:`experiment_fingerprint`).
 
-        Only the modules the walk reaches are parsed and hashed."""
+        Only the modules the walk reaches are parsed."""
         memo = self._closures.get(module)
         if memo is None:
-            reach = _reach(module, self.signature, self.deps)
-            members = {
-                name: _hash_file(*self.signature[name]) for name in sorted(reach)
-            }
+            reach = _reach(module, self.paths, self.deps)
+            members = {name: self.hashes[name] for name in sorted(reach)}
             memo = self._closures[module] = (members, _combined(members))
         return memo
 
@@ -249,20 +234,41 @@ class Snapshot:
         return self.closure(get_experiment(experiment_id).source_module)
 
 
-def snapshot(root: Path | None = None, package: str | None = None) -> Snapshot:
-    """The package's current :class:`Snapshot`.
-
-    Walks the package once; the previous snapshot is reused when the walk
-    reports the same signature and replaced otherwise, so an on-disk edit,
-    addition or removal is seen by the very next call.
-    """
+def _key(root: Path | None, package: str | None) -> tuple[str, str]:
     if root is None or package is None:
         root, package = package_root()
-    key = (os.fspath(root), package)
-    signature = _walk(*key)
+    return os.fspath(root), package
+
+
+def snapshot(root: Path | None = None, package: str | None = None) -> Snapshot:
+    """The process's pinned :class:`Snapshot` of the package.
+
+    The first call reads the tree and pins it; every later call returns
+    that same snapshot without touching the file system, so an on-disk
+    edit, addition or removal is seen only after :func:`repin` (or by a
+    new process).
+    """
+    key = _key(root, package)
     snap = _SNAPSHOTS.get(key)
-    if snap is None or snap.signature != signature:
-        snap = _SNAPSHOTS[key] = Snapshot(signature)
+    if snap is None:
+        with _PIN_LOCK:
+            snap = _SNAPSHOTS.get(key)
+            if snap is None:
+                snap = _SNAPSHOTS[key] = Snapshot(*key)
+    return snap
+
+
+def repin(root: Path | None = None, package: str | None = None) -> Snapshot:
+    """Re-read the tree and pin the fresh :class:`Snapshot` in place of
+    the old one.
+
+    For tests and tools that edit a tree on purpose; a running product
+    process never re-pins, because it keeps running the code it imported.
+    """
+    key = _key(root, package)
+    snap = Snapshot(*key)
+    with _PIN_LOCK:
+        _SNAPSHOTS[key] = snap
     return snap
 
 
@@ -275,16 +281,17 @@ def package_fingerprint(root: Path | None = None, package: str | None = None) ->
     """Whole-package fingerprint: SHA-256 over every module's (name, hash).
 
     The coarse fallback :func:`repro.harness.results.code_fingerprint`
-    serves for results that map onto no registered experiment.
+    serves for results that map onto no registered experiment, and the
+    tree digest spawn-pool workers report with their shards.
     """
     return snapshot(root, package).fingerprint
 
 
 # ------------------------------------------------------------ import graph
 def _import_targets(
-    path: str, sig: _Sig, module: str, is_package: bool
+    source: bytes, path: str, module: str, is_package: bool
 ) -> tuple[str, ...]:
-    """Raw absolute dotted names ``module``'s source imports (memoized).
+    """Raw absolute dotted names ``module``'s ``source`` imports.
 
     Relative imports are resolved against the module's package per the
     language rules (level 1 = own package, each further level one package
@@ -296,10 +303,7 @@ def _import_targets(
     unconditionally would make every ``from . import sibling`` depend on
     the package ``__init__`` and collapse the granularity.
     """
-    memo = _IMPORT_MEMO.get(path)
-    if memo is not None and memo[0] == sig:
-        return memo[1]
-    tree = ast.parse(Path(path).read_bytes(), filename=path)
+    tree = ast.parse(source, filename=path)
     targets: set[str] = set()
     for node in _import_statements(tree):
         if isinstance(node, ast.Import):
@@ -327,9 +331,7 @@ def _import_targets(
                     targets.add(base)
                 else:
                     targets.add(f"{base}.{alias.name}")
-    out = tuple(sorted(targets))
-    _IMPORT_MEMO[path] = (sig, out)
-    return out
+    return tuple(sorted(targets))
 
 
 def _import_statements(tree: ast.Module):
@@ -380,13 +382,13 @@ def transitive_closure(
 ) -> frozenset[str]:
     """Every package module ``module`` can reach (itself included).
 
-    Walks ``graph``, or without one the current snapshot's import edges,
+    Walks ``graph``, or without one the pinned snapshot's import edges,
     parsing only the modules reached; the seen-set makes import cycles
     (``a <-> b``) terminate with both members in both closures.
     """
     if graph is None:
         snap = snapshot(root, package)
-        return _reach(module, snap.signature, snap.deps)
+        return _reach(module, snap.paths, snap.deps)
     return _reach(module, graph, graph.__getitem__)
 
 

@@ -13,19 +13,20 @@ asyncio daemon (:mod:`repro.harness.service`) all ride :class:`JobRunner`.
   one serve hits for all the others.
 * :meth:`JobRunner.plan_cells` is the one place a submission becomes
   keyed cache cells: it folds the device list into the overrides and
-  checks every override name against the experiment's parameters
-  (:meth:`JobRunner.plan_overrides`, so an unknown name fails before any
-  work runs), decomposes the invocation through the experiment's axis
-  declaration (:meth:`~repro.experiments.base.Experiment.cache_cells`,
-  e.g. the seed-ensemble grid) and keys each :class:`Cell`.  Monolithic
-  experiments plan exactly one cell.
-* :meth:`JobRunner.run` probes every planned cell, dispatches the misses
-  through the executor (:meth:`~repro.harness.parallel.ShardedExecutor.
-  run`, so results are bit-identical to a one-shot run, golden pins
-  included), stores them, and reassembles a decomposed job with
-  ``combine_cells``.  The farm plans its grid through the same
-  :meth:`~JobRunner.plan_cells` and sends each stale cell to
-  :meth:`JobRunner.execute`.
+  checks every override name, value type and axis size against the
+  experiment's parameters (:meth:`JobRunner.plan_overrides`, so a bad
+  override fails before any work runs), decomposes the invocation
+  through the experiment's axis declaration (:meth:`~repro.experiments.
+  base.Experiment.cache_cells`, e.g. the seed-ensemble grid) and keys
+  each :class:`Cell`.  Monolithic experiments plan exactly one cell.
+* :meth:`JobRunner.run` reads every planned cell from the cache (one
+  :meth:`~repro.harness.results.ResultCache.lookup` per cell),
+  dispatches the misses through the executor (:meth:`~repro.harness.
+  parallel.ShardedExecutor.run`, so results are bit-identical to a
+  one-shot run, golden pins included), stores them, and reassembles a
+  decomposed job with ``combine_cells``.  The farm plans its grid
+  through the same :meth:`~JobRunner.plan_cells` and sends each stale
+  cell to :meth:`JobRunner.execute`.
 
 :class:`JobOutcome` carries everything an observer needs without
 re-deriving it: the assembled result, per-cell hit/miss with payload
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 from ..experiments import get_experiment
+from ..experiments.axes import plan_sweep
 from ..experiments.base import ExperimentResult
 from ..gpusim.device import list_devices
 from .results import ResultCache, _canonical_override, cache_key, result_digest
@@ -316,6 +318,39 @@ def device_overrides_for(
     return {}
 
 
+def _fits(default, value) -> bool:
+    """Whether an override ``value`` has its parameter ``default``'s type.
+
+    Checked kinds are bool, int, float (an int also fits), str, and a
+    list or tuple of those (every element must fit one of the default's
+    elements).  A ``None`` default declares no type, so anything fits.
+    """
+    if default is None:
+        return True
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) and (
+            not default
+            or all(any(_fits(d, v) for d in default) for v in value)
+        )
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return True
+
+
+def _kind(default) -> str:
+    """Human name of the type :func:`_fits` checks against ``default``."""
+    if isinstance(default, (list, tuple)):
+        inner = sorted({type(d).__name__ for d in default})
+        return f"a list of {'/'.join(inner)}" if inner else "a list"
+    return f"of type {type(default).__name__}"
+
+
 class JobRunner:
     """Owner of the submission -> probe -> dispatch -> store lifecycle.
 
@@ -341,12 +376,15 @@ class JobRunner:
         """Resolve a spec's full override dict (devices folded in).
 
         Validates the experiment id against the registry, the device
-        names against the device registry and the override names against
-        the experiment's parameters — all fail here, at submission, never
-        mid-dispatch.  ``strict_devices`` mirrors the CLI: ``run`` (and
-        the service) raise when a device list does not fit the
-        experiment; ``run-all`` passes ``False`` and applies the list
-        only where it fits.
+        names against the device registry, the override names against
+        the experiment's parameters, each override value against its
+        default's type (:func:`_fits`), and the resolved parameters
+        against the experiment's axis declaration (a negative run count
+        fails in :func:`~repro.experiments.axes.plan_sweep`) — all fail
+        here, at submission, never mid-dispatch.  ``strict_devices``
+        mirrors the CLI: ``run`` (and the service) raise when a device
+        list does not fit the experiment; ``run-all`` passes ``False``
+        and applies the list only where it fits.
         """
         exp = get_experiment(spec.experiment_id)  # fail fast on unknown ids
         overrides = dict(spec.overrides)
@@ -357,7 +395,16 @@ class JobRunner:
                     strict=strict_devices,
                 )
             )
-        exp.resolve_params(spec.scale, overrides)  # unknown names fail here
+        params = exp.resolve_params(spec.scale, overrides)  # unknown names
+        defaults = exp.params_for(spec.scale) if overrides else {}
+        for name, value in overrides.items():
+            if not _fits(defaults[name], value):
+                raise ConfigurationError(
+                    f"{spec.experiment_id}: override {name!r} must be "
+                    f"{_kind(defaults[name])}, got {value!r}"
+                )
+        if exp.axes:
+            plan_sweep(exp, params)  # axis sizes: a negative count fails
         return overrides
 
     def plan_cells(self, spec: JobSpec, *, strict_devices: bool = True) -> list[Cell]:
@@ -386,11 +433,11 @@ class JobRunner:
     def run(self, spec: JobSpec, *, strict_devices: bool = True) -> JobOutcome:
         """Execute one job through the full lifecycle; returns the outcome.
 
-        Each planned cell is probed and, on a miss, dispatched and
-        stored; a decomposed job is reassembled bit-exactly with
-        ``combine_cells``.  A cell deleted between the ``contains`` probe
-        and the payload read (GC, a concurrent process) degrades to a
-        clean recompute — a daemon under traffic hits that window.
+        Each planned cell is read from the cache and, on a miss,
+        dispatched and stored; a decomposed job is reassembled bit-exactly
+        with ``combine_cells``.  A missing entry is a clean miss; a
+        corrupt one warns once (:meth:`~repro.harness.results.ResultCache.
+        lookup`) and is recomputed.
         """
         start = time.perf_counter()
         overrides, cells = self._plan(spec, strict_devices)
@@ -419,10 +466,8 @@ class JobRunner:
         return job
 
     def _run_cell(self, cell: Cell) -> tuple[ExperimentResult, CellOutcome]:
-        """One cache cell: probe, then dispatch + store on a miss."""
-        result = None
-        if self.cache is not None and self.cache.contains(cell.key):
-            result = self.cache.lookup(cell.key)
+        """One cache cell: one read, then dispatch + store on a miss."""
+        result = None if self.cache is None else self.cache.lookup(cell.key)
         hit = result is not None
         if not hit:
             result = self.execute(cell)

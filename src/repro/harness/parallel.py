@@ -26,6 +26,14 @@ Example
 Experiments that declare no axes
 (:attr:`~repro.experiments.base.Experiment.axes`) transparently fall back
 to serial execution, so ``run-all --workers N`` is always safe.
+
+Every worker pins its own code fingerprint when it starts
+(:func:`repro.harness.fingerprint.snapshot`) and returns that tree digest
+with each shard.  The parent merges only shards computed under the tree
+it pinned for its own cache keys; any other digest raises
+:class:`CodeMismatchError` (an edit landed between the parent's pin and
+the pool's spawn), so no result is ever keyed under code that did not
+compute it.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ from ..errors import ConfigurationError, ExperimentError
 from ..experiments.axes import plan_sweep
 from ..experiments.base import Experiment, ExperimentResult, get_experiment
 from ..runtime import RunContext
+from . import fingerprint as _fingerprint
 
-__all__ = ["ShardedExecutor", "default_workers"]
+__all__ = ["ShardedExecutor", "CodeMismatchError", "default_workers"]
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -48,6 +57,13 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Pool start method: ``spawn`` is the only portable choice (``fork``
 #: would inherit live NumPy state), and what the executor is tested with.
 _START_METHOD = "spawn"
+
+
+class CodeMismatchError(ExperimentError):
+    """A pool worker runs a different source tree than the one the parent
+    process pinned for its cache keys: its shards are refused, nothing is
+    stored, and the pool is shut down.  Restart the process to pick up
+    the edit."""
 
 
 def default_workers() -> int:
@@ -72,8 +88,13 @@ def default_workers() -> int:
     return workers
 
 
+#: This worker's pinned tree digest (set by :func:`_worker_initializer`).
+_WORKER_TREE: str | None = None
+
+
 def _worker_initializer(backend_mode: str) -> None:
-    """Pool initializer: forward the parent's backend selection.
+    """Pool initializer: forward the parent's backend selection and pin
+    this worker's code fingerprint.
 
     ``spawn`` workers re-import the library with a fresh environment, so a
     parent whose backend was selected via :func:`repro.backend.set_backend`
@@ -81,21 +102,34 @@ def _worker_initializer(backend_mode: str) -> None:
     different backend than it merges under.  Bits are backend-invariant,
     but the selection contract — and cache-key hygiene — must hold in every
     process of the pool.
+
+    The pin never raises here: a failed read is recorded as the digest
+    and reported with the first shard, because an initializer that raises
+    makes the pool respawn the worker forever and the parent hang.
     """
+    global _WORKER_TREE
     _backend.set_backend(backend_mode)
+    try:
+        _WORKER_TREE = _fingerprint.snapshot().fingerprint
+    except Exception as exc:  # noqa: BLE001 - reported by the parent
+        _WORKER_TREE = f"unreadable ({type(exc).__name__}: {exc})"
 
 
-def _shard_task(task: tuple) -> dict:
+def _shard_task(task: tuple) -> tuple[str | None, dict | None]:
     """Worker entry point: evaluate one shard's run window.
 
     Module-level (picklable by qualified name) and parameterised only by
     primitives, so it survives the ``spawn`` start method — each worker
-    re-imports the library and rebuilds the experiment registry.
+    re-imports the library and rebuilds the experiment registry.  Returns
+    ``(worker tree digest, payload)``; a worker whose tree differs from
+    the parent's (``tree``) skips the work and returns no payload.
     """
-    experiment_id, scale, seed, overrides, lo, hi = task
+    experiment_id, scale, seed, overrides, lo, hi, tree = task
+    if _WORKER_TREE != tree:
+        return _WORKER_TREE, None
     exp = get_experiment(experiment_id)
     params = exp.resolve_params(scale, overrides)
-    return exp.shard_run(RunContext(seed=seed), params, lo, hi)
+    return _WORKER_TREE, exp.shard_run(RunContext(seed=seed), params, lo, hi)
 
 
 class ShardedExecutor:
@@ -195,12 +229,21 @@ class ShardedExecutor:
             result.meta.update(workers=1, shards=1)
             return result
         start = time.perf_counter()
+        tree = _fingerprint.snapshot().fingerprint
         tasks = [
-            (experiment_id, scale, seed, dict(overrides), lo, hi)
+            (experiment_id, scale, seed, dict(overrides), lo, hi, tree)
             for lo, hi in shards
         ]
-        parts = self._get_pool().map(_shard_task, tasks)
-        payload = exp.merge_shards(params, parts)
+        replies = self._get_pool().map(_shard_task, tasks)
+        foreign = sorted({t for t, _ in replies if t != tree})
+        if foreign:
+            self.close()  # its workers run other code: never reuse them
+            raise CodeMismatchError(
+                f"{experiment_id}: pool workers run source tree(s) {foreign}, "
+                f"but this process pinned {tree} for its cache keys; the "
+                "source changed after this process started — restart it"
+            )
+        payload = exp.merge_shards(params, [part for _, part in replies])
         rows, notes, extra = exp.finalize(RunContext(seed=seed), params, payload)
         elapsed = time.perf_counter() - start
         return ExperimentResult(

@@ -145,11 +145,9 @@ def code_fingerprint() -> str:
     changes this fingerprint.  Since the farm PR it is only the
     *fallback* key material, for results that map onto no registered
     experiment; experiment invocations key on the module-granular
-    :func:`experiment_fingerprint` instead.  A repeated call costs one
-    stat walk of the package: while no file's ``(mtime_ns, size)`` moved,
-    the value comes from the in-process snapshot
-    (:func:`repro.harness.fingerprint.snapshot`) without re-reading a
-    source file.
+    :func:`experiment_fingerprint` instead.  The value is the process's
+    pinned snapshot's (:func:`repro.harness.fingerprint.snapshot`): the
+    tree as read at the first key derivation, not re-read afterwards.
     """
     return _fingerprint.package_fingerprint()
 
@@ -248,10 +246,11 @@ def cache_key(
     ``fingerprint`` explicitly to pin a key to a specific code state
     (tests; the farm's previous-generation probes).
 
-    Deriving the default costs one stat walk of the package plus
-    dictionary lookups while the source tree is unchanged; an edit,
-    addition or removal on disk is seen by the very next call, which
-    re-reads only the files that moved.
+    The default is derived from the process's pinned snapshot
+    (:func:`repro.harness.fingerprint.snapshot`): after the first key, a
+    key costs dictionary lookups and touches no file.  A process keys
+    the tree it pinned — the code it is running — so an on-disk edit
+    leaves its keys unchanged, and a restart picks the edit up.
     """
     from .. import backend as _backend
 

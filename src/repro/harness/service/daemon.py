@@ -25,15 +25,22 @@ wherever the library runs.  Design:
   keep answering throughout — then closes its sockets and exits
   cleanly.
 * **Observability.**  ``GET /stats`` reports throughput, cache-hit
-  rate, queue depth, latency percentiles and the executor's dispatch /
-  pool counters; ``GET /jobs/<id>`` exposes the per-cell hit/miss
-  provenance of a finished job.  Only the most recent finished records
-  are kept (:data:`_FINISHED_RECORDS_KEPT`), so memory stays bounded
-  under any volume of traffic.
+  rate, queue depth, latency percentiles, the executor's dispatch /
+  pool counters and the code identity the daemon keys under (the
+  package fingerprint of its pinned snapshot, :mod:`repro.harness.
+  fingerprint`, and when it was pinned); ``GET /jobs/<id>`` exposes
+  the per-cell hit/miss provenance of a finished job.  Only the most
+  recent finished records are kept (:data:`_FINISHED_RECORDS_KEPT`), so
+  memory stays bounded under any volume of traffic.
 
 Validation happens at admission: unknown experiment ids, unknown device
-names, malformed or unknown overrides and unknown body fields are 400s
-produced by the job core's named errors, never mid-run failures.
+names, malformed or unknown overrides, override values of the wrong type
+or out of range, and unknown body fields are 400s produced by the job
+core's named errors, never mid-run failures.
+
+The daemon pins its code fingerprint when it starts: it keys every
+result under the tree it imported, so an edit on disk changes none of
+its keys until it is restarted.
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from urllib.parse import parse_qs, urlsplit
 
 from ...errors import ReproError
 from ...experiments import get_experiment, list_experiments
+from .. import fingerprint as _fingerprint
 from ..jobs import JobOutcome, JobRunner, JobSpec
 from ..results import is_key_shaped
 
@@ -262,7 +271,9 @@ class ExperimentService:
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        """Bind the listening socket and launch the queue worker."""
+        """Pin the code fingerprint, bind the listening socket and launch
+        the queue worker."""
+        _fingerprint.snapshot()
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -479,6 +490,12 @@ class ExperimentService:
             "workers": getattr(executor, "workers", 1),
             "dispatches": getattr(executor, "dispatches", None),
             "pools_created": getattr(executor, "pools_created", None),
+        }
+        code = _fingerprint.snapshot()
+        doc["code"] = {
+            "package_fingerprint": code.fingerprint,
+            "pinned_at": datetime.fromtimestamp(code.pinned_at, timezone.utc)
+            .isoformat(timespec="seconds"),
         }
         return doc
 

@@ -168,6 +168,21 @@ class TestPlanGrid:
             SweepFarm(cache, ExplodingExecutor()).run(cells)
         assert not cache.directory.exists() or not any(cache.directory.iterdir())
 
+    @pytest.mark.parametrize(
+        "fig4_overrides, fragment",
+        [({"n_runs": -1}, "must be >= 0"), ({"n_runs": "x"}, "n_runs")],
+    )
+    def test_bad_override_value_fails_planning_before_anything_is_stored(
+        self, tmp_path, fig4_overrides, fragment
+    ):
+        # Values are checked while planning too: against the default's
+        # type, then through the axis planner (a negative run count).
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ConfigurationError, match=fragment):
+            cells = plan_grid(["table2", "fig4"], overrides={"fig4": fig4_overrides})
+            SweepFarm(cache, ExplodingExecutor()).run(cells)
+        assert not cache.directory.exists() or not any(cache.directory.iterdir())
+
 
 class TestFarmRuns:
     def test_cold_then_warm(self, tmp_path):
@@ -369,6 +384,7 @@ class TestModuleGranularInvalidation:
         dst = tmp_path / "repro"
         shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
         monkeypatch.setattr(fingerprint, "package_root", lambda: (dst, "repro"))
+        fingerprint.repin()
         return dst
 
     def test_single_module_edit_recomputes_only_dependents(
@@ -387,6 +403,8 @@ class TestModuleGranularInvalidation:
 
         gnn = patched_root / "experiments" / "_gnn.py"
         gnn.write_text(gnn.read_text() + "\n# farm-test edit\n")
+        assert farm.run(plan_grid(ids), probe_only=True).n_misses == 0  # pinned
+        fingerprint.repin()
         stale = farm.run(plan_grid(ids), probe_only=True)
         assert {c.experiment_id for c in stale.misses} == {"table7", "table8"}
         assert {c.experiment_id for c in stale.hits} == {"fig5", "table2", "maxvs"}

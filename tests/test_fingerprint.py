@@ -5,8 +5,9 @@ extraction and closure semantics (resolution depth, relative levels,
 cycles, the deliberate no-ancestor-``__init__`` rule), and a copied
 ``repro`` tree with a monkeypatched :func:`~repro.harness.fingerprint.package_root`
 exercises real edits — the invalidation contract the result cache keys on:
-an edit changes exactly the fingerprints of the experiments whose closure
-reaches the edited module.
+once the tree is re-pinned, an edit changes exactly the fingerprints of
+the experiments whose closure reaches the edited module, and until then
+it changes nothing.
 """
 
 from __future__ import annotations
@@ -137,9 +138,8 @@ def _ast_walk_targets(path: Path, module: str, is_package: bool) -> tuple[str, .
 
 
 def _targets_both_ways(path: Path, module: str, is_package: bool = False):
-    st = path.stat()
     new = fingerprint._import_targets(
-        str(path), (st.st_mtime_ns, st.st_size), module, is_package
+        path.read_bytes(), str(path), module, is_package
     )
     return new, _ast_walk_targets(path, module, is_package)
 
@@ -228,7 +228,7 @@ class TestStatementWalk:
         root = Path(repro.__file__).resolve().parent
         modules = fingerprint._walk(str(root), "repro")
         assert len(modules) > 50
-        for name, (path, _sig) in modules.items():
+        for name, path in modules.items():
             is_package = path.endswith("__init__.py")
             new, old = _targets_both_ways(Path(path), name, is_package)
             assert new == old, name
@@ -266,29 +266,47 @@ class TestTransitiveClosure:
             transitive_closure("pkg.nosuch", root=root, package="pkg")
 
 
-class TestMemoization:
-    def test_hash_memo_invalidates_on_edit(self, tmp_path):
+class TestPinning:
+    """A snapshot is pinned at the first call: edits on disk stay
+    invisible until an explicit :func:`~repro.harness.fingerprint.repin`."""
+
+    def test_module_hashes_move_only_on_repin(self, tmp_path):
         root = _make_pkg(tmp_path, {"__init__.py": "", "a.py": "x = 1\n"})
         before = module_hashes(root, "pkg")
-        assert module_hashes(root, "pkg") == before  # memo hit, same bits
         (root / "a.py").write_text("x = 2  # edited\n")
+        assert module_hashes(root, "pkg") == before  # still the pinned tree
+        fingerprint.repin(root, "pkg")
         after = module_hashes(root, "pkg")
         assert after["pkg.a"] != before["pkg.a"]
         assert after["pkg"] == before["pkg"]
 
-    def test_import_memo_invalidates_on_edit(self, tmp_path):
+    def test_import_graph_moves_only_on_repin(self, tmp_path):
         root = _make_pkg(tmp_path, {
             "__init__.py": "", "a.py": "x = 1\n", "b.py": "y = 2\n",
         })
         assert import_graph(root, "pkg")["pkg.a"] == frozenset()
         (root / "a.py").write_text("from . import b\n")
+        assert import_graph(root, "pkg")["pkg.a"] == frozenset()
+        fingerprint.repin(root, "pkg")
         assert import_graph(root, "pkg")["pkg.a"] == frozenset({"pkg.b"})
 
     def test_package_fingerprint_tracks_any_edit(self, tmp_path):
         root = _make_pkg(tmp_path, {"__init__.py": "", "a.py": "x = 1\n"})
         before = package_fingerprint(root, "pkg")
         (root / "a.py").write_text("x = 1  # docstring-level edit\n")
+        fingerprint.repin(root, "pkg")
         assert package_fingerprint(root, "pkg") != before
+
+    def test_lazy_parse_reads_the_pinned_bytes(self, tmp_path):
+        # The import edges come from the bytes read at the pin, never
+        # from a later on-disk state, even for a module not parsed yet.
+        root = _make_pkg(tmp_path, {
+            "__init__.py": "", "a.py": "from . import b\n", "b.py": "",
+            "c.py": "",
+        })
+        snap = fingerprint.snapshot(root, "pkg")
+        (root / "a.py").write_text("from . import c\n")
+        assert snap.deps("pkg.a") == frozenset({"pkg.b"})
 
 
 class TestFingerprintDelta:
@@ -314,18 +332,23 @@ def repro_copy(tmp_path_factory):
 
 @pytest.fixture()
 def patched_root(repro_copy, monkeypatch):
-    """Point the fingerprint machinery at the copied tree."""
+    """Point the fingerprint machinery at the copied tree, freshly pinned."""
     monkeypatch.setattr(fingerprint, "package_root", lambda: (repro_copy, "repro"))
+    fingerprint.repin()
     return repro_copy
 
 
-def _edit(path: Path) -> None:
+def _edit(path: Path, *, repin: bool = True) -> None:
+    """Append a comment to ``path``; re-pin unless told not to."""
     path.write_text(path.read_text() + "\n# fingerprint-test edit\n")
+    if repin:
+        fingerprint.repin()
 
 
 def _unedit(path: Path) -> None:
     text = path.read_text()
     path.write_text(text.replace("\n# fingerprint-test edit\n", ""))
+    fingerprint.repin()
 
 
 class TestExperimentInvalidation:
@@ -382,8 +405,8 @@ class TestExperimentInvalidation:
 
 
 class TestSnapshot:
-    """The per-process snapshot: one stat walk per call, every on-disk
-    change seen by the very next call, no memo reset between steps."""
+    """The per-process snapshot: pinned at the first key, served with no
+    file-system access afterwards, re-read only by an explicit re-pin."""
 
     def test_added_module_enters_the_closure_once_imported(self, patched_root):
         from repro.harness import cache_key
@@ -394,15 +417,19 @@ class TestSnapshot:
         fp0, key0 = experiment_fingerprint("fig1"), cache_key("fig1", "default", 0)
         try:
             extra.write_text("PROBE = 1\n")
+            assert "repro.fp._snapshot_probe" not in module_hashes()  # pinned
+            fingerprint.repin()
             assert "repro.fp._snapshot_probe" in module_hashes()
             assert experiment_fingerprint("fig1") == fp0  # not imported yet
             importer.write_bytes(original + b"\nfrom . import _snapshot_probe\n")
+            fingerprint.repin()
             assert "repro.fp._snapshot_probe" in fingerprint.closure_hashes("fig1")
             assert experiment_fingerprint("fig1") != fp0
             assert cache_key("fig1", "default", 0) != key0
         finally:
             importer.write_bytes(original)
             extra.unlink(missing_ok=True)
+            fingerprint.repin()
         assert "repro.fp._snapshot_probe" not in module_hashes()
         assert experiment_fingerprint("fig1") == fp0
         assert cache_key("fig1", "default", 0) == key0
@@ -414,49 +441,74 @@ class TestSnapshot:
         assert "repro.experiments._gnn" in fingerprint.closure_hashes("table7")
         target.unlink()
         try:
+            fingerprint.repin()
             assert "repro.experiments._gnn" not in module_hashes()
             assert experiment_fingerprint("table7") != before
         finally:
             target.write_bytes(original)
+            fingerprint.repin()
         assert experiment_fingerprint("table7") == before
 
-    def test_warm_cache_key_reads_and_parses_nothing(self, patched_root, monkeypatch):
-        import ast
+    def test_edit_leaves_the_key_unchanged_and_touches_no_file(self, patched_root):
+        import os
 
         from repro.harness import cache_key
 
         target = patched_root / "fp" / "summation.py"
-        key = cache_key("fig1", "default", 0)  # warm the snapshot
-        calls = {"read_bytes": 0, "parse": 0}
-        read_bytes, parse = Path.read_bytes, ast.parse
+        key = cache_key("fig1", "default", 0)  # pins and warms the closure
+        _edit(target, repin=False)
+        calls = {"scandir": 0, "read_bytes": 0, "parse": 0}
 
-        def counting_read_bytes(self):
-            calls["read_bytes"] += 1
-            return read_bytes(self)
+        def counting(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
 
-        def counting_parse(*args, **kwargs):
-            calls["parse"] += 1
-            return parse(*args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
-        monkeypatch.setattr(ast, "parse", counting_parse)
-        assert cache_key("fig1", "default", 0) == key
-        assert cache_key("fig1", "default", 0) == key
-        assert calls == {"read_bytes": 0, "parse": 0}
-        # The counters do see the cold path: an edit re-reads the edited
-        # file (once to hash, once to parse) and nothing else.
-        _edit(target)
         try:
-            assert cache_key("fig1", "default", 0) != key
-            assert calls == {"read_bytes": 2, "parse": 1}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "scandir", counting("scandir", os.scandir))
+                mp.setattr(Path, "read_bytes", counting("read_bytes", Path.read_bytes))
+                mp.setattr(ast, "parse", counting("parse", ast.parse))
+                assert cache_key("fig1", "default", 0) == key
+                assert cache_key("fig1", "default", 0) == key
+                assert calls == {"scandir": 0, "read_bytes": 0, "parse": 0}
+                # The counters do see the re-pin: it walks and reads the tree.
+                fingerprint.repin()
+                assert calls["scandir"] > 0 and calls["read_bytes"] > 0
+                assert cache_key("fig1", "default", 0) != key
         finally:
             _unedit(target)
         assert cache_key("fig1", "default", 0) == key
 
+    @pytest.mark.parametrize(
+        "edited", ["repro.experiments._gnn", "repro.metrics.distribution"]
+    )
+    def test_repin_moves_exactly_the_closures_holding_the_edit(
+        self, patched_root, edited
+    ):
+        from repro.experiments import list_experiments
+        from repro.harness import cache_key
+
+        ids = list_experiments()
+        keys = {eid: cache_key(eid, "default", 0) for eid in ids}
+        holders = {eid for eid in ids if edited in fingerprint.closure_hashes(eid)}
+        assert holders and holders != set(ids)
+        target = patched_root.joinpath(*edited.split(".")[1:]).with_suffix(".py")
+        _edit(target, repin=False)
+        try:
+            assert {eid: cache_key(eid, "default", 0) for eid in ids} == keys
+            fingerprint.repin()
+            moved = {eid for eid in ids if cache_key(eid, "default", 0) != keys[eid]}
+            assert moved == holders
+        finally:
+            _unedit(target)
+        assert {eid: cache_key(eid, "default", 0) for eid in ids} == keys
+
     def test_lazy_closure_is_the_full_graph_closure(self, patched_root):
         from repro.experiments import get_experiment, list_experiments
 
-        fingerprint.invalidate_memo()
+        fingerprint.repin()
         lazy = {
             eid: frozenset(fingerprint.closure_hashes(eid))
             for eid in list_experiments()
@@ -475,13 +527,13 @@ class TestSnapshot:
             parsed.append(str(filename))
             return parse(source, filename, *args, **kwargs)
 
-        fingerprint.invalidate_memo()
+        fingerprint.repin()
         monkeypatch.setattr(ast, "parse", recording_parse)
         members = fingerprint.closure_hashes("fig4")
         n_modules = len(module_hashes())
         assert len(parsed) == len(members) < n_modules
         assert {Path(p).resolve() for p in parsed} == {
-            Path(fingerprint.snapshot().signature[name][0]).resolve()
+            Path(fingerprint.snapshot().paths[name]).resolve()
             for name in members
         }
 
@@ -491,7 +543,7 @@ class TestSnapshot:
         from repro.experiments import get_experiment, list_experiments
 
         warm = {eid: experiment_fingerprint(eid) for eid in list_experiments()}
-        fingerprint.invalidate_memo()
+        fingerprint.repin()
         graph = import_graph()
 
         def source(module: str) -> Path:

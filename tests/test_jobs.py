@@ -125,6 +125,38 @@ class TestPlanCells:
         with pytest.raises(ExperimentError, match="bogus"):
             runner.plan_cells(JobSpec("fig4", overrides={"bogus": 1}))
 
+    @pytest.mark.parametrize("eid, overrides, fragment", [
+        ("fig4", {"n_runs": "x"}, "'n_runs' must be of type int"),
+        ("fig4", {"n_runs": True}, "'n_runs' must be of type int"),
+        ("fig4", {"n_runs": 2.5}, "'n_runs' must be of type int"),
+        ("fig4", {"ratios": 0.5}, "'ratios' must be a list of float"),
+        ("fig4", {"ratios": ["a"]}, "'ratios' must be a list of float"),
+        ("fig1", {"device": 3}, "'device' must be of type str"),
+        ("table5", {"rich_grid": 1}, "'rich_grid' must be of type bool"),
+        ("fig4", {"n_runs": -1}, "axis 'run' size must be >= 0"),
+        ("seedens", {"n_runs": -2}, "must be >= 0"),
+    ])
+    def test_bad_override_value_fails_at_plan(self, eid, overrides, fragment):
+        runner = JobRunner(None, None)
+        with pytest.raises(ConfigurationError, match=fragment):
+            runner.plan_overrides(JobSpec(eid, overrides=overrides))
+        with pytest.raises(ConfigurationError, match=fragment):
+            runner.plan_cells(JobSpec(eid, overrides=overrides))
+
+    @pytest.mark.parametrize("eid, overrides", [
+        ("fig4", {"ratios": [0.5, 1], "n_runs": 0}),  # an int fits a float
+        ("cgdiv", {"cond": 100, "tol": 1e-6}),
+        ("fig1", {"n_blocks": 64}),  # a None default declares no type
+        ("table5", {"rich_grid": False}),
+        ("seedens", {"seeds": [0, 1], "devices": ["v100", "lpu"],
+                     "n_elements": 1000, "n_arrays": 2, "n_runs": 6}),
+    ])
+    def test_well_typed_overrides_pass_planning(self, eid, overrides):
+        planned = JobRunner(None, None).plan_overrides(
+            JobSpec(eid, overrides=overrides)
+        )
+        assert planned == JobSpec(eid, overrides=overrides).overrides
+
     def test_unknown_device_fails_at_plan(self):
         runner = JobRunner(None, None)
         with pytest.raises(ConfigurationError, match="warp9"):
@@ -223,6 +255,37 @@ class TestJobRunnerLifecycle:
         direct = get_experiment("fig4").run(ctx=RunContext(seed=1), n_runs=3)
         assert out.result.rows == direct.rows
         assert out.result.extra == direct.extra
+
+    def test_a_hit_is_one_read(self, tmp_path, monkeypatch):
+        runner = self._runner(tmp_path)
+        spec = JobSpec("table2")
+        runner.run(spec)
+        calls = {"contains": 0, "read_meta": 0, "lookup": 0}
+        for name in calls:
+            original = getattr(ResultCache, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ResultCache, name, counted)
+        assert runner.run(spec).cached
+        assert calls == {"contains": 0, "read_meta": 0, "lookup": 1}
+
+    def test_corrupt_entry_warns_once_and_recomputes(self, tmp_path):
+        import warnings
+
+        runner = self._runner(tmp_path)
+        spec = JobSpec("table2")
+        cold = runner.run(spec)
+        runner.cache.path_for(cold.cells[0].key).write_text("{not json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = runner.run(spec)
+        corrupt = [w for w in caught if "corrupted result-cache" in str(w.message)]
+        assert len(corrupt) == 1
+        assert not again.cached and again.digest == cold.digest
+        assert runner.run(spec).cached  # the recompute was stored
 
     def test_no_cache_runner_always_recomputes(self, tmp_path):
         runner = JobRunner(ShardedExecutor(workers=1), None)

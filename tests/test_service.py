@@ -20,6 +20,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from datetime import datetime, timezone
 
 import pytest
 
@@ -242,6 +243,14 @@ class TestServiceEndpoints:
         assert after["executor"]["dispatches"] == before
         assert after["jobs_cached"] >= 1 and after["hit_rate"] > 0
 
+    def test_stats_report_the_pinned_code_identity(self, service):
+        from repro.harness import fingerprint
+
+        code = _get(service.base_url + "/stats")["code"]
+        assert code["package_fingerprint"] == fingerprint.package_fingerprint()
+        pinned = datetime.fromisoformat(code["pinned_at"])
+        assert pinned <= datetime.now(timezone.utc)
+
     def test_results_endpoint_serves_the_cache_directly(self, service):
         _post(service.base_url + "/jobs?wait=1", {"experiment_id": "table2"})
         key = cache_key("table2", "default", 0)
@@ -291,6 +300,10 @@ class TestServiceEndpoints:
                          "overrides": [["n_runs", 3]]}).encode(), "overrides"),
             (json.dumps({"experiment_id": "figS1",
                          "devices": 5}).encode(), "devices"),
+            (json.dumps({"experiment_id": "fig4",
+                         "overrides": {"n_runs": "x"}}).encode(), "n_runs"),
+            (json.dumps({"experiment_id": "fig4",
+                         "overrides": {"n_runs": -1}}).encode(), "must be >= 0"),
         ]:
             status, body = _post_error(url, payload)
             assert status == 400, (payload, body)
@@ -400,13 +413,13 @@ class TestServiceEndpoints:
             assert exc.value.code == 404
 
     def test_failed_job_does_not_kill_the_daemon(self, service):
-        # An override that passes admission (a known name) but fails at
-        # dispatch (a negative run count) must surface as a failed
-        # record, not as a dead worker task.
+        # An override that passes admission (a known name, a well-typed
+        # value) but fails at dispatch (no thread team of size zero) must
+        # surface as a failed record, not as a dead worker task.
         doc = _post(service.base_url + "/jobs?wait=1",
-                    {"experiment_id": "fig4", "overrides": {"n_runs": -1}})
+                    {"experiment_id": "table3", "overrides": {"num_threads": 0}})
         assert doc["status"] == "failed"
-        assert "must be >= 0" in doc["error"]
+        assert "num_threads must be >= 1" in doc["error"]
         follow = _post(service.base_url + "/jobs?wait=1",
                        {"experiment_id": "table2"})
         assert follow["status"] == "done"

@@ -422,3 +422,84 @@ class TestExecutorLongevity:
                 f"fd count grew {fds_before} -> {fds_after} across "
                 "sequential job submissions"
             )
+
+
+#: Bound on a refused sharded job: a pool spawn plus one import of the
+#: library per worker (a few seconds on a 2-CPU container), never a hang.
+_GUARD_BOUND_S = 60.0
+
+
+class TestPoolTreeGuard:
+    """Workers pin their own tree digest and report it with each shard;
+    the parent refuses shards of any tree but the one it keyed under."""
+
+    def test_initializer_never_raises(self, monkeypatch):
+        from repro import backend
+        from repro.harness import fingerprint, parallel
+
+        def unreadable(*args, **kwargs):
+            raise OSError("package tree vanished")
+
+        monkeypatch.setattr(parallel, "_WORKER_TREE", None)
+        monkeypatch.setattr(fingerprint, "snapshot", unreadable)
+        before = backend.backend_mode()
+        try:
+            parallel._worker_initializer("numpy")  # must not raise
+        finally:
+            backend.set_backend(before)
+        assert parallel._WORKER_TREE.startswith("unreadable (OSError")
+
+    def test_foreign_tree_skips_the_work(self, monkeypatch):
+        from repro.harness import parallel
+
+        monkeypatch.setattr(parallel, "_WORKER_TREE", "a" * 64)
+        monkeypatch.setattr(parallel, "get_experiment", None)  # not reached
+        task = ("fig4", "default", 0, {"n_runs": 4}, 0, 2, "b" * 64)
+        assert parallel._shard_task(task) == ("a" * 64, None)
+
+    def test_worker_on_an_edited_tree_fails_fast_and_stores_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import shutil
+        import threading
+        import time
+        from pathlib import Path
+
+        import repro
+        from repro.harness import fingerprint
+        from repro.harness.jobs import JobRunner, JobSpec
+        from repro.harness.parallel import CodeMismatchError
+        from repro.harness.results import ResultCache
+
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(
+            Path(repro.__file__).resolve().parent, copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(fingerprint, "package_root", lambda: (copy, "repro"))
+        # Spawn workers take the parent's sys.path, so they import the copy.
+        monkeypatch.syspath_prepend(str(copy.parent))
+        cache = ResultCache(tmp_path / "cache")
+        spec = JobSpec("fig4", overrides={"n_runs": 6})
+        fingerprint.repin()  # the parent pins the unedited copy
+        target = copy / "experiments" / "fig4.py"
+        target.write_text(target.read_text() + "\n# edited after the pin\n")
+
+        outcome: dict = {}
+        with ShardedExecutor(workers=2) as ex:
+            def job():
+                try:
+                    outcome["job"] = JobRunner(ex, cache).run(spec)
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    outcome["error"] = exc
+
+            start = time.monotonic()
+            thread = threading.Thread(target=job, daemon=True)
+            thread.start()
+            thread.join(_GUARD_BOUND_S)
+            elapsed = time.monotonic() - start
+            assert not thread.is_alive(), f"guard hung for {elapsed:.0f}s"
+            assert ex._pool is None  # the mismatched pool was shut down
+        assert isinstance(outcome.get("error"), CodeMismatchError), outcome
+        assert "restart" in str(outcome["error"])
+        assert not list(cache.directory.glob("*.json"))  # nothing stored
