@@ -2,40 +2,37 @@
 
 The conclusions note inter-node communication adds run-to-run variation in
 distributed settings.  This bench sweeps rank counts for the
-arrival-ordered tree allreduce and verifies (a) variability grows with rank
-count and (b) the ring algorithm is bitwise stable at any scale.
+arrival-ordered tree allreduce of :mod:`repro.gpusim.collectives` and
+verifies (a) variability grows with rank count and (b) in-order arrival
+fixes the combine order: one result at any scale, bit-identical across
+ring, tree and butterfly.
 """
 
-import numpy as np
-
-from repro.metrics import count_variability
-from repro.openmp import RankReducer
+from repro.gpusim.collectives import TOPOLOGIES, arrival_orders, collective_fold_runs
 from repro.runtime import RunContext
 
 from conftest import run_once
 
 
-def _vc_across_runs(n_ranks, ctx, n_runs=12):
-    contribs = ctx.data(5).standard_normal((n_ranks, 20_000))
-    red = RankReducer(n_ranks, algorithm="tree", ctx=ctx)
-    ref = red.allreduce(contribs)
-    return float(np.mean([
-        count_variability(ref, red.allreduce(contribs)) for _ in range(n_runs)
-    ]))
+def _distinct_sums(n_ranks, ctx, *, topology="tree", policy="uniform"):
+    """Distinct allreduce results over 64 runs of one configuration."""
+    partials = RunContext(5).data().standard_normal(n_ranks)
+    orders = arrival_orders(topology, n_ranks, 64, ctx, policy=policy)
+    return {s.tobytes() for s in collective_fold_runs(partials, orders)}
 
 
 def test_allreduce_variability_grows_with_ranks(benchmark):
     def ablate():
         ctx = RunContext(0)
-        return _vc_across_runs(4, ctx), _vc_across_runs(64, ctx)
+        return len(_distinct_sums(4, ctx)), len(_distinct_sums(64, ctx))
 
-    vc4, vc64 = run_once(benchmark, ablate)
-    assert vc64 > vc4
+    n4, n64 = run_once(benchmark, ablate)
+    assert n64 > n4
 
 
-def test_ring_allreduce_is_stable(benchmark, ctx):
-    contribs = ctx.data(5).standard_normal((16, 20_000))
-    red = RankReducer(16, algorithm="ring", ctx=ctx)
-    ref = benchmark(red.allreduce, contribs)
-    outs = {red.allreduce(contribs).tobytes() for _ in range(5)}
+def test_inorder_allreduce_is_stable(benchmark, ctx):
+    outs = benchmark(lambda: {
+        s for name in TOPOLOGIES
+        for s in _distinct_sums(64, ctx, topology=name, policy="inorder")
+    })
     assert len(outs) == 1

@@ -8,7 +8,7 @@ This example:
 1. runs the same `index_add` aggregation on the simulated GPU (variable
    bits, variable timing) and on the LPU model (fixed bits, fixed cycles),
 2. compiles a two-layer GraphSAGE inference program for the LPU and prints
-   its static schedule and unit utilisation,
+   its static schedule,
 3. reproduces the Table 6/8 runtime comparisons from the cost models.
 
 Run:  python examples/deterministic_hardware.py
@@ -62,8 +62,6 @@ def main() -> None:
     for s in compiled.schedule:
         print(f"  {s.node.name:<8} on {s.unit:<3} "
               f"[{s.start_cycle:>9.0f} .. {s.end_cycle:>9.0f}]")
-    util = compiled.unit_utilisation()
-    print("unit utilisation: " + ", ".join(f"{u}={v:.0%}" for u, v in util.items()))
     print(f"total: {compiled.total_cycles:,.0f} cycles = {compiled.runtime_us:.1f} us "
           "(known before the first run - the paper reports LPU times without "
           "error bars for exactly this reason)")

@@ -1,5 +1,8 @@
 """Experiment registry: one module per paper table/figure.
 
+Figs 4 and 5 run one ratio sweep and share one module
+(:mod:`~repro.experiments.ratio_sweep`), which registers both ids.
+
 =========  ==================================================================
 id         paper artifact
 =========  ==================================================================
@@ -14,8 +17,8 @@ table8     Table 8 — GraphSAGE inference runtimes, H100 vs LPU
 fig1       Fig 1 — PDF of Vs for SPA (normal vs uniform inputs)
 fig2       Fig 2 — PDF of Vs for AO (non-normal)
 fig3       Fig 3 — Vc heatmaps vs (input dim, reduction ratio)
-fig4       Fig 4 — Vc vs reduction ratio
-fig5       Fig 5 — Vermv vs reduction ratio
+fig4       Fig 4 — Vc vs reduction ratio (ratio_sweep)
+fig5       Fig 5 — Vermv vs reduction ratio (ratio_sweep)
 maxvs      §III-C — Max |Vs| power-law fit
 figS1      supplementary — SPA Vs across GPU families (paper repo artifact)
 cgdiv      extension — CG iterate divergence (§I narrative)
@@ -50,8 +53,7 @@ from . import (  # noqa: F401
     fig1,
     fig2,
     fig3,
-    fig4,
-    fig5,
+    ratio_sweep,
     maxvs,
     figs_devices,
     cgdiv,

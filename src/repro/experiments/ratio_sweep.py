@@ -1,9 +1,14 @@
-"""Figure 4 — count variability Vc vs reduction ratio.
+"""Figures 4 and 5 — run-to-run variability vs reduction ratio.
 
-Fixed workloads: ``scatter_reduce`` (sum and mean) on 2 000-element 1-D
-arrays; ``index_add`` on 100x100 arrays.  Paper shape: scatter_reduce is
-roughly flat (0.005-0.01) below R = 1 with a jump (~0.10) at R = 1;
-index_add rises approximately linearly with R.
+Both figures run one sweep: ``scatter_reduce`` (sum and mean) on
+2 000-element 1-D arrays and ``index_add`` on 100x100 arrays, over a
+ladder of reduction ratios R.  Fig 4 reports the count variability
+``Vc``, Fig 5 the tensor variability ``Vermv``.
+
+Paper shapes: Fig 4's scatter_reduce is roughly flat (0.005-0.01) below
+R = 1 with a jump (~0.10) at R = 1, and index_add rises approximately
+linearly with R; Fig 5's values sit in the 1e-8 .. 2e-7 band, rising with
+R, with inconsistently sized error bars.
 """
 
 from __future__ import annotations
@@ -13,23 +18,28 @@ from .axes import AxisSpec
 from .base import ShardableExperiment, register
 from ._opruns import SweepCell, sweep_run_payloads, variability_from_payload
 
-__all__ = ["Fig4VcVsRatio"]
+__all__ = ["RatioSweep"]
 
 
-class Fig4VcVsRatio(ShardableExperiment):
-    """Regenerates Fig 4 (Vc vs R for scatter_reduce and index_add).
+class RatioSweep(ShardableExperiment):
+    """Regenerates one of Figs 4/5 (``metric`` Vc or Vermv vs R for
+    scatter_reduce and index_add).
 
     Axis declaration: (cell x run) with the computed (ratio x op) cell
     grid; the sweep kernel manages the per-cell ladder, so the
     declaration drives shard windows and merge tags only.
     """
 
-    experiment_id = "fig4"
-    title = "Fig 4: count variability vs reduction ratio"
     axes = (
         AxisSpec("cell", "config"),
         AxisSpec("run", "run", param="n_runs", shardable=True),
     )
+
+    def __init__(self, experiment_id: str, title: str, metric: str, notes: str) -> None:
+        self.experiment_id = experiment_id
+        self.title = title
+        self.metric = metric  # "vc" or "ermv": the row keys' suffix
+        self.notes = notes
 
     def axis_values(self, spec, params):
         if spec.name == "cell":
@@ -70,25 +80,28 @@ class Fig4VcVsRatio(ShardableExperiment):
 
     def finalize(self, ctx: RunContext, params: dict, payload: dict):
         results = [variability_from_payload(p) for p in payload["cells"]]
+        m = self.metric
         rows: list[dict] = []
         for i, r in enumerate(params["ratios"]):
-            sr_sum, sr_mean, ia = results[3 * i : 3 * i + 3]
-            rows.append(
-                {
-                    "R": r,
-                    "scatter_reduce_sum_vc": sr_sum.vc_mean,
-                    "scatter_reduce_sum_vc_std": sr_sum.vc_std,
-                    "scatter_reduce_mean_vc": sr_mean.vc_mean,
-                    "scatter_reduce_mean_vc_std": sr_mean.vc_std,
-                    "index_add_vc": ia.vc_mean,
-                    "index_add_vc_std": ia.vc_std,
-                }
-            )
-        notes = (
-            "Shape checks: scatter_reduce Vc roughly flat below R=1 and "
-            "jumping at R=1; index_add Vc rising ~linearly with R."
-        )
-        return rows, notes, {}
+            row = {"R": r}
+            for name, res in zip(
+                ("scatter_reduce_sum", "scatter_reduce_mean", "index_add"),
+                results[3 * i : 3 * i + 3],
+            ):
+                row[f"{name}_{m}"] = getattr(res, f"{m}_mean")
+                row[f"{name}_{m}_std"] = getattr(res, f"{m}_std")
+            rows.append(row)
+        return rows, self.notes, {}
 
 
-register(Fig4VcVsRatio())
+register(RatioSweep(
+    "fig4", "Fig 4: count variability vs reduction ratio", "vc",
+    "Shape checks: scatter_reduce Vc roughly flat below R=1 and "
+    "jumping at R=1; index_add Vc rising ~linearly with R.",
+))
+register(RatioSweep(
+    "fig5", "Fig 5: tensor variability (Vermv) vs reduction ratio", "ermv",
+    "Shape checks: Vermv rises with R for index_add; magnitudes in "
+    "the fp32 1e-10 .. 1e-6 band (Vermv averages over all elements, "
+    "so it scales as Vc times the ~1e-7 per-element relative flip).",
+))

@@ -19,9 +19,6 @@ concatenation/reduction per leaf:
     reductions depend only on length, dtype and contiguity).
 :class:`RunList`
     A Python list with one entry per run; shards merge by ``+``.
-:class:`HistSum`
-    A histogram over *fixed* bin edges; counts add elementwise, edges
-    must agree bitwise.
 :class:`DigestSet`
     A set of content digests (e.g. SHA-256 of per-run output bytes);
     shards merge by set union — the bit-exact carrier for "number of
@@ -39,7 +36,7 @@ counting across process boundaries.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +45,6 @@ from ..errors import ExperimentError
 __all__ = [
     "RunConcat",
     "RunList",
-    "HistSum",
     "DigestSet",
     "Invariant",
     "run_digest",
@@ -129,27 +125,6 @@ class RunList:
 
 
 @dataclass
-class HistSum:
-    """Histogram counts over shard-invariant bin edges; counts add."""
-
-    counts: np.ndarray
-    edges: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def merge(self, other: "HistSum") -> "HistSum":
-        if self.edges.shape != other.edges.shape or not np.array_equal(
-            self.edges, other.edges
-        ):
-            raise ExperimentError(
-                "HistSum bin edges differ between shards; histogram merging "
-                "needs shard-invariant edges"
-            )
-        return HistSum(self.counts + other.counts, self.edges)
-
-    def finish(self) -> np.ndarray:
-        return self.counts
-
-
-@dataclass
 class DigestSet:
     """Set of content digests; merged by union."""
 
@@ -194,7 +169,7 @@ class Invariant:
         return self.value
 
 
-_MERGEABLE = (RunConcat, RunList, HistSum, DigestSet, Invariant)
+_MERGEABLE = (RunConcat, RunList, DigestSet, Invariant)
 
 
 def _merge_value(a, b):
@@ -216,7 +191,7 @@ def _merge_value(a, b):
         return type(a)(merged)
     raise ExperimentError(
         f"shard payload leaf of type {type(a).__name__} is not a tagged "
-        "merge value (RunConcat / RunList / HistSum / DigestSet / Invariant)"
+        "merge value (RunConcat / RunList / DigestSet / Invariant)"
     )
 
 
@@ -231,7 +206,7 @@ def _finish_value(v):
     # exercises exactly the structure the multi-shard merge requires.
     raise ExperimentError(
         f"shard payload leaf of type {type(v).__name__} is not a tagged "
-        "merge value (RunConcat / RunList / HistSum / DigestSet / Invariant)"
+        "merge value (RunConcat / RunList / DigestSet / Invariant)"
     )
 
 

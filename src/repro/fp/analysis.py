@@ -103,13 +103,6 @@ class SummationBounds:
     tree_bound: float
     condition_number: float
 
-    @property
-    def tree_advantage(self) -> float:
-        """Worst-case serial/tree error ratio (~ n / log2 n)."""
-        if self.tree_bound == 0.0:
-            return 1.0
-        return self.serial_bound / self.tree_bound
-
 
 def bounds_for(x) -> SummationBounds:
     """Compute all a-priori bounds for ``x``."""

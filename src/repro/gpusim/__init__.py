@@ -30,7 +30,7 @@ from .occupancy import resident_blocks, waves_for
 from .kernel import LaunchConfig
 from .scheduler import WaveScheduler, WaveSchedulerBatch, SchedulerParams
 from .atomics import AtomicAccumulator, RetirementCounter, atomic_fold, batched_atomic_fold
-from .stream import Stream, Event
+from .stream import Stream
 from .costmodel import CostModel, TimingSample
 from .memory import GlobalMemory, SharedMemory, RaceRecord
 from .collectives import (
@@ -66,7 +66,6 @@ __all__ = [
     "atomic_fold",
     "batched_atomic_fold",
     "Stream",
-    "Event",
     "CostModel",
     "TimingSample",
     "GlobalMemory",

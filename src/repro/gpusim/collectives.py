@@ -7,6 +7,12 @@ sequential order in which the per-device partials fold into the
 accumulator** (the same abstraction as :func:`repro.gpusim.atomics.
 atomic_fold`, one level up the hierarchy).
 
+This is the package's one multi-device (MPI-style, multi-rank) allreduce
+model — the paper's "future work" on inter-node variation.  Its in-order
+arrival policy is the fixed-order mitigation: it pins the combine order
+to rank order, so the result is one value at any rank count and for every
+topology, the collective counterpart of OpenMP's ``ordered`` construct.
+
 Model
 -----
 ``P`` participating devices (ranks, in list order) each produce a per-run

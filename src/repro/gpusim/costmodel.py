@@ -77,9 +77,6 @@ class TimingSample:
     std_us: float
     n: int
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.mean_us, self.std_us)
-
 
 class CostModel:
     """Timing model bound to one device.

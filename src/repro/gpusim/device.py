@@ -14,7 +14,7 @@ calibration is documented in DESIGN.md §2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..errors import DeviceError
 
@@ -96,10 +96,6 @@ class DeviceSpec:
             raise DeviceError(f"{self.name}: max_threads_per_block < warp_size")
         if self.mem_bandwidth_gbs <= 0:
             raise DeviceError(f"{self.name}: mem_bandwidth_gbs must be positive")
-
-    def with_(self, **kw) -> "DeviceSpec":
-        """Return a modified copy (for ablations)."""
-        return replace(self, **kw)
 
 
 _REGISTRY: dict[str, DeviceSpec] = {}

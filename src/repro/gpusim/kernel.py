@@ -81,21 +81,3 @@ class LaunchConfig:
     def waves(self) -> int:
         """Dispatch waves for this grid."""
         return waves_for(self.device, self.n_blocks, self.threads_per_block)
-
-    @classmethod
-    def for_size(
-        cls,
-        device: DeviceSpec,
-        n_elements: int,
-        threads_per_block: int = 256,
-    ) -> "LaunchConfig":
-        """One-thread-per-element launch covering ``n_elements``."""
-        if n_elements < 1:
-            raise LaunchError(f"n_elements must be >= 1, got {n_elements}")
-        n_blocks = (n_elements + threads_per_block - 1) // threads_per_block
-        return cls(
-            device=device,
-            n_blocks=n_blocks,
-            threads_per_block=threads_per_block,
-            shared_mem_bytes=threads_per_block * 8,
-        )

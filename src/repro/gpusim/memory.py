@@ -117,11 +117,6 @@ class GlobalMemory:
         """Copy of the stored values."""
         return self._data.copy()
 
-    @property
-    def has_races(self) -> bool:
-        """Whether any conflicting pair was recorded."""
-        return bool(self.races)
-
 
 class SharedMemory(GlobalMemory):
     """Per-block scratch memory; :meth:`barrier` is ``__syncthreads``."""

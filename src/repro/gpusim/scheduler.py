@@ -546,21 +546,6 @@ class WaveScheduler:
         flat = elems.reshape(-1)
         return flat[flat < n_elements]
 
-    # ------------------------------------------------------------- utilities
-    def displacement_stats(self, order: np.ndarray) -> dict:
-        """Diagnostics: how far the sampled order strays from identity.
-
-        Returns mean/max absolute displacement normalised by length — used
-        by tests to verify the contention knob monotonically suppresses
-        reordering.
-        """
-        n = order.size
-        disp = np.abs(order - np.arange(n))
-        return {
-            "mean": float(disp.mean() / max(n, 1)),
-            "max": float(disp.max() / max(n, 1)) if n else 0.0,
-        }
-
 
 class WaveSchedulerBatch:
     """Batched run-axis engine: sample ``R`` runs' orders as one matrix.

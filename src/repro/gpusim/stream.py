@@ -16,18 +16,9 @@ from dataclasses import dataclass, field
 
 from ..errors import LaunchError
 
-__all__ = ["Stream", "Event"]
+__all__ = ["Stream"]
 
 _stream_ids = itertools.count()
-
-
-@dataclass
-class Event:
-    """A marker in a stream's work queue (CUDA event analogue)."""
-
-    stream_id: int
-    position: int
-    completed: bool = False
 
 
 @dataclass
@@ -51,10 +42,6 @@ class Stream:
         self._queue.append((fn, args, kwargs, [None]))
         return len(self._queue) - 1
 
-    def record_event(self) -> Event:
-        """Record an event after the currently enqueued work."""
-        return Event(stream_id=self.stream_id, position=len(self._queue))
-
     def synchronize(self):
         """Run all pending work in submission order; returns results list."""
         results = []
@@ -65,20 +52,6 @@ class Stream:
         for fn, args, kwargs, cell in self._queue:
             results.append(cell[0])
         return results
-
-    def wait_event(self, event: Event):
-        """Block until the given event's position has completed (drains this
-        stream up to that point when the event belongs to it)."""
-        if event.stream_id == self.stream_id:
-            while self._completed < min(event.position, len(self._queue)):
-                fn, args, kwargs, cell = self._queue[self._completed]
-                cell[0] = fn(*args, **kwargs)
-                self._completed += 1
-            event.completed = True
-        else:
-            # Cross-stream waits degrade to full synchronisation in this
-            # single-threaded model.
-            event.completed = True
 
     def result(self, position: int):
         """Return the result of work item ``position`` (must be completed).

@@ -52,9 +52,6 @@ class Graph:
         both = both[order]
         self.edge_index = both.T.copy()  # (2, 2E): row0 = src, row1 = dst
         self._degree = np.bincount(self.edge_index[1], minlength=num_nodes)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(self._degree, out=indptr[1:])
-        self._indptr = indptr
 
     # ------------------------------------------------------------ accessors
     @property
@@ -62,27 +59,9 @@ class Graph:
         """Undirected edge count."""
         return self._undirected.shape[0]
 
-    @property
-    def num_directed_edges(self) -> int:
-        """Directed (symmetrised) edge count = 2 * num_edges."""
-        return self.edge_index.shape[1]
-
     def degree(self) -> np.ndarray:
         """In-degree (= out-degree) per node."""
         return self._degree.copy()
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor ids of ``node``."""
-        if not 0 <= node < self.num_nodes:
-            raise GraphError(f"node {node} out of range")
-        lo, hi = self._indptr[node], self._indptr[node + 1]
-        return self.edge_index[0, lo:hi].copy()
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency (small graphs / tests only)."""
-        a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.int8)
-        a[self.edge_index[1], self.edge_index[0]] = 1
-        return a
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

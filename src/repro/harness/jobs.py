@@ -323,7 +323,9 @@ def _fits(default, value) -> bool:
 
     Checked kinds are bool, int, float (an int also fits), str, and a
     list or tuple of those (every element must fit one of the default's
-    elements).  A ``None`` default declares no type, so anything fits.
+    elements).  A ``None`` default declares no type, so anything fits;
+    :meth:`JobRunner.plan_overrides` first types it by the parameter's
+    value at another scale.
     """
     if default is None:
         return True
@@ -398,10 +400,16 @@ class JobRunner:
         params = exp.resolve_params(spec.scale, overrides)  # unknown names
         defaults = exp.params_for(spec.scale) if overrides else {}
         for name, value in overrides.items():
-            if not _fits(defaults[name], value):
+            default = defaults[name]
+            if default is None and value is not None:
+                # A None default ("derive it") declares no type: take the
+                # parameter's type from its value at the other scale.
+                other = "paper" if spec.scale == "default" else "default"
+                default = exp.params_for(other)[name]
+            if not _fits(default, value):
                 raise ConfigurationError(
                     f"{spec.experiment_id}: override {name!r} must be "
-                    f"{_kind(defaults[name])}, got {value!r}"
+                    f"{_kind(default)}, got {value!r}"
                 )
         if exp.axes:
             plan_sweep(exp, params)  # axis sizes: a negative count fails

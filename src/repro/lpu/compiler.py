@@ -96,14 +96,6 @@ class CompiledProgram:
         """Deterministic wall-clock prediction, microseconds."""
         return self.total_cycles / (self.clock_ghz * 1e3)
 
-    def unit_utilisation(self) -> dict[str, float]:
-        """Busy fraction per functional unit."""
-        busy = {u: 0.0 for u in UNITS}
-        for s in self.schedule:
-            busy[s.unit] += s.end_cycle - s.start_cycle
-        total = max(self.total_cycles, 1e-12)
-        return {u: b / total for u, b in busy.items()}
-
 
 class LPUCompiler:
     """Dependency-respecting list scheduler over the functional units."""

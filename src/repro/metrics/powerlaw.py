@@ -41,10 +41,6 @@ class PowerLawFit:
     r_squared: float
     n_points: int
 
-    def predict(self, x) -> np.ndarray:
-        """Evaluate the fitted law at ``x``."""
-        return self.beta * np.power(np.asarray(x, dtype=np.float64), self.alpha)
-
 
 def fit_power_law(x, y) -> PowerLawFit:
     """Fit ``y = beta * x**alpha`` by least squares in log–log space.

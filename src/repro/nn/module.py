@@ -58,10 +58,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters())
-
     def expand_runs(self, n_runs: int) -> "Module":
         """Tile every parameter with a leading run axis (lockstep runs).
 
@@ -81,29 +77,6 @@ class Module:
             p.runs = int(n_runs)
             p.grad = None
         return self
-
-    # ----------------------------------------------------------- state dict
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of all parameter arrays, keyed by dotted name."""
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter arrays; shapes must match exactly."""
-        params = dict(self.named_parameters())
-        missing = set(params) - set(state)
-        extra = set(state) - set(params)
-        if missing or extra:
-            raise ConfigurationError(
-                f"state dict mismatch: missing={sorted(missing)}, extra={sorted(extra)}"
-            )
-        for name, arr in state.items():
-            p = params[name]
-            arr = np.asarray(arr, dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ConfigurationError(
-                    f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}"
-                )
-            p.data = arr.copy()
 
     def flat_weights(self) -> np.ndarray:
         """All parameters concatenated into one vector — the unit of

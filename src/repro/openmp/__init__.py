@@ -11,19 +11,9 @@ Two backends:
 * ``"simulated"`` (default) — partial-sum grouping and combine order are
   sampled from the run context's scheduler stream; fully replayable.
 * ``"threads"`` — real Python threads race on an accumulator; used by
-  integration tests to check the模型 against genuine concurrency.
-
-The :mod:`repro.openmp.multirank` module extends the model to MPI-style
-multi-rank allreduce (the paper's "future work" on inter-node variation).
+  integration tests to check the model against genuine concurrency.
 """
 
 from .runtime import OpenMPRuntime, Schedule
-from .multirank import RankReducer, tree_allreduce, ring_allreduce
 
-__all__ = [
-    "OpenMPRuntime",
-    "Schedule",
-    "RankReducer",
-    "tree_allreduce",
-    "ring_allreduce",
-]
+__all__ = ["OpenMPRuntime", "Schedule"]

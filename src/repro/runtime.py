@@ -733,11 +733,6 @@ class RunContext:
         with self._lock:
             return self._run_counter
 
-    def reset_runs(self) -> None:
-        """Rewind the run counter so scheduling replays from ``run_offset``."""
-        with self._lock:
-            self._run_counter = self.run_offset
-
     def seek_runs(self, run: int) -> None:
         """Position the ladder so the next :meth:`scheduler` call is ``run``.
 

@@ -184,10 +184,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single element, got {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def detach(self) -> "Tensor":
-        """A view sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype, runs=self.runs)
-
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
         self.grad = None

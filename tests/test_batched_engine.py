@@ -1283,14 +1283,6 @@ class TestRunOffsetFuzz:
         np.testing.assert_array_equal(draws[0], draws[1])
         np.testing.assert_array_equal(draws[0], draws[2])
 
-    def test_reset_runs_rewinds_to_offset(self):
-        ctx = RunContext(11, run_offset=4)
-        first = ctx.scheduler().random(5)
-        ctx.scheduler()
-        ctx.reset_runs()
-        np.testing.assert_array_equal(ctx.scheduler().random(5), first)
-        assert ctx.peek_run_counter() == 5
-
     def test_run_offset_validation(self):
         from repro.errors import ConfigurationError
 

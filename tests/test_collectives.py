@@ -8,6 +8,9 @@ Pins the properties the module docstring promises:
 * the in-order identity limit — the deterministic policy draws nothing
   and collapses every topology to the identity combine order, which is
   what makes ring / tree / butterfly bit-exact under it;
+* the fixed-order mitigation — in-order arrival is the serial fold in
+  rank order at any rank count, while random arrival varies run to run,
+  more so with more ranks;
 * the per-(run, edge) stream cells — window slicing and device-subset
   invariance by construction;
 * combine-step FP edge cases — signed zeros, NaN payload propagation in
@@ -31,12 +34,20 @@ from repro.fp.lowprec import (
     is_bf16,
     round_to_bf16,
 )
+from repro.fp import exact_sum, serial_sum
 from repro.fp.ulp import ulp_distance
 from repro.gpusim import collectives as coll
 from repro.runtime import RunContext
 
 TOPOLOGY_NAMES = ("ring", "tree", "butterfly")
 RANK_COUNTS = (1, 2, 3, 4, 5, 8)
+
+
+class _NoDraws:
+    """A run context that fails the test if anything draws from it."""
+
+    def device_stream(self, *args, **kwargs):
+        raise AssertionError("in-order arrival must draw nothing")
 
 
 # --------------------------------------------------------------- topologies
@@ -99,15 +110,10 @@ class TestTopologies:
 
 class TestArrivalOrders:
     @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
-    @pytest.mark.parametrize("p", RANK_COUNTS)
+    @pytest.mark.parametrize("p", RANK_COUNTS + (64,))
     def test_inorder_identity_for_every_topology(self, name, p):
-        ctx = RunContext(seed=0)
-        orders = coll.arrival_orders(name, p, 6, ctx, policy="inorder")
+        orders = coll.arrival_orders(name, p, 6, _NoDraws(), policy="inorder")
         assert np.array_equal(orders, np.tile(np.arange(p), (6, 1)))
-        # Draws nothing: a second context at another seed agrees too.
-        again = coll.arrival_orders(name, p, 6, RunContext(seed=99),
-                                    policy="inorder")
-        assert np.array_equal(orders, again)
 
     @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
     @pytest.mark.parametrize("policy", ("uniform", "skewed"))
@@ -142,6 +148,38 @@ class TestArrivalOrders:
         with pytest.raises(ConfigurationError):
             coll.arrival_orders("ring", 4, 8, RunContext(seed=0),
                                 run_lo=6, run_hi=3)
+        with pytest.raises(ConfigurationError):
+            coll.arrival_orders("ring", 4, 8, RunContext(seed=0),
+                                run_lo=6, run_hi=9)
+
+
+class TestFixedOrderMitigation:
+    """Arrival order decides a multi-rank allreduce's bits; in-order
+    arrival pins them to the serial fold in rank order."""
+
+    @staticmethod
+    def _sums(name, p, n_runs, policy):
+        partials = RunContext(seed=5).data().standard_normal(p)
+        orders = coll.arrival_orders(name, p, n_runs, RunContext(seed=0),
+                                     policy=policy)
+        return partials, coll.collective_fold_runs(partials, orders)
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    @pytest.mark.parametrize("p", (3, 17, 64))
+    def test_inorder_is_the_serial_fold(self, name, p):
+        partials, sums = self._sums(name, p, 4, "inorder")
+        assert np.array_equal(sums, np.full(4, serial_sum(partials)))
+
+    def test_uniform_arrival_varies_and_stays_correct(self):
+        partials, sums = self._sums("tree", 16, 16, "uniform")
+        assert len(set(sums.tolist())) > 1
+        np.testing.assert_allclose(sums, exact_sum(partials), rtol=1e-12)
+
+    def test_variability_grows_with_rank_count(self):
+        def distinct(p):
+            return len(set(self._sums("tree", p, 64, "uniform")[1].tolist()))
+
+        assert distinct(64) > distinct(4)
 
 
 # -------------------------------------------------- combine-step edge cases

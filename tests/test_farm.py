@@ -320,7 +320,7 @@ class TestDrift:
     def test_previous_generation_drift_is_reported(self, tmp_path):
         cache = ResultCache(tmp_path)
         cell = plan_grid(["fig5"], overrides={"fig5": _OVERRIDES["fig5"]})[0]
-        module = "repro.experiments.fig5"
+        module = "repro.experiments.ratio_sweep"
         old_key, old_digest = self._plant_previous_generation(
             cache, cell, perturb_module=module
         )

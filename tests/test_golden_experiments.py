@@ -104,6 +104,16 @@ def test_golden_rows(experiment_id):
     )
 
 
+def test_ratio_sweep_ids_share_one_module():
+    """Figs 4 and 5 are two registrations of one ratio-sweep class: one
+    closure root, and each id still reproduces its own pin."""
+    fig4, fig5 = get_experiment("fig4"), get_experiment("fig5")
+    assert fig4.source_module == fig5.source_module == "repro.experiments.ratio_sweep"
+    assert type(fig4) is type(fig5)
+    assert _digest("fig4") == GOLDEN_SHA256["fig4"]
+    assert _digest("fig5") == GOLDEN_SHA256["fig5"]
+
+
 if __name__ == "__main__":
     for eid in sorted(GOLDEN_SHA256):
         print(f'    "{eid}": "{_digest(eid)}",')

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import LaunchError, SchedulerError
 from repro.fp import serial_sum
-from repro.gpusim import AtomicAccumulator, Event, RetirementCounter, Stream, atomic_fold
+from repro.gpusim import AtomicAccumulator, RetirementCounter, Stream, atomic_fold
 
 
 class TestAtomicFold:
@@ -110,16 +110,6 @@ class TestStream:
         s.synchronize()
         assert s.pending == 0
 
-    def test_wait_event_drains_up_to_position(self):
-        log = []
-        s = Stream()
-        s.launch(lambda: log.append("a"))
-        ev = s.record_event()
-        s.launch(lambda: log.append("b"))
-        s.wait_event(ev)
-        assert log == ["a"]
-        assert ev.completed
-
     def test_non_callable_rejected(self):
         with pytest.raises(LaunchError):
             Stream().launch(42)
@@ -129,10 +119,3 @@ class TestStream:
         s.synchronize()
         with pytest.raises(LaunchError):
             s.result(0)
-
-    def test_events_have_stream_identity(self):
-        s1, s2 = Stream(), Stream()
-        ev = s1.record_event()
-        assert isinstance(ev, Event)
-        s2.wait_event(ev)  # cross-stream wait degrades gracefully
-        assert ev.completed

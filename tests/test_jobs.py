@@ -135,6 +135,8 @@ class TestPlanCells:
         ("table5", {"rich_grid": 1}, "'rich_grid' must be of type bool"),
         ("fig4", {"n_runs": -1}, "axis 'run' size must be >= 0"),
         ("seedens", {"n_runs": -2}, "must be >= 0"),
+        # A None default is typed by the parameter's value at another scale.
+        ("fig1", {"n_blocks": "x"}, "'n_blocks' must be of type int"),
     ])
     def test_bad_override_value_fails_at_plan(self, eid, overrides, fragment):
         runner = JobRunner(None, None)
@@ -146,7 +148,8 @@ class TestPlanCells:
     @pytest.mark.parametrize("eid, overrides", [
         ("fig4", {"ratios": [0.5, 1], "n_runs": 0}),  # an int fits a float
         ("cgdiv", {"cond": 100, "tol": 1e-6}),
-        ("fig1", {"n_blocks": 64}),  # a None default declares no type
+        ("fig1", {"n_blocks": 100}),  # typed by its paper-scale value
+        ("fig1", {"n_blocks": None}),  # an explicit None stays accepted
         ("table5", {"rich_grid": False}),
         ("seedens", {"seeds": [0, 1], "devices": ["v100", "lpu"],
                      "n_elements": 1000, "n_arrays": 2, "n_runs": 6}),

@@ -70,11 +70,6 @@ class TestCompiler:
         assert c1.total_cycles == c2.total_cycles
         assert [s.start_cycle for s in c1.schedule] == [s.start_cycle for s in c2.schedule]
 
-    def test_unit_utilisation_sums_sanely(self):
-        util = LPUCompiler().compile(linear_program()).unit_utilisation()
-        assert 0 <= util["VXM"] <= 1.0001
-        assert util["MXM"] == 0.0
-
 
 class TestCycleCosts:
     def test_paper_table6_lpu_numbers(self):

@@ -25,9 +25,9 @@ class TestFitPowerLaw:
         assert 0.4 < fit.alpha < 0.6
         assert fit.r_squared > 0.95
 
-    def test_predict_round_trip(self):
+    def test_fit_round_trip(self):
         fit = fit_power_law([1, 10, 100], [2, 20, 200])
-        np.testing.assert_allclose(fit.predict([1000]), [2000], rtol=1e-9)
+        np.testing.assert_allclose(fit.beta * 1000**fit.alpha, 2000, rtol=1e-9)
 
     def test_nonpositive_points_dropped(self):
         fit = fit_power_law([1, 10, 100, 1000], [2, 20, 0, 2000])

@@ -34,10 +34,6 @@ class TestModuleSystem:
         names = [n for n, _ in m.named_parameters()]
         assert "w" in names and "sub.weight" in names and "sub.bias" in names
 
-    def test_num_parameters(self):
-        lin = Linear(3, 4)
-        assert lin.num_parameters() == 3 * 4 + 4
-
     def test_zero_grad_clears(self):
         lin = Linear(2, 2)
         x = Tensor(np.ones((1, 2)))
@@ -45,26 +41,6 @@ class TestModuleSystem:
         assert lin.weight.grad is not None
         lin.zero_grad()
         assert lin.weight.grad is None
-
-    def test_state_dict_round_trip(self):
-        a = Linear(3, 2)
-        b = Linear(3, 2)
-        b.load_state_dict(a.state_dict())
-        np.testing.assert_array_equal(a.weight.data, b.weight.data)
-
-    def test_state_dict_key_mismatch_raises(self):
-        a = Linear(3, 2)
-        state = a.state_dict()
-        del state["bias"]
-        with pytest.raises(ConfigurationError):
-            a.load_state_dict(state)
-
-    def test_state_dict_shape_mismatch_raises(self):
-        a = Linear(3, 2)
-        state = a.state_dict()
-        state["bias"] = np.zeros(5)
-        with pytest.raises(ConfigurationError):
-            a.load_state_dict(state)
 
     def test_train_eval_recursive(self):
         class M(Module):
@@ -119,7 +95,7 @@ class TestLinear:
     def test_no_bias_variant(self):
         lin = Linear(3, 2, bias=False)
         assert lin.bias is None
-        assert lin.num_parameters() == 6
+        assert sum(p.size for p in lin.parameters()) == 6
 
     def test_known_affine_map(self):
         lin = Linear(2, 1)

@@ -15,17 +15,19 @@ class TestGraph:
     def test_symmetric_edge_index(self):
         g = Graph(4, [[0, 1], [1, 2]])
         assert g.num_edges == 2
-        assert g.num_directed_edges == 4
-        adj = g.adjacency_matrix()
-        np.testing.assert_array_equal(adj, adj.T)
+        pairs = set(map(tuple, g.edge_index.T.tolist()))
+        assert len(pairs) == 4
+        assert pairs == {(dst, src) for src, dst in pairs}
 
     def test_degree(self):
         g = Graph(4, [[0, 1], [1, 2], [1, 3]])
         np.testing.assert_array_equal(g.degree(), [1, 3, 1, 1])
 
-    def test_neighbors_sorted(self):
+    def test_edge_index_sorted_by_destination_then_source(self):
         g = Graph(5, [[1, 4], [1, 0], [1, 2]])
-        np.testing.assert_array_equal(g.neighbors(1), [0, 2, 4])
+        src, dst = g.edge_index
+        np.testing.assert_array_equal(src[dst == 1], [0, 2, 4])
+        assert np.all(np.diff(dst) >= 0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
@@ -42,10 +44,6 @@ class TestGraph:
     def test_empty_graph(self):
         g = Graph(3, [])
         assert g.num_edges == 0 and g.edge_index.shape == (2, 0)
-
-    def test_neighbor_bounds(self):
-        with pytest.raises(GraphError):
-            Graph(3, []).neighbors(7)
 
 
 class TestCoraLike:

@@ -1,13 +1,14 @@
-"""Tests for the OpenMP-like runtime (paper SIII-B, Table 3) and the
-multi-rank allreduce extension."""
+"""Tests for the OpenMP-like runtime (paper SIII-B, Table 3).
+
+The multi-rank allreduce extension is :mod:`repro.gpusim.collectives`,
+tested in ``test_collectives.py``."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fp import exact_sum, serial_sum
-from repro.openmp import OpenMPRuntime, RankReducer, Schedule, ring_allreduce, tree_allreduce
-from repro.runtime import RunContext
+from repro.openmp import OpenMPRuntime, Schedule
 
 
 class TestSchedules:
@@ -100,56 +101,3 @@ class TestReduceSum:
         x = rng.standard_normal(1000)
         rt = OpenMPRuntime(num_threads=1, ctx=ctx)
         assert rt.reduce_sum(x) == serial_sum(x)
-
-
-class TestMultiRank:
-    def test_tree_fixed_order_deterministic(self, rng):
-        contribs = rng.standard_normal((8, 100))
-        a = tree_allreduce(contribs, fixed_order=True)
-        b = tree_allreduce(contribs, fixed_order=True)
-        np.testing.assert_array_equal(a, b)
-
-    def test_tree_arrival_order_varies(self, ctx, rng):
-        contribs = rng.standard_normal((16, 50_000))
-        outs = {
-            tree_allreduce(contribs, ctx.scheduler(), fixed_order=False).tobytes()
-            for _ in range(6)
-        }
-        assert len(outs) > 1
-
-    def test_tree_needs_rng_when_unordered(self, rng):
-        with pytest.raises(ConfigurationError):
-            tree_allreduce(rng.standard_normal((4, 4)), fixed_order=False)
-
-    def test_ring_is_deterministic_and_correct(self, rng):
-        contribs = rng.standard_normal((8, 1000))
-        a = ring_allreduce(contribs)
-        b = ring_allreduce(contribs)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(a, contribs.sum(axis=0), rtol=1e-10)
-
-    def test_tree_correct_value(self, rng):
-        contribs = rng.standard_normal((5, 10))
-        np.testing.assert_allclose(
-            tree_allreduce(contribs), contribs.sum(axis=0), rtol=1e-12
-        )
-
-    def test_rank_reducer_determinism_property(self):
-        assert RankReducer(4, algorithm="ring").deterministic
-        assert RankReducer(4, algorithm="tree", fixed_order=True).deterministic
-        assert not RankReducer(4, algorithm="tree").deterministic
-
-    def test_rank_reducer_validates_shape(self, ctx, rng):
-        r = RankReducer(4, ctx=ctx)
-        with pytest.raises(ConfigurationError):
-            r.allreduce(rng.standard_normal((3, 10)))
-
-    def test_rank_reducer_unknown_algorithm(self):
-        with pytest.raises(ConfigurationError):
-            RankReducer(4, algorithm="butterfly")
-
-    def test_rank_reducer_replayable(self):
-        contribs = RunContext(3).data().standard_normal((8, 1000))
-        a = RankReducer(8, ctx=RunContext(3)).allreduce(contribs)
-        b = RankReducer(8, ctx=RunContext(3)).allreduce(contribs)
-        np.testing.assert_array_equal(a, b)

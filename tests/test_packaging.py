@@ -2,16 +2,20 @@
 
 SciPy is a test-only dependency: the product (library, CLI, daemon and the
 spawn workers that import them) must start without importing it, and the
-package metadata must not list it as a runtime requirement.
+package metadata must not list it as a runtime requirement.  Every function
+and class in the package has a caller somewhere else in the package.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -55,3 +59,44 @@ def test_console_script_resolves_to_a_callable():
     target = _pyproject()["project"]["scripts"]["repro-experiments"]
     module, _, attr = target.partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+#: Definitions kept on purpose although nothing else in ``src`` names
+#: them, one reason each.  Keep this short: a definition without a caller
+#: is deleted, not listed.
+_UNCALLED_ALLOWED = {
+    "_reset_for_tests": "test hook: tests forget the compiled backend's "
+                        "cached load attempt to simulate a missing toolchain",
+}
+
+
+def _uncalled_definitions(root: Path) -> set[str]:
+    """Names of functions and classes under ``root`` that no other line of
+    the package names (word match; a definition's own line excluded;
+    dunders skipped)."""
+    sources = {path: path.read_text() for path in sorted(root.rglob("*.py"))}
+    words = Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
+    found = set()
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = re.findall(r"\w+", lines[node.lineno - 1]).count(name)
+            if words[name] == own:
+                found.add(f"{path.relative_to(root.parent)}:{node.lineno}:{name}")
+    return found
+
+
+def test_every_definition_has_a_caller():
+    root = Path(repro.__file__).resolve().parent
+    found = _uncalled_definitions(root)
+    names = {hit.rsplit(":", 1)[1] for hit in found}
+    assert names - set(_UNCALLED_ALLOWED) == set(), sorted(
+        hit for hit in found if hit.rsplit(":", 1)[1] not in _UNCALLED_ALLOWED
+    )
+    # An entry whose definition gained a caller (or was deleted) goes too.
+    assert set(_UNCALLED_ALLOWED) <= names, sorted(set(_UNCALLED_ALLOWED) - names)

@@ -173,7 +173,9 @@ class TestSchedulerInvariants:
     @given(st.integers(1, 2000), st.integers(0, 2**31 - 1), st.floats(0, 1))
     @settings(max_examples=30)
     def test_thread_order_is_permutation(self, n_elements, seed, contention):
-        launch = LaunchConfig.for_size(get_device("v100"), n_elements, threads_per_block=64)
+        launch = LaunchConfig(
+            device=get_device("v100"), n_blocks=-(-n_elements // 64), threads_per_block=64
+        )
         sched = WaveScheduler(launch, np.random.default_rng(seed))
         order = sched.thread_retirement_order(n_elements, contention=contention)
         assert np.array_equal(np.sort(order), np.arange(n_elements))

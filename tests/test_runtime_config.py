@@ -44,13 +44,6 @@ class TestRunContext:
         b = RunContext(2).scheduler().standard_normal(5)
         assert not np.array_equal(a, b)
 
-    def test_reset_runs_replays(self):
-        ctx = RunContext(5)
-        a = ctx.scheduler().standard_normal(4)
-        ctx.reset_runs()
-        b = ctx.scheduler().standard_normal(4)
-        np.testing.assert_array_equal(a, b)
-
     def test_run_counter_tracking(self):
         ctx = RunContext(0)
         assert ctx.peek_run_counter() == 0

@@ -304,6 +304,8 @@ class TestServiceEndpoints:
                          "overrides": {"n_runs": "x"}}).encode(), "n_runs"),
             (json.dumps({"experiment_id": "fig4",
                          "overrides": {"n_runs": -1}}).encode(), "must be >= 0"),
+            (json.dumps({"experiment_id": "fig1",
+                         "overrides": {"n_blocks": "x"}}).encode(), "n_blocks"),
         ]:
             status, body = _post_error(url, payload)
             assert status == 400, (payload, body)

@@ -7,7 +7,7 @@ Three layers:
   exact shard/merge/finalize path the executor drives) reproduces the
   serial ``rows``/``extra``/``notes`` bit for bit, at dev scale and at a
   tiny forced scale.
-* **Merge-protocol units** — RunConcat/RunList/HistSum/DigestSet/
+* **Merge-protocol units** — RunConcat/RunList/DigestSet/
   Invariant semantics, nested payload merging, shard planning.
 * **Process tests** — a real spawn pool (workers=2) reproduces the serial
   results and the golden pins of ``test_golden_experiments``.
@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import get_experiment
 from repro.experiments.sharding import (
     DigestSet,
-    HistSum,
     Invariant,
     RunConcat,
     RunList,
@@ -183,21 +182,6 @@ class TestMergeProtocol:
     def test_run_list(self):
         out = merge_payloads([{"l": RunList([1, 2])}, {"l": RunList([3])}])
         assert out["l"] == [1, 2, 3]
-
-    def test_hist_sum(self):
-        edges = np.linspace(0.0, 1.0, 5)
-        out = merge_payloads([
-            {"h": HistSum(np.array([1, 0, 2, 0]), edges)},
-            {"h": HistSum(np.array([0, 3, 1, 1]), edges)},
-        ])
-        np.testing.assert_array_equal(out["h"], [1, 3, 3, 1])
-
-    def test_hist_sum_edge_mismatch_raises(self):
-        with pytest.raises(ExperimentError):
-            merge_payloads([
-                {"h": HistSum(np.array([1]), np.array([0.0, 1.0]))},
-                {"h": HistSum(np.array([1]), np.array([0.0, 2.0]))},
-            ])
 
     def test_digest_set_union(self):
         out = merge_payloads([
@@ -482,7 +466,7 @@ class TestPoolTreeGuard:
         cache = ResultCache(tmp_path / "cache")
         spec = JobSpec("fig4", overrides={"n_runs": 6})
         fingerprint.repin()  # the parent pins the unedited copy
-        target = copy / "experiments" / "fig4.py"
+        target = copy / "experiments" / "ratio_sweep.py"
         target.write_text(target.read_text() + "\n# edited after the pin\n")
 
         outcome: dict = {}

@@ -134,7 +134,7 @@ class TestErrorAnalysis:
         x = rng.standard_normal(1 << 16)
         b = bounds_for(x)
         assert b.tree_bound < b.serial_bound
-        assert b.tree_advantage == pytest.approx((x.size - 1) / 16, rel=0.01)
+        assert b.serial_bound / b.tree_bound == pytest.approx((x.size - 1) / 16, rel=0.01)
 
     def test_trivial_sizes(self):
         assert serial_error_bound([1.0]) == 0.0
@@ -167,7 +167,7 @@ class TestMemoryRaceModel:
         mem = GlobalMemory(4)
         mem.write(0, 1.0, thread=0)
         mem.write(0, 2.0, thread=1)
-        assert mem.has_races
+        assert mem.races
         assert mem.races[0].kind == "write-write"
 
     def test_read_write_races(self):
@@ -180,33 +180,33 @@ class TestMemoryRaceModel:
         mem = GlobalMemory(4)
         mem.read(0, thread=0)
         mem.read(0, thread=1)
-        assert not mem.has_races
+        assert not mem.races
 
     def test_atomics_do_not_race_each_other(self):
         mem = GlobalMemory(1)
         for t in range(8):
             mem.atomic_add(0, 1.0, thread=t)
-        assert not mem.has_races
+        assert not mem.races
         assert mem.snapshot()[0] == 8.0
 
     def test_atomic_vs_plain_write_races(self):
         mem = GlobalMemory(1)
         mem.atomic_add(0, 1.0, thread=0)
         mem.write(0, 9.0, thread=1)
-        assert mem.has_races
+        assert mem.races
 
     def test_fence_separates_epochs(self):
         mem = GlobalMemory(2)
         mem.write(0, 1.0, thread=0)
         mem.fence()
         mem.write(0, 2.0, thread=1)
-        assert not mem.has_races
+        assert not mem.races
 
     def test_same_thread_never_races_itself(self):
         mem = GlobalMemory(2)
         mem.write(0, 1.0, thread=0)
         mem.write(0, 2.0, thread=0)
-        assert not mem.has_races
+        assert not mem.races
 
     def test_atomic_add_returns_previous(self):
         mem = GlobalMemory(1)
@@ -231,7 +231,7 @@ class TestMemoryRaceModel:
         for t in range(4):
             v = smem.read(t, thread=t) + smem.read(t + 4, thread=t)
             smem.write(t, v, thread=t)
-        assert not smem.has_races
+        assert not smem.races
 
         racy = SharedMemory(8)
         for t in range(8):
@@ -239,4 +239,4 @@ class TestMemoryRaceModel:
         # Missing barrier: level-2 reads race level-1 writes.
         for t in range(4):
             racy.read(t + 4, thread=t)
-        assert racy.has_races
+        assert racy.races
