@@ -325,7 +325,8 @@ def _fits(default, value) -> bool:
     list or tuple of those (every element must fit one of the default's
     elements).  A ``None`` default declares no type, so anything fits;
     :meth:`JobRunner.plan_overrides` first types it by the parameter's
-    value at another scale.
+    value at another scale, and admits a ``None`` value where either
+    scale's default is ``None``.
     """
     if default is None:
         return True
@@ -401,11 +402,16 @@ class JobRunner:
         defaults = exp.params_for(spec.scale) if overrides else {}
         for name, value in overrides.items():
             default = defaults[name]
-            if default is None and value is not None:
+            if default is None or value is None:
                 # A None default ("derive it") declares no type: take the
-                # parameter's type from its value at the other scale.
+                # parameter's type from its value at the other scale.  A
+                # None value fits where either scale's default is None.
                 other = "paper" if spec.scale == "default" else "default"
-                default = exp.params_for(other)[name]
+                other_default = exp.params_for(other)[name]
+                if value is None and None in (default, other_default):
+                    continue
+                if default is None:
+                    default = other_default
             if not _fits(default, value):
                 raise ConfigurationError(
                     f"{spec.experiment_id}: override {name!r} must be "

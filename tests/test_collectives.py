@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DTypeError
+from repro.errors import ConfigurationError, DTypeError, SchedulerError
 from repro.fp.lowprec import (
     bf16_bits,
     bf16_fold_runs,
@@ -180,6 +180,14 @@ class TestFixedOrderMitigation:
             return len(set(self._sums("tree", p, 64, "uniform")[1].tolist()))
 
         assert distinct(64) > distinct(4)
+
+    @pytest.mark.parametrize("partials", [
+        np.ones(3), np.ones(5), np.ones((2, 4)),
+    ], ids=["too-few-ranks", "too-many-ranks", "too-few-runs"])
+    def test_partials_must_match_the_orders(self, partials):
+        orders = coll.arrival_orders("tree", 4, 3, RunContext(seed=0))
+        with pytest.raises(SchedulerError, match="shape"):
+            coll.collective_fold_runs(partials, orders)
 
 
 # -------------------------------------------------- combine-step edge cases

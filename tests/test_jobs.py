@@ -149,16 +149,34 @@ class TestPlanCells:
         ("fig4", {"ratios": [0.5, 1], "n_runs": 0}),  # an int fits a float
         ("cgdiv", {"cond": 100, "tol": 1e-6}),
         ("fig1", {"n_blocks": 100}),  # typed by its paper-scale value
-        ("fig1", {"n_blocks": None}),  # an explicit None stays accepted
         ("table5", {"rich_grid": False}),
         ("seedens", {"seeds": [0, 1], "devices": ["v100", "lpu"],
                      "n_elements": 1000, "n_arrays": 2, "n_runs": 6}),
+        ("fig1", {"n_blocks": None}),  # an explicit None stays accepted
     ])
     def test_well_typed_overrides_pass_planning(self, eid, overrides):
         planned = JobRunner(None, None).plan_overrides(
             JobSpec(eid, overrides=overrides)
         )
         assert planned == JobSpec(eid, overrides=overrides).overrides
+
+    @pytest.mark.parametrize("scale, value, fragment", [
+        ("paper", None, None),  # "derive it" is the default-scale value
+        ("paper", 100, None),
+        ("paper", "x", "'n_blocks' must be of type int"),
+        ("default", 2.5, "'n_blocks' must be of type int"),
+    ])
+    def test_none_default_is_typed_at_either_scale(self, scale, value, fragment):
+        """fig1's ``n_blocks`` is None at default scale and an int at
+        paper scale: each scale admits the other's kind of value and
+        nothing else."""
+        spec = JobSpec("fig1", scale=scale, overrides={"n_blocks": value})
+        runner = JobRunner(None, None)
+        if fragment is None:
+            assert runner.plan_overrides(spec) == {"n_blocks": value}
+        else:
+            with pytest.raises(ConfigurationError, match=fragment):
+                runner.plan_overrides(spec)
 
     def test_unknown_device_fails_at_plan(self):
         runner = JobRunner(None, None)

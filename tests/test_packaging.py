@@ -100,3 +100,16 @@ def test_every_definition_has_a_caller():
     )
     # An entry whose definition gained a caller (or was deleted) goes too.
     assert set(_UNCALLED_ALLOWED) <= names, sorted(set(_UNCALLED_ALLOWED) - names)
+
+
+def test_uncalled_scan_flags_a_helper_nothing_names(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def orphan():  # orphan\n    return used()\n\n"
+        "class Box:\n    def __repr__(self):\n        return 'Box'\n"
+    )
+    (pkg / "b.py").write_text("from .a import Box\n")
+    # Its own def line (comment included) is no caller; dunders are skipped.
+    assert _uncalled_definitions(pkg) == {"pkg/a.py:4:orphan"}
