@@ -33,7 +33,11 @@ Parallelism: ``--workers N`` (default: the ``REPRO_WORKERS`` environment
 variable, else 1) shards each shardable experiment's simulated runs
 across ``N`` worker processes and merges the shards **bit-exactly** —
 results are identical to serial execution, only faster.  Non-shardable
-experiments run serially regardless of ``--workers``.
+experiments run serially regardless of ``--workers``.  Each worker
+starts its BLAS/OpenMP thread pools at its share of the usable CPUs
+(``cpus // N``, at least 1; an ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` you set wins), so ``N``
+workers do not oversubscribe the cores.
 
 Backend: ``--backend numpy|compiled|auto`` (default: the
 ``REPRO_BACKEND`` environment variable, else ``auto``) selects the

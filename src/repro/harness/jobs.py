@@ -429,11 +429,17 @@ class JobRunner:
         cache_cells`).  Touches neither the cache nor a worker; the farm
         plans its grid through here with ``strict_devices=False``.
         """
-        return self._plan(spec, strict_devices)[1]
+        return self.plan(spec, strict_devices=strict_devices)[1]
 
-    def _plan(self, spec: JobSpec, strict_devices: bool) -> tuple[dict, list[Cell]]:
+    def plan(
+        self, spec: JobSpec, *, strict_devices: bool = True
+    ) -> tuple[dict, list[Cell]]:
         """:meth:`plan_cells` plus the job-level overrides that
-        ``combine_cells`` resolves a decomposed job's params from."""
+        ``combine_cells`` resolves a decomposed job's params from.
+
+        The daemon plans each job once, at admission, and hands this
+        pair to :meth:`run`.
+        """
         overrides = self.plan_overrides(spec, strict_devices=strict_devices)
         eid, scale, seed = spec.experiment_id, spec.scale, spec.seed
         decomposed = get_experiment(eid).cache_cells(scale, seed, overrides)
@@ -444,17 +450,26 @@ class JobRunner:
         return overrides, cells
 
     # ----------------------------------------------------------------- run
-    def run(self, spec: JobSpec, *, strict_devices: bool = True) -> JobOutcome:
+    def run(
+        self,
+        spec: JobSpec,
+        *,
+        strict_devices: bool = True,
+        plan: tuple[dict, list[Cell]] | None = None,
+    ) -> JobOutcome:
         """Execute one job through the full lifecycle; returns the outcome.
 
         Each planned cell is read from the cache and, on a miss,
         dispatched and stored; a decomposed job is reassembled bit-exactly
         with ``combine_cells``.  A missing entry is a clean miss; a
         corrupt one warns once (:meth:`~repro.harness.results.ResultCache.
-        lookup`) and is recomputed.
+        lookup`) and is recomputed.  ``plan`` is this spec's
+        :meth:`plan`, when the caller already made it.
         """
         start = time.perf_counter()
-        overrides, cells = self._plan(spec, strict_devices)
+        if plan is None:
+            plan = self.plan(spec, strict_devices=strict_devices)
+        overrides, cells = plan
         results: list[ExperimentResult] = []
         outcomes: list[CellOutcome] = []
         for cell in cells:

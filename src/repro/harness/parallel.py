@@ -34,12 +34,36 @@ it pinned for its own cache keys; any other digest raises
 :class:`CodeMismatchError` (an edit landed between the parent's pin and
 the pool's spawn), so no result is ever keyed under code that did not
 compute it.
+
+CPU budget
+----------
+Every pool worker is started with its BLAS/OpenMP thread pools sized to
+its share of the usable CPUs, ``max(1, cpus // workers)`` (``cpus`` from
+:func:`os.sched_getaffinity`, else :func:`os.cpu_count`), recorded as
+``result.meta["worker_threads"]``.  Without it each worker's OpenBLAS
+starts one thread per CPU, so two workers on two cores run four BLAS
+threads and the GEMM/GEMV-heavy cells (cgdiv's lockstep matvec, table7's
+GNN layers) fight over the cores.  OpenBLAS reads its thread count only
+when NumPy loads it, so the pool initializer is too late: the share goes
+into ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` of the environment the spawn children inherit, only
+for variables the user has not set (an explicit value passes through
+untouched), and only while the pool starts; the parent's
+:data:`os.environ` is restored afterwards, even if the start raises.
+Bits do not move: the thread count changes how many threads compute
+each product, not the simulated reduction orders, and nothing in the
+library reads these variables.  A worker that :class:`multiprocessing.
+pool.Pool` respawns after a crash starts after the restore and so
+inherits the parent's unbounded thread pools.  The serial path
+(``workers=1``) is untouched.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import threading
 import time
 
 from .. import backend as _backend
@@ -57,6 +81,13 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Pool start method: ``spawn`` is the only portable choice (``fork``
 #: would inherit live NumPy state), and what the executor is tested with.
 _START_METHOD = "spawn"
+
+#: Thread-pool sizes a pool worker's BLAS/OpenMP runtimes read at load
+#: (see "CPU budget" above).
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Serialises the scoped :data:`os.environ` edit of concurrent pool starts.
+_ENV_LOCK = threading.Lock()
 
 
 class CodeMismatchError(ExperimentError):
@@ -86,6 +117,30 @@ def default_workers() -> int:
     if workers < 1:
         raise ConfigurationError(f"{WORKERS_ENV} must be >= 1, got {workers}")
     return workers
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has
+    one, else the machine's CPU count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _thread_budget(threads: int):
+    """Put ``threads`` into every unset :data:`_THREAD_ENV` variable for
+    the duration of the block, then remove exactly those again."""
+    with _ENV_LOCK:
+        added = [name for name in _THREAD_ENV if name not in os.environ]
+        try:
+            for name in added:
+                os.environ[name] = str(threads)
+            yield
+        finally:
+            for name in added:
+                os.environ.pop(name, None)
 
 
 #: This worker's pinned tree digest (set by :func:`_worker_initializer`).
@@ -140,12 +195,19 @@ class ShardedExecutor:
     workers:
         Shard/worker count; ``None`` reads ``REPRO_WORKERS`` (default 1).
         ``workers <= 1`` executes everything serially in-process.
+
+    Each pool worker gets ``worker_threads`` BLAS/OpenMP threads (its
+    share of the usable CPUs; ``None`` for a serial executor, which
+    starts no pool) — see "CPU budget" in the module docstring.
     """
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {self.workers}")
+        self.worker_threads = (
+            max(1, _usable_cpus() // self.workers) if self.workers > 1 else None
+        )
         self._pool = None
         #: Experiment executions this executor has performed (serial or
         #: pooled).  A cache-answered job never increments it, so "the
@@ -163,11 +225,12 @@ class ShardedExecutor:
     def _get_pool(self):
         if self._pool is None:
             mp_ctx = multiprocessing.get_context(_START_METHOD)
-            self._pool = mp_ctx.Pool(
-                processes=self.workers,
-                initializer=_worker_initializer,
-                initargs=(_backend.backend_mode(),),
-            )
+            with _thread_budget(self.worker_threads):
+                self._pool = mp_ctx.Pool(
+                    processes=self.workers,
+                    initializer=_worker_initializer,
+                    initargs=(_backend.backend_mode(),),
+                )
             self.pools_created += 1
         return self._pool
 
@@ -218,7 +281,8 @@ class ShardedExecutor:
         The returned result is bit-identical (``rows``/``extra``/``notes``)
         to ``get_experiment(experiment_id).run(scale=..., ctx=
         RunContext(seed))`` — sharding changes wall-clock, never bits.
-        ``result.meta["workers"]``/``["shards"]`` record how it ran.
+        ``result.meta["workers"]``/``["shards"]`` record how it ran, and
+        a pooled result's ``["worker_threads"]`` each worker's CPU share.
         """
         exp = get_experiment(experiment_id)
         params = exp.resolve_params(scale, overrides)
@@ -256,5 +320,9 @@ class ShardedExecutor:
             elapsed_s=elapsed,
             extra=extra,
             seed=seed,
-            meta={"workers": self.workers, "shards": len(shards)},
+            meta={
+                "workers": self.workers,
+                "shards": len(shards),
+                "worker_threads": self.worker_threads,
+            },
         )

@@ -36,7 +36,8 @@ wherever the library runs.  Design:
 Validation happens at admission: unknown experiment ids, unknown device
 names, malformed or unknown overrides, override values of the wrong type
 or out of range, and unknown body fields are 400s produced by the job
-core's named errors, never mid-run failures.
+core's named errors, never mid-run failures.  The plan made there (the
+job's keyed cells) is the one the job runs: each job is planned once.
 
 The daemon pins its code fingerprint when it starts: it keys every
 result under the tree it imported, so an edit on disk changes none of
@@ -57,7 +58,7 @@ from urllib.parse import parse_qs, urlsplit
 from ...errors import ReproError
 from ...experiments import get_experiment, list_experiments
 from .. import fingerprint as _fingerprint
-from ..jobs import JobOutcome, JobRunner, JobSpec
+from ..jobs import Cell, JobOutcome, JobRunner, JobSpec
 from ..results import is_key_shaped
 
 __all__ = ["ExperimentService", "JobRecord", "ServiceStats", "ServiceThread"]
@@ -184,10 +185,15 @@ class ServiceStats:
 
 @dataclass
 class JobRecord:
-    """One admitted job: spec, lifecycle status, outcome."""
+    """One admitted job: spec, its admission-time plan, lifecycle status,
+    outcome."""
 
     job_id: str
     spec: JobSpec
+    #: The spec's :meth:`JobRunner.plan <repro.harness.jobs.JobRunner.
+    #: plan>` (job-level overrides and keyed cells), made at admission
+    #: and run as is.
+    plan: tuple[dict, list[Cell]]
     status: str = "queued"  # queued -> running -> done | failed
     error: str | None = None
     outcome: JobOutcome | None = None
@@ -312,7 +318,7 @@ class ExperimentService:
     # --------------------------------------------------------------- worker
     def _run_record(self, record: JobRecord) -> JobOutcome:
         """The blocking job execution (runs in a thread, off the loop)."""
-        return self.runner.run(record.spec, strict_devices=True)
+        return self.runner.run(record.spec, plan=record.plan)
 
     async def _worker(self) -> None:
         """Drain the queue onto the shared runner, one job at a time."""
@@ -488,6 +494,7 @@ class ExperimentService:
         executor = self.runner.executor
         doc["executor"] = {
             "workers": getattr(executor, "workers", 1),
+            "worker_threads": getattr(executor, "worker_threads", None),
             "dispatches": getattr(executor, "dispatches", None),
             "pools_created": getattr(executor, "pools_created", None),
         }
@@ -517,7 +524,7 @@ class ExperimentService:
             # Fail fast at admission: unknown experiment ids, unknown
             # device names, ill-fitting device lists and unknown override
             # names are 400s here, not failed jobs discovered by polling.
-            self.runner.plan_overrides(spec, strict_devices=True)
+            plan = self.runner.plan(spec, strict_devices=True)
         except ReproError as exc:
             raise _HttpError(400, str(exc))
         if self._queue_depth() >= self.queue_limit:
@@ -529,7 +536,9 @@ class ExperimentService:
                 queue_limit=self.queue_limit,
             )
         self._job_counter += 1
-        record = JobRecord(job_id=f"job-{self._job_counter:06d}", spec=spec)
+        record = JobRecord(
+            job_id=f"job-{self._job_counter:06d}", spec=spec, plan=plan
+        )
         self.jobs[record.job_id] = record
         self.stats.submitted += 1
         self._queue.put_nowait(record)

@@ -15,6 +15,7 @@ Three layers:
 
 import json
 import math
+import os
 import socket
 import threading
 import time
@@ -251,6 +252,31 @@ class TestServiceEndpoints:
         pinned = datetime.fromisoformat(code["pinned_at"])
         assert pinned <= datetime.now(timezone.utc)
 
+    def test_stats_report_the_worker_thread_budget(self, service):
+        executor = _get(service.base_url + "/stats")["executor"]
+        assert executor["workers"] == 1
+        assert executor["worker_threads"] is None  # serial: no pool
+        pooled = ExperimentService(JobRunner(ShardedExecutor(workers=2), None))
+        budget = pooled._stats_doc()["executor"]["worker_threads"]
+        assert budget == max(1, len(os.sched_getaffinity(0)) // 2)
+
+    def test_each_job_is_planned_once(self, service, monkeypatch):
+        runner = service.service.runner
+        planned = []
+        plan_overrides = runner.plan_overrides
+
+        def counting(spec, **kwargs):
+            planned.append(spec.experiment_id)
+            return plan_overrides(spec, **kwargs)
+
+        monkeypatch.setattr(runner, "plan_overrides", counting)
+        body = {"experiment_id": "fig4", "overrides": {"n_runs": 4}}
+        doc = _post(service.base_url + "/jobs?wait=1", body)
+        assert doc["status"] == "done"
+        assert planned == ["fig4"]  # at admission only, not again at run
+        keys = [c.key for c in runner.plan_cells(JobSpec.from_dict(body))]
+        assert [c["key"] for c in doc["outcome"]["cells"]] == keys
+
     def test_results_endpoint_serves_the_cache_directly(self, service):
         _post(service.base_url + "/jobs?wait=1", {"experiment_id": "table2"})
         key = cache_key("table2", "default", 0)
@@ -454,10 +480,10 @@ class _GatedRunner:
         self.ran: list[str] = []
         self._result = get_experiment("table2").run(ctx=RunContext(seed=0))
 
-    def plan_overrides(self, spec, *, strict_devices=True):
-        return dict(spec.overrides)
+    def plan(self, spec, *, strict_devices=True):
+        return dict(spec.overrides), []
 
-    def run(self, spec, *, strict_devices=True):
+    def run(self, spec, *, plan):
         assert self.gate.wait(timeout=30), "gate never opened"
         self.ran.append(spec.experiment_id)
         cell = CellOutcome(key="0" * 64, overrides={}, hit=False,

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from repro.experiments.sharding import (
     plan_shards,
     run_digest,
 )
+from repro.harness import parallel
 from repro.harness.parallel import ShardedExecutor, default_workers
+from repro.harness.results import result_digest
 from repro.runtime import RunContext
 
 from test_golden_experiments import GOLDEN_SHA256, _OVERRIDES as GOLDEN_OVERRIDES
@@ -282,6 +286,81 @@ class TestExecutorDispatch:
             ShardedExecutor(workers=0)
 
 
+def _cpu_share(workers: int) -> int:
+    """Each pool worker's BLAS/OpenMP thread budget on this host."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        cpus = os.cpu_count()
+    return max(1, cpus // workers)
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestCpuBudget:
+    """Spawn workers start with their share of the CPUs as their BLAS/
+    OpenMP thread count, through the environment they inherit; the
+    parent's environment is left exactly as it was."""
+
+    @pytest.fixture(autouse=True)
+    def _unset_thread_vars(self, monkeypatch):
+        for name in _THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def _worker_env(workers: int) -> dict:
+        """The thread variables a fresh pool's worker started with; the
+        pool start must leave the parent's environment as it was."""
+        before = dict(os.environ)
+        with ShardedExecutor(workers=workers) as ex:
+            pool = ex._get_pool()
+            after = dict(os.environ)
+            seen = {
+                name: pool.apply_async(os.getenv, (name,)).get(timeout=60)
+                for name in _THREAD_VARS
+            }
+        assert after == before
+        return seen
+
+    def test_worker_gets_its_share_of_the_cpus(self):
+        share = str(_cpu_share(2))
+        seen = self._worker_env(2)
+        assert seen["OPENBLAS_NUM_THREADS"] == share
+        assert seen["OMP_NUM_THREADS"] == share
+        assert seen["MKL_NUM_THREADS"] == share
+
+    def test_user_setting_passes_through(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        seen = self._worker_env(2)
+        assert seen["OPENBLAS_NUM_THREADS"] == "3"
+        assert seen["OMP_NUM_THREADS"] == str(_cpu_share(2))
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_more_workers_than_cpus_get_one_thread_each(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        seen = self._worker_env(2)
+        assert set(seen.values()) == {"1"}
+
+    def test_environment_restored_when_the_pool_start_raises(self, monkeypatch):
+        seen = {}
+
+        def failing_pool(*args, **kwargs):
+            seen.update({name: os.environ.get(name) for name in _THREAD_VARS})
+            raise OSError("cannot start workers")
+
+        monkeypatch.setattr(
+            multiprocessing.get_context(parallel._START_METHOD), "Pool", failing_pool
+        )
+        before = dict(os.environ)
+        ex = ShardedExecutor(workers=2)
+        with pytest.raises(OSError, match="cannot start workers"):
+            ex._get_pool()
+        assert dict(os.environ) == before
+        assert seen == dict.fromkeys(_THREAD_VARS, str(_cpu_share(2)))
+        assert ex._pool is None and ex.pools_created == 0
+
+
 @pytest.fixture(scope="module")
 def pool2():
     """One spawn pool shared by every real-process test in this module."""
@@ -294,8 +373,13 @@ class TestProcessPool:
         overrides = {"n_runs": 6}
         serial = _serial("fig4", overrides)
         res = pool2.run("fig4", seed=0, **overrides)
-        assert res.meta == {"workers": 2, "shards": 2}
+        assert res.meta == {
+            "workers": 2, "shards": 2, "worker_threads": _cpu_share(2),
+        }
         assert _digest(res.rows, res.extra) == _digest(serial.rows, serial.extra)
+        # Provenance never enters the digest space.
+        assert res.meta != serial.meta
+        assert result_digest(res) == result_digest(serial)
         assert res.notes == serial.notes
         assert res.seed == 0
 
