@@ -12,10 +12,11 @@ process before launching pytest).
 
 Micro-benches cover the fold primitives at sizes where the run axis
 dominates.  ``permuted_sums`` and ``batched_atomic_fold`` run on the
-sequential-fold kernel and ``SegmentPlan.fold_runs`` /
-``fold_runs_sparse`` on the segmented kernels; ``batched_tree_fold`` and
-``cumsum_runs`` have no kernel, so their ``[compiled]`` legs time the
-NumPy engine (CI gates only ``batched_tree_fold[numpy]``).  The
+sequential-fold kernel and ``SegmentPlan.fold_runs_sparse`` on the
+raced-segment re-fold kernel (its canonical fold is NumPy's on both
+legs); ``batched_tree_fold`` and ``cumsum_runs`` have no kernel, so their
+``[compiled]`` legs time the NumPy engine (CI gates only
+``batched_tree_fold[numpy]``).  The
 end-to-end bench replays the
 pinned ``run-all`` workload of ``test_runall_workers.py`` serially under
 each backend.  Bit-exactness across backends is not a bench concern (it
@@ -86,15 +87,6 @@ def test_cumsum_runs(benchmark, backend, rng):
 
     outs = benchmark(run)
     assert len(outs) == 12 and outs[0].shape == x.shape
-
-
-def test_segment_fold_runs(benchmark, backend, rng):
-    idx = rng.integers(0, 5_000, size=60_000)
-    plan = SegmentPlan(idx, 5_000)
-    vals = rng.standard_normal(60_000)
-    orders = np.stack([plan.order for _ in range(40)])
-    out = benchmark(plan.fold_runs, vals, orders)
-    assert out.shape == (40, 5_000)
 
 
 def test_segment_fold_runs_sparse(benchmark, backend, rng):

@@ -191,7 +191,7 @@ def main() -> None:
     # grids cache-first: plan_grid expands the declared grid into exactly
     # the cells the CLI `run` path caches, every cell's key is probed
     # with a metadata-only head read before any worker is touched, and
-    # only the misses dispatch (largest estimated cost first).  Because
+    # only the misses dispatch, in plan order.  Because
     # cache keys carry module-granular code fingerprints (each experiment
     # hashes only the modules in its static import closure), a warm grid
     # re-runs with ZERO executions, and editing one module recomputes

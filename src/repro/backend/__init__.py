@@ -2,11 +2,11 @@
 
 The batched run-axis engine funnels all hot floating-point work through a
 narrow waist of fold primitives.  This package puts a compiled kernel
-behind the three whose C twin measurably moves an experiment's run time:
+behind the two whose C twin measurably moves an experiment's run time:
 the sequential fold (``batched_atomic_fold``, which ``permuted_sums``
-also runs on), the segmented fold (``SegmentPlan.fold*``) and the
-raced-segment re-fold (``stratified_refold``).  The tree folds and the
-blocked cumsum scan stay NumPy-only.  Five run-stream kernels
+also runs on) and the raced-segment re-fold (``stratified_refold``).
+The tree folds, the canonical segmented fold (``SegmentPlan.fold``) and
+the blocked cumsum scan stay NumPy-only.  Five run-stream kernels
 (``pcg64_seed``, ``pcg64_bounded``, ``pcg64_fill_f32``,
 ``pcg64_bernoulli``, ``pcg64_fill_f64``) draw a whole
 :class:`~repro.runtime.RunStreams` window's scheduler randomness in C,

@@ -225,67 +225,6 @@ def _batched_atomic_fold(arr: np.ndarray, om: np.ndarray, per_run: bool):
     return NotImplemented if bad else out
 
 
-def _segment_fold(plan, vals, orders, init, *, per_run_vals: bool):
-    """Shared core of the compiled segmented folds.
-
-    Parameters mirror the :class:`~repro.ops.segmented.SegmentPlan` fold
-    family: ``orders`` is ``None`` (canonical order for every run), a
-    ``(n_sources,)`` single order (``fold``), or an ``(R, n_sources)``
-    matrix (``fold_runs``); ``vals`` is ``(n_sources, *payload)`` shared
-    or ``(R, n_sources, *payload)`` per-run.  Payload axes are flattened
-    to one contiguous inner dimension.
-    """
-    sfx = _suffix(vals.dtype)
-    if sfx is None:
-        return NotImplemented
-    lib = load_library()
-    vals = np.ascontiguousarray(vals)
-    if per_run_vals:
-        n_runs = vals.shape[0]
-        payload = vals.shape[2:]
-    else:
-        payload = vals.shape[1:]
-        n_runs = 1 if orders is None or orders.ndim == 1 else orders.shape[0]
-    m = int(np.prod(payload, dtype=np.int64)) if payload else 1
-    if m == 0:
-        return NotImplemented  # degenerate payload: let NumPy shape it
-    if orders is None:
-        orders_ptr = _ffi.NULL
-        order = plan.order
-    elif orders.ndim == 1:
-        orders_ptr = _ffi.NULL
-        order = orders
-    else:
-        orders = _i64(orders)
-        orders_ptr = _i64p(orders)
-        order = plan.order
-    order = _i64(order)
-    seg_start = _i64(plan.segment_starts)
-    seg_end = _i64(plan.segment_ends)
-    if init is not None:
-        init = np.ascontiguousarray(init, dtype=vals.dtype)
-        init_ptr = _valp(init)
-    else:
-        init_ptr = _ffi.NULL
-    out = np.empty((n_runs, plan.n_targets) + payload, dtype=vals.dtype)
-    getattr(lib, f"repro_segment_fold_{sfx}")(
-        _valp(vals),
-        int(per_run_vals),
-        orders_ptr,
-        _i64p(order),
-        _i64p(seg_start),
-        _i64p(seg_end),
-        init_ptr,
-        n_runs,
-        plan.n_sources,
-        plan.n_targets,
-        m,
-        plan.k_max,
-        _valp(out),
-    )
-    return out
-
-
 def _stratified_refold(
     *,
     seg_start,
@@ -417,7 +356,6 @@ def _pcg64_fill_f64(states, rows, row_counts: np.ndarray):
 #: Primitive name -> compiled implementation, consumed by the registry.
 IMPLS = {
     "batched_atomic_fold": _batched_atomic_fold,
-    "segment_fold": _segment_fold,
     "stratified_refold": _stratified_refold,
     "pcg64_seed": _pcg64_seed,
     "pcg64_bounded": _pcg64_bounded,

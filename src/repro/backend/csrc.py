@@ -1,21 +1,19 @@
 """C source of the compiled hot-path kernels (cffi ABI mode).
 
 One template, instantiated for ``double``/``f64`` and ``float``/``f32``,
-covers the three fold primitives whose C twin measurably moves an
+covers the two fold primitives whose C twin measurably moves an
 experiment's run time:
 
 * ``repro_atomic_fold_*`` — batched sequential folds in per-row orders,
   shared or per-run values (:func:`repro.gpusim.atomics.
   batched_atomic_fold` and :func:`repro.fp.summation.permuted_sums`);
-* ``repro_segment_fold_*`` — segmented left folds: canonical or per-run
-  orders, shared or per-run values (:meth:`repro.ops.segmented.
-  SegmentPlan.fold` / ``fold_runs`` / ``fold_runs_values``);
 * ``repro_stratified_refold_*`` — the raced-segment re-fold behind
-  ``fold_runs_sparse`` / ``fold_runs_values``.
+  :meth:`repro.ops.segmented.SegmentPlan.fold_runs_sparse` /
+  ``fold_runs_values``.
 
-The tree folds and the blocked cumsum scan have no kernel: NumPy's
-lockstep vector passes already run them as fast as the experiments can
-measure.
+The tree folds, the canonical segmented fold and the blocked cumsum scan
+have no kernel: NumPy's lockstep vector passes already run them as fast
+as the experiments can measure.
 
 Beside the folds sit the **run-stream kernels** ``repro_pcg64_*``: NumPy's
 PCG64 driven over a whole window of scheduler streams held as one state
@@ -79,12 +77,6 @@ CFLAGS = (
 _DECL_TEMPLATE = """
 int repro_atomic_fold_@S@(const @T@ *x, const int64_t *orders, int per_run,
                           int64_t n_runs, int64_t n, double *out);
-void repro_segment_fold_@S@(const @T@ *vals, int per_run_vals,
-                            const int64_t *orders, const int64_t *order,
-                            const int64_t *seg_start, const int64_t *seg_end,
-                            const @T@ *init, int64_t n_runs,
-                            int64_t n_sources, int64_t n_targets,
-                            int64_t m, int64_t k_max, @T@ *out);
 void repro_stratified_refold_@S@(const @T@ *vals, int per_run_vals,
                                  const int64_t *run_of_seg,
                                  const int64_t *seg_start,
@@ -119,47 +111,6 @@ int repro_atomic_fold_@S@(const @T@ *x, const int64_t *orders, int per_run,
         out[r] = (double)acc;
     }
     return 0;
-}
-
-/* Segmented left fold: for run r, target t, fold slot 0 (init or the 0.0
-   identity) then the contributions at order positions seg_start[t] ..
-   seg_end[t] in ascending position (= rank) order — the exact slot
-   sequence of the NumPy fold matrix.  Short segments fold one trailing
-   identity, standing in for however many identity pads the k_max+1-wide
-   matrix holds (+0.0 normalises -0.0 on the first pad and is then a
-   fixed point).  orders == NULL means every run folds the canonical
-   order; per_run_vals selects row r of (R, n_sources, m) values. */
-void repro_segment_fold_@S@(const @T@ *vals, int per_run_vals,
-                            const int64_t *orders, const int64_t *order,
-                            const int64_t *seg_start, const int64_t *seg_end,
-                            const @T@ *init, int64_t n_runs,
-                            int64_t n_sources, int64_t n_targets,
-                            int64_t m, int64_t k_max, @T@ *out)
-{
-    for (int64_t r = 0; r < n_runs; r++) {
-        const int64_t *ord = orders ? (orders + r * n_sources) : order;
-        const @T@ *v = per_run_vals ? (vals + r * n_sources * m) : vals;
-        @T@ *orow = out + r * n_targets * m;
-        for (int64_t t = 0; t < n_targets; t++) {
-            @T@ *o = orow + t * m;
-            if (init) {
-                memcpy(o, init + t * m, (size_t)m * sizeof(@T@));
-            } else {
-                for (int64_t q = 0; q < m; q++)
-                    o[q] = (@T@)0.0;
-            }
-            int64_t lo = seg_start[t], hi = seg_end[t];
-            for (int64_t p = lo; p < hi; p++) {
-                const @T@ *src = v + ord[p] * m;
-                for (int64_t q = 0; q < m; q++)
-                    o[q] = (@T@)(o[q] + src[q]);
-            }
-            if (hi - lo < k_max) {
-                for (int64_t q = 0; q < m; q++)
-                    o[q] = (@T@)(o[q] + (@T@)0.0);
-            }
-        }
-    }
 }
 
 /* Raced-segment re-fold: stable-sort each segment's lanes by shuffle key

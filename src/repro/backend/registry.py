@@ -1,8 +1,9 @@
 """Backend selection and per-primitive dispatch.
 
-The engine's hot paths — the fold primitives named in
-:mod:`repro.backend.csrc` — each ask the registry for a compiled
-implementation at call time::
+The engine's hot paths — the two fold primitives
+(``batched_atomic_fold``, ``stratified_refold``) and the five
+``pcg64_*`` run-stream kernels of :mod:`repro.backend.csrc` — each ask
+the registry for a compiled implementation at call time::
 
     impl = registry.resolve("batched_atomic_fold")
     if impl is not None:
@@ -196,7 +197,6 @@ def warm_up() -> str:
     x = np.array([1.0, 2.0, 3.0])
     compiled.IMPLS["batched_atomic_fold"](x, np.array([[2, 0, 1]]), False)
     plan = SegmentPlan(np.array([0, 1, 0]), 2)
-    compiled.IMPLS["segment_fold"](plan, x, None, None, per_run_vals=False)
     compiled.IMPLS["stratified_refold"](
         seg_start=plan.segment_starts[:1],
         seg_count=plan.counts[:1],

@@ -32,7 +32,6 @@ from .scheduler import WaveScheduler, WaveSchedulerBatch, SchedulerParams
 from .atomics import AtomicAccumulator, RetirementCounter, atomic_fold, batched_atomic_fold
 from .stream import Stream
 from .costmodel import CostModel, TimingSample
-from .memory import GlobalMemory, SharedMemory, RaceRecord
 from .collectives import (
     Topology,
     RingAllReduce,
@@ -68,9 +67,6 @@ __all__ = [
     "Stream",
     "CostModel",
     "TimingSample",
-    "GlobalMemory",
-    "SharedMemory",
-    "RaceRecord",
     "Topology",
     "RingAllReduce",
     "TreeAllReduce",

@@ -2,7 +2,7 @@
 
 A :class:`LaunchConfig` validates the launch against device limits and
 derives the quantities the scheduler and cost models need (total threads,
-waves, tile sizes).  The reduction implementations in
+resident blocks).  The reduction implementations in
 :mod:`repro.reductions` each carry one.
 """
 
@@ -13,7 +13,7 @@ from functools import cached_property
 
 from ..errors import LaunchError
 from .device import DeviceSpec
-from .occupancy import resident_blocks, waves_for
+from .occupancy import resident_blocks
 
 __all__ = ["LaunchConfig"]
 
@@ -76,8 +76,3 @@ class LaunchConfig:
         """Blocks simultaneously resident (occupancy bound; cached —
         the batched schedulers read this on every launch)."""
         return resident_blocks(self.device, self.threads_per_block)
-
-    @property
-    def waves(self) -> int:
-        """Dispatch waves for this grid."""
-        return waves_for(self.device, self.n_blocks, self.threads_per_block)

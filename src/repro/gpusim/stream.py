@@ -70,8 +70,3 @@ class Stream:
                 "(reading it now would be a host-device data race)"
             )
         return self._queue[position][3][0]
-
-    @property
-    def pending(self) -> int:
-        """Number of enqueued-but-not-executed items."""
-        return len(self._queue) - self._completed

@@ -51,17 +51,12 @@ class Graph:
         order = np.lexsort((both[:, 0], both[:, 1]))
         both = both[order]
         self.edge_index = both.T.copy()  # (2, 2E): row0 = src, row1 = dst
-        self._degree = np.bincount(self.edge_index[1], minlength=num_nodes)
 
     # ------------------------------------------------------------ accessors
     @property
     def num_edges(self) -> int:
         """Undirected edge count."""
         return self._undirected.shape[0]
-
-    def degree(self) -> np.ndarray:
-        """In-degree (= out-degree) per node."""
-        return self._degree.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

@@ -76,15 +76,15 @@ grid cache-first (:mod:`repro.harness.farm`): it expands the declared
 grid into exactly the cells ``run`` would cache (device names become
 per-device cells where the experiment fits them; decomposing experiments
 expand through their axis declaration), probes every cell's key with a
-metadata-only ``contains`` before touching a worker, schedules only the
-miss cells onto the persistent executor pool largest-estimated-cost
-first, and prints a consolidated report including **digest drift**: any
-recomputed cell whose payload digest differs from the newest
-previous-generation cache entry of the same cell identity — or from a
-``--pins`` golden digest — is named together with both digests and the
-closure modules whose hashes moved.  A warm re-run of an unchanged grid
-performs zero experiment executions; after a single-module edit only the
-cells whose experiments reach that module recompute.  ``--probe-only``
+metadata-only ``contains`` before touching a worker, runs only the miss
+cells, in plan order, on the persistent executor pool, and prints a
+consolidated report including **digest drift**: any recomputed cell
+whose payload digest differs from the newest previous-generation cache
+entry of the same cell identity — or from a ``--pins`` golden digest —
+is named together with both digests and the closure modules whose
+hashes moved.  A warm re-run of an unchanged grid performs zero
+experiment executions; after a single-module edit only the cells whose
+experiments reach that module recompute.  ``--probe-only``
 reports staleness without dispatching; ``--fail-on-drift`` turns any
 drift into a non-zero exit (CI gate); ``--report-json`` archives the
 machine-readable report.

@@ -16,11 +16,9 @@ farm is the orchestration layer that makes those re-runs incremental:
 2. **Probe** the result cache for every cell up front
    (:meth:`ResultCache.contains` — metadata heads only, no payload
    deserialisation, no worker dispatch).
-3. **Schedule** only the miss cells onto the persistent
-   :class:`~repro.harness.parallel.ShardedExecutor` pool,
-   largest-estimated-cost first (previous-generation wall-clock when the
-   cache has seen the cell identity before, a scale heuristic
-   otherwise), storing each result as it lands.
+3. **Execute** only the miss cells, in plan order, on the persistent
+   :class:`~repro.harness.parallel.ShardedExecutor` pool, storing each
+   result as it lands.
 4. **Report** digest drift: whenever a recomputed cell's payload digest
    differs from the newest previous-generation entry of the same cell
    identity (same id/scale/seed/overrides, different key — i.e. the
@@ -58,7 +56,7 @@ from ..errors import ConfigurationError
 from ..experiments import list_experiments
 from . import fingerprint as _fingerprint
 from .jobs import Cell, JobRunner, JobSpec
-from .results import ResultCache, result_digest
+from .results import ResultCache
 
 __all__ = [
     "DriftEntry",
@@ -67,11 +65,6 @@ __all__ = [
     "plan_grid",
     "load_pins",
 ]
-
-#: Scale heuristic for cells the cache has never seen: paper-scale cells
-#: dominate any mixed grid, so they dispatch first when no recorded
-#: wall-clock says otherwise.
-_SCALE_COST = {"default": 1.0, "paper": 3600.0}
 
 
 def plan_grid(
@@ -153,8 +146,8 @@ class FarmReport:
     cells: list[Cell]
     hits: list[Cell]
     misses: list[Cell]
-    #: Miss cells in the order they were dispatched (largest estimated
-    #: cost first); empty on a fully warm grid or a probe-only pass.
+    #: Miss cells in the order they were dispatched (plan order); empty
+    #: on a fully warm grid or a probe-only pass.
     executed: list[Cell]
     drift: list[DriftEntry]
     elapsed_s: float = 0.0
@@ -222,7 +215,7 @@ class FarmReport:
             lines += ["", "## stale cells (would recompute)"]
             lines += [f"- {c.cell_id}" for c in self.misses]
         if self.executed:
-            lines += ["", "## executed (largest estimated cost first)"]
+            lines += ["", "## executed"]
             lines += [f"- {c.cell_id}" for c in self.executed]
         if self.drift:
             lines += ["", "## drift"]
@@ -305,20 +298,6 @@ class SweepFarm:
             return None
         return max(candidates, key=lambda m: m.get("created_at") or "")
 
-    def estimated_cost(self, cell: Cell, index: dict) -> float:
-        """Dispatch-priority estimate: the cell identity's last recorded
-        wall-clock when any generation of it is cached, else a scale
-        heuristic.  Ordering misses largest-first keeps the pool busy on
-        the long poles instead of discovering them last."""
-        metas = index.get(cell.identity(), [])
-        elapsed = [
-            m["elapsed_s"] for m in metas
-            if isinstance(m.get("elapsed_s"), (int, float))
-        ]
-        if elapsed:
-            return float(max(elapsed))
-        return _SCALE_COST.get(cell.scale, 1.0)
-
     # ------------------------------------------------------------- running
     def run(self, cells: list[Cell], *, probe_only: bool = False) -> FarmReport:
         """One farm pass: probe everything, recompute only the misses,
@@ -337,13 +316,8 @@ class SweepFarm:
             # never count as a previous generation; warm and probe-only
             # passes skip the whole-directory scan.
             index = self._generation_index()
-            schedule = sorted(
-                misses,
-                key=lambda c: self.estimated_cost(c, index),
-                reverse=True,
-            )
-            for cell in schedule:
-                digest = result_digest(self.runner.execute(cell))
+            for cell in misses:
+                _, digest = self.runner.execute(cell)
                 executed.append(cell)
                 self._check_drift(cell, digest, index, drift)
                 self._check_pin(cell, digest, drift)

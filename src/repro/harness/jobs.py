@@ -498,18 +498,22 @@ class JobRunner:
         """One cache cell: one read, then dispatch + store on a miss."""
         result = None if self.cache is None else self.cache.lookup(cell.key)
         hit = result is not None
-        if not hit:
-            result = self.execute(cell)
+        if hit:
+            digest = result_digest(result)
+        else:
+            result, digest = self.execute(cell)
         return result, CellOutcome(
             key=cell.key,
             overrides=dict(cell.overrides),
             hit=hit,
-            digest=result_digest(result),
+            digest=digest,
             elapsed_s=result.elapsed_s,
         )
 
-    def execute(self, cell: Cell) -> ExperimentResult:
-        """Unconditional dispatch + store of one planned cell (no probe).
+    def execute(self, cell: Cell) -> tuple[ExperimentResult, str]:
+        """Unconditional dispatch + store of one planned cell (no probe);
+        returns the result and its digest, computed once for both the
+        caller and the stored metadata.
 
         The farm's miss path: it has already probed its grid, so it
         hands each stale cell straight here.
@@ -517,6 +521,7 @@ class JobRunner:
         result = self.executor.run(
             cell.experiment_id, scale=cell.scale, seed=cell.seed, **cell.overrides
         )
+        digest = result_digest(result)
         if self.cache is not None:
-            self.cache.store(cell.key, result, overrides=cell.overrides)
-        return result
+            self.cache.store(cell.key, result, overrides=cell.overrides, digest=digest)
+        return result, digest

@@ -460,18 +460,23 @@ class ResultCache:
                 pass
 
     def store(
-        self, key: str, result: ExperimentResult, *, overrides: dict | None = None
+        self,
+        key: str,
+        result: ExperimentResult,
+        *,
+        overrides: dict | None = None,
+        digest: str | None = None,
     ) -> Path:
         """Write ``result`` under ``key``; age-GCs the directory once per
         instance (:meth:`_gc_old_entries`); returns the entry path.
 
         The entry's leading metadata block records the full cell identity
         (id, scale, seed, canonical ``overrides``), both fingerprints,
-        the closure's per-module hashes, the payload digest and the
-        elapsed wall-clock — everything the farm needs for hit probes,
-        previous-generation drift comparison (which modules moved, did
-        the bits move) and cost-ordered scheduling, all without parsing
-        a single payload.
+        the closure's per-module hashes, the payload digest (``digest``
+        when the caller already took :func:`result_digest` of ``result``)
+        and the elapsed wall-clock — everything the farm needs for hit
+        probes and previous-generation drift comparison (which modules
+        moved, did the bits move), all without parsing a single payload.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         self._gc_old_entries()
@@ -492,7 +497,7 @@ class ResultCache:
                 },
                 "code_fingerprint": snap.fingerprint,
                 "experiment_fingerprint": exp_fp,
-                "digest": result_digest(result),
+                "digest": result_digest(result) if digest is None else digest,
                 "elapsed_s": result.elapsed_s,
                 "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                 "modules": modules,

@@ -311,10 +311,6 @@ class ExperimentService:
         # A sentinel wakes the worker even on an empty queue.
         self._queue.put_nowait(None)
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     # --------------------------------------------------------------- worker
     def _run_record(self, record: JobRecord) -> JobOutcome:
         """The blocking job execution (runs in a thread, off the loop)."""

@@ -21,13 +21,14 @@ The plan is built once per index array and reused across runs — the
 argsort dominates setup, the per-run cost is one lexsort over raced
 segments plus the fold.
 
-Run-batched entry points: :meth:`SegmentPlan.fold_runs` (shared values,
-explicit order matrices), :meth:`SegmentPlan.fold_runs_sparse` (shared
+Run-batched entry points: :meth:`SegmentPlan.fold_runs_sparse` (shared
 values, contention-sparse raced refold), :meth:`SegmentPlan.
 fold_runs_values` (per-run values — the GNN training case) and
 :func:`sampled_copy_runs` (last-writer-wins winner races), all drawing
 per run in run order via :meth:`SegmentPlan.sample_run_draws` /
-:meth:`SegmentPlan.sample_run_draws_rngs`.
+:meth:`SegmentPlan.sample_run_draws_rngs`.  Only the raced-segment
+re-fold has a compiled twin (``stratified_refold``); the canonical folds
+are NumPy's lockstep fold matrices under either backend.
 """
 
 from __future__ import annotations
@@ -408,18 +409,6 @@ class SegmentPlan:
                 raise ShapeError(
                     f"init shape {init_arr.shape} != {(self.n_targets,) + payload}"
                 )
-        if ufunc is np.add:
-            impl = _backend.resolve("segment_fold")
-            if impl is not None:
-                res = impl(
-                    self,
-                    vals.astype(dtype, copy=False),
-                    np.asarray(order),
-                    init_arr,
-                    per_run_vals=False,
-                )
-                if res is not NotImplemented:
-                    return res[0]
         vals_sorted = vals[order].astype(dtype, copy=False)
 
         mat = np.full((self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype)
@@ -431,91 +420,6 @@ class SegmentPlan:
         # Zero-contribution rows hold the identity (or init); for amax/amin
         # that is +-inf — the op layer substitutes the input values there.
         return folded
-
-    def fold_runs(
-        self,
-        values: np.ndarray,
-        orders: np.ndarray,
-        *,
-        reduce: str = "sum",
-        init: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Batched :meth:`fold`: one fold per row of an ``(R, n)`` order
-        matrix, bit-identical per run to the scalar fold.
-
-        This is the scatter-op half of the batched run-axis engine: the
-        per-run orders come from :meth:`source_order` (one scheduler stream
-        per run), while the fold matrices of a run chunk (bounded by
-        :data:`repro.fp.summation.DEFAULT_RUN_CHUNK_ELEMENTS`) are filled
-        and folded in lockstep.
-
-        Parameters
-        ----------
-        values:
-            ``(n_sources, *payload)`` contributions, shared by all runs.
-        orders:
-            ``(R, n_sources)`` fold orders, one run per row.
-        reduce, init:
-            As in :meth:`fold`.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(R, n_targets, *payload)`` folded values.
-        """
-        from ..fp.summation import iter_run_chunks
-
-        if reduce not in _UFUNC:
-            raise ConfigurationError(
-                f"unknown reduce {reduce!r}; choose from {sorted(_UFUNC)}"
-            )
-        vals = np.asarray(values)
-        om = np.asarray(orders)
-        if om.ndim != 2 or om.shape[1] != self.n_sources:
-            raise ShapeError(
-                f"orders must be (runs, n_sources={self.n_sources}), got {om.shape}"
-            )
-        if vals.shape[:1] != (self.n_sources,):
-            raise ShapeError(
-                f"values first axis must be n_sources={self.n_sources}, "
-                f"got shape {vals.shape}"
-            )
-        n_runs = om.shape[0]
-        payload = vals.shape[1:]
-        dtype = vals.dtype if np.issubdtype(vals.dtype, np.floating) else np.float64
-        ufunc = _UFUNC[reduce]
-        identity = np.asarray(_IDENTITY[reduce], dtype=dtype)[()]
-        vals = vals.astype(dtype, copy=False)
-
-        init_arr = None
-        if init is not None:
-            init_arr = np.asarray(init, dtype=dtype)
-            if init_arr.shape != (self.n_targets,) + payload:
-                raise ShapeError(
-                    f"init shape {init_arr.shape} != {(self.n_targets,) + payload}"
-                )
-        if ufunc is np.add:
-            impl = _backend.resolve("segment_fold")
-            if impl is not None:
-                res = impl(self, vals, om, init_arr, per_run_vals=False)
-                if res is not NotImplemented:
-                    return res
-        out = np.empty((n_runs, self.n_targets) + payload, dtype=dtype)
-        elems_per_run = self.n_targets * (self.k_max + 1) * int(np.prod(payload, dtype=np.int64) or 1)
-        for lo, hi in iter_run_chunks(n_runs, elems_per_run):
-            chunk = hi - lo
-            mat = np.full(
-                (chunk, self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype
-            )
-            if init_arr is not None:
-                mat[:, :, 0] = init_arr
-            if self.n_sources:
-                runs_ix = np.arange(chunk)[:, None]
-                mat[runs_ix, self.sorted_targets[None, :], (self.ranks + 1)[None, :]] = (
-                    vals[om[lo:hi]]
-                )
-            out[lo:hi] = _fold_axis(mat, ufunc, axis=2)
-        return out
 
     def fold_runs_sparse(
         self,
@@ -538,7 +442,7 @@ class SegmentPlan:
         sort as the scalar lexsort, and un-raced rows are byte-copies of
         the canonical rows.  Because race probabilities are well below one
         in the calibrated contention models, this does a small fraction of
-        the dense :meth:`fold_runs` work.
+        the work of one dense fold per run.
 
         Parameters
         ----------
@@ -666,29 +570,21 @@ class SegmentPlan:
                 raise ShapeError(
                     f"init shape {init_arr.shape} != {(self.n_targets,) + payload}"
                 )
-        out = None
-        if ufunc is np.add:
-            impl = _backend.resolve("segment_fold")
-            if impl is not None:
-                res = impl(self, vals, None, init_arr, per_run_vals=True)
-                if res is not NotImplemented:
-                    out = res
-        if out is None:
-            out = np.empty((n_runs, self.n_targets) + payload, dtype=dtype)
-            elems_per_run = (
-                self.n_targets * (self.k_max + 1)
-                * int(np.prod(payload, dtype=np.int64) or 1)
+        out = np.empty((n_runs, self.n_targets) + payload, dtype=dtype)
+        elems_per_run = (
+            self.n_targets * (self.k_max + 1)
+            * int(np.prod(payload, dtype=np.int64) or 1)
+        )
+        for lo, hi in iter_run_chunks(n_runs, elems_per_run):
+            chunk = hi - lo
+            mat = np.full(
+                (chunk, self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype
             )
-            for lo, hi in iter_run_chunks(n_runs, elems_per_run):
-                chunk = hi - lo
-                mat = np.full(
-                    (chunk, self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype
-                )
-                if init_arr is not None:
-                    mat[:, :, 0] = init_arr
-                if self.n_sources:
-                    mat[:, self.sorted_targets, self.ranks + 1] = vals[lo:hi][:, self.order]
-                out[lo:hi] = _fold_axis(mat, ufunc, axis=2)
+            if init_arr is not None:
+                mat[:, :, 0] = init_arr
+            if self.n_sources:
+                mat[:, self.sorted_targets, self.ranks + 1] = vals[lo:hi][:, self.order]
+            out[lo:hi] = _fold_axis(mat, ufunc, axis=2)
         if draws is None or not draws.targets.size:
             return out
         seg_targets, seg_counts = draws.targets, draws.counts

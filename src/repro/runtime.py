@@ -755,14 +755,6 @@ class RunContext:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(_INIT_TAG, int(stream)))
         return np.random.default_rng(ss)
 
-    # ------------------------------------------------------------------ misc
-    def spawn(self, key: int) -> "RunContext":
-        """Derive an independent child context (for parallel experiments)."""
-        child_entropy = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(0xC41D, int(key))
-        ).generate_state(1)[0]
-        return RunContext(seed=int(child_entropy))
-
 
 _default_context = RunContext(seed=0)
 _context_stack: list[RunContext] = []

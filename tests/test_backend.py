@@ -6,13 +6,13 @@ Three layers of pinning:
    bit-for-bit, across dtypes (f32/f64), sizes (0/1/prime/large), special
    payloads (−0.0, inf, NaN) and run-chunk edges.  The NumPy results
    are computed under ``use_backend("numpy")`` so the reference can never
-   silently ride the compiled path.  The kernel-less tree fold and
-   blocked scan are pinned backend-invariant too.
+   silently ride the compiled path.  The kernel-less tree fold, blocked
+   scan and canonical segmented folds are pinned backend-invariant too.
 2. **Selection semantics** — mode validation, ``auto`` fallback when the
    toolchain is simulated absent, the loud failure of explicit
    ``compiled``, worker-pool inheritance, warm-up, and the dispatch
    table (every ``resolve`` site names a kernel, every kernel has a
-   site).
+   site, every declared C function has a body and a calling wrapper).
 3. **Cache-key hygiene** — backend identity in
    :func:`repro.harness.results.cache_key`, including kernel-fingerprint
    sensitivity.
@@ -20,6 +20,7 @@ Three layers of pinning:
 
 from __future__ import annotations
 
+import ast
 import re
 from collections import Counter
 from pathlib import Path
@@ -30,6 +31,7 @@ import pytest
 import repro
 from repro import backend as B
 from repro.backend import compiled as C
+from repro.backend import csrc
 from repro.backend import registry as R
 from repro.errors import ConfigurationError
 from repro.fp import summation
@@ -168,23 +170,6 @@ class TestSegmentParity:
         init[0] = -0.0
         assert_parity(lambda: plan.fold(vals))
         assert_parity(lambda: plan.fold(vals, init=init))
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_fold_runs(self, rng, monkeypatch, dtype):
-        plan, vals = _plan_and_vals(rng, 300, 40, dtype, (2,))
-        orders = np.stack([plan.order for _ in range(5)])
-        for r in range(5):  # shuffle within segment spans: valid run orders
-            for lo, hi in zip(plan.segment_starts, plan.segment_ends):
-                seg = orders[r, lo:hi].copy()
-                rng.shuffle(seg)
-                orders[r, lo:hi] = seg
-        init = rng.standard_normal((40, 2)).astype(dtype)
-        assert_parity(lambda: plan.fold_runs(vals, orders))
-        assert_parity(lambda: plan.fold_runs(vals, orders, init=init))
-        monkeypatch.setattr(  # 2 runs per NumPy chunk
-            summation, "DEFAULT_RUN_CHUNK_ELEMENTS", 2 * 40 * (plan.k_max + 1) * 2
-        )
-        assert_parity(lambda: plan.fold_runs(vals, orders))
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_fold_runs_sparse(self, rng, dtype):
@@ -331,9 +316,36 @@ def _resolve_sites() -> dict[str, list[str]]:
     return sites
 
 
+def _wrapper_kernel_calls() -> set[str]:
+    """C symbols the wrappers in ``compiled.py`` call: ``lib.repro_x`` and
+    ``getattr(lib, f"repro_x_{sfx}")`` (expanded over the dtype suffixes)."""
+    called: set[str] = set()
+    for node in ast.walk(ast.parse(Path(C.__file__).read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "lib"):
+            called.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == "lib"):
+            stem = "".join(
+                part.value for part in node.args[1].values
+                if isinstance(part, ast.Constant)
+            )
+            called |= {stem + sfx for sfx in C._SUFFIX.values()}
+    return called
+
+
 class TestDispatchTable:
     """A dispatch site naming no kernel would silently run NumPy forever,
     and a kernel without a site is dead C: both directions are pinned."""
+
+    def test_every_declared_kernel_is_called_by_a_wrapper(self):
+        declared = set(re.findall(r"\b(repro_\w+)\s*\(", csrc.CDEF))
+        defined = set(re.findall(r"^(?:int|void) (repro_\w+)\(", csrc.CSRC, re.M))
+        called = _wrapper_kernel_calls()
+        assert declared == defined
+        assert declared - called == set(), "declared C no wrapper calls"
+        assert called - declared == set(), "wrapper calls of undeclared C"
 
     def test_every_resolve_site_names_a_kernel(self):
         unknown = {n: f for n, f in _resolve_sites().items() if n not in C.IMPLS}

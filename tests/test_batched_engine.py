@@ -44,6 +44,7 @@ from repro.ops import (
     scatter_reduce,
     scatter_reduce_runs,
 )
+from repro.ops.nondet import ContentionModel
 from repro.ops.segmented import SegmentPlan
 from repro.reductions import get_reduction
 from repro.runtime import RunContext
@@ -296,34 +297,72 @@ class TestSchedulerBatchEquivalence:
             WaveSchedulerBatch(launch, RunContext(0)).thread_retirement_orders(2, 0)
 
 
-class TestSegmentPlanFoldRuns:
+def _run_order(plan: SegmentPlan, draws, r: int) -> np.ndarray:
+    """Run ``r``'s scalar fold order: :meth:`SegmentPlan.source_order`'s
+    rank keys with that run's raced segments re-keyed from ``draws``."""
+    keys = plan.ranks.astype(np.float64)
+    offsets = draws.key_offsets()
+    for s in np.flatnonzero(draws.runs == r):
+        lo = plan.segment_starts[draws.targets[s]]
+        keys[lo : lo + draws.counts[s]] = draws.keys[offsets[s] : offsets[s] + draws.counts[s]]
+    return plan.order[np.lexsort((keys, plan.sorted_targets))]
+
+
+def _raced_plan(n: int, t: int, seed: int, n_runs: int):
+    """A plan whose multi-hit targets race often, and one batch of draws."""
+    plan = SegmentPlan(np.random.default_rng(seed).integers(0, t, n), t)
+    model = ContentionModel(q0=0.9, gamma=0.0, n0=1.0)
+    return plan, plan.sample_run_draws(n_runs, model, RunContext(seed))
+
+
+class TestSegmentPlanBatchedFolds:
+    """``fold_runs_sparse`` (shared values) and ``fold_runs_values``
+    (per-run values) against one scalar :meth:`SegmentPlan.fold` per run,
+    in the order its draws give."""
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("reduce", ("sum", "prod", "amax", "amin"))
-    def test_matches_scalar_bitwise(self, dtype, reduce):
-        rng = np.random.default_rng(3)
-        n, t = 50, 11
-        idx = rng.integers(0, t, n)
-        plan = SegmentPlan(idx, t)
-        vals = rng.standard_normal(n).astype(dtype)
-        orders = np.stack([plan.source_order(plan.multi_targets, rng) for _ in range(4)])
-        batched = plan.fold_runs(vals, orders, reduce=reduce)
-        for r in range(4):
-            scalar = plan.fold(vals, order=orders[r], reduce=reduce)
-            np.testing.assert_array_equal(batched[r], scalar)
+    def test_sparse_matches_scalar_bitwise(self, dtype, reduce):
+        plan, draws = _raced_plan(60, 11, 3, 5)
+        assert draws.targets.size  # the batch races
+        vals = special_values(np.random.default_rng(4), 60, dtype)
+        batched = plan.fold_runs_sparse(vals, draws, reduce=reduce)
+        for r in range(5):
+            scalar = plan.fold(vals, order=_run_order(plan, draws, r), reduce=reduce)
+            assert np.array_equal(bits(batched[r]), bits(scalar))
 
-    def test_with_init_and_payload(self, run_chunk_budget):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("reduce", ("sum", "prod", "amax", "amin"))
+    def test_per_run_values_match_scalar_bitwise(self, dtype, reduce):
+        plan, draws = _raced_plan(60, 11, 5, 5)
+        assert draws.targets.size
+        rng = np.random.default_rng(6)
+        vals = np.stack([special_values(rng, 60, dtype) for _ in range(5)])
+        batched = plan.fold_runs_values(vals, draws, reduce=reduce)
+        for r in range(5):
+            scalar = plan.fold(vals[r], order=_run_order(plan, draws, r), reduce=reduce)
+            assert np.array_equal(bits(batched[r]), bits(scalar))
+
+    def test_sparse_with_init_and_payload(self):
+        plan, draws = _raced_plan(30, 9, 8, 3)
         rng = np.random.default_rng(8)
-        n, t = 30, 9
-        idx = rng.integers(0, t, n)
-        plan = SegmentPlan(idx, t)
-        vals = rng.standard_normal((n, 4)).astype(np.float32)
-        init = rng.standard_normal((t, 4)).astype(np.float32)
-        orders = np.stack([plan.source_order(plan.multi_targets, rng) for _ in range(3)])
-        run_chunk_budget(2 * t * (plan.k_max + 1) * 4)  # 2 runs per chunk
-        batched = plan.fold_runs(vals, orders, reduce="sum", init=init)
+        vals = rng.standard_normal((30, 4)).astype(np.float32)
+        init = rng.standard_normal((9, 4)).astype(np.float32)
+        batched = plan.fold_runs_sparse(vals, draws, init=init)
         for r in range(3):
-            scalar = plan.fold(vals, order=orders[r], reduce="sum", init=init)
-            np.testing.assert_array_equal(batched[r], scalar)
+            scalar = plan.fold(vals, order=_run_order(plan, draws, r), init=init)
+            assert np.array_equal(bits(batched[r]), bits(scalar))
+
+    def test_per_run_values_with_init_and_payload(self, run_chunk_budget):
+        plan, draws = _raced_plan(30, 9, 9, 3)
+        rng = np.random.default_rng(9)
+        vals = rng.standard_normal((3, 30, 4)).astype(np.float32)
+        init = rng.standard_normal((9, 4)).astype(np.float32)
+        run_chunk_budget(2 * 9 * (plan.k_max + 1) * 4)  # 2 runs per chunk
+        batched = plan.fold_runs_values(vals, draws, init=init)
+        for r in range(3):
+            scalar = plan.fold(vals[r], order=_run_order(plan, draws, r), init=init)
+            assert np.array_equal(bits(batched[r]), bits(scalar))
 
     def test_segment_accessors(self):
         idx = np.array([2, 0, 2, 1, 2])

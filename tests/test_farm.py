@@ -37,6 +37,7 @@ from repro.harness.farm import load_pins
 from repro.runtime import RunContext
 
 from test_golden_experiments import GOLDEN_SHA256, _OVERRIDES
+from test_jobs import count_digests
 
 
 class FakeExecutor:
@@ -231,6 +232,13 @@ class TestFarmRuns:
         SweepFarm(cache, ExplodingExecutor()).run(cells, probe_only=True)
         assert len(scans) == 1
 
+    def test_a_miss_is_digested_once(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        cells = plan_grid(["table2"])
+        calls = count_digests(monkeypatch)
+        report = SweepFarm(cache, FakeExecutor()).run(cells)
+        assert report.n_executed == 1 and len(calls) == 1
+
     def test_farm_entries_serve_cli_lookups(self, tmp_path):
         # The farm stores under exactly the key the CLI run path derives.
         cache = ResultCache(tmp_path)
@@ -239,34 +247,6 @@ class TestFarmRuns:
         key = cache_key("fig5", "default", 0, dict(_OVERRIDES["fig5"]))
         hit = cache.lookup(key)
         assert hit is not None and hit.experiment_id == "fig5"
-
-    def test_estimated_cost_prefers_recorded_wall_clock(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        farm = SweepFarm(cache, FakeExecutor())
-        cell = plan_grid(["table2"])[0]
-        assert farm.estimated_cost(cell, {}) == 1.0  # scale heuristic
-        paper = plan_grid(["table2"], scales=("paper",))[0]
-        assert farm.estimated_cost(paper, {}) > 1.0
-        index = {cell.identity(): [{"elapsed_s": 42.5}]}
-        assert farm.estimated_cost(cell, index) == 42.5
-
-    def test_misses_dispatch_largest_cost_first(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        executor = FakeExecutor()
-        farm = SweepFarm(cache, executor)
-        cells = plan_grid(
-            ["fig4", "fig5"],
-            overrides={"fig4": _OVERRIDES["fig4"], "fig5": _OVERRIDES["fig5"]},
-        )
-        # Seed a prior generation making fig5 the recorded long pole.
-        index_entry = lambda c, s: {  # noqa: E731 - local table builder
-            c.identity(): [{"elapsed_s": s, "key": "old"}]
-        }
-        index = {**index_entry(cells[0], 1.0), **index_entry(cells[1], 9.0)}
-        schedule = sorted(
-            cells, key=lambda c: farm.estimated_cost(c, index), reverse=True
-        )
-        assert [c.experiment_id for c in schedule] == ["fig5", "fig4"]
 
 
 class TestGoldenPinsViaFarm:

@@ -102,14 +102,6 @@ class TestStream:
         with pytest.raises(LaunchError):
             s.result(k)
 
-    def test_pending_count(self):
-        s = Stream()
-        s.launch(lambda: None)
-        s.launch(lambda: None)
-        assert s.pending == 2
-        s.synchronize()
-        assert s.pending == 0
-
     def test_non_callable_rejected(self):
         with pytest.raises(LaunchError):
             Stream().launch(42)

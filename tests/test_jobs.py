@@ -9,6 +9,8 @@ both ride this module, so these tests are the compatibility floor for
 every transport.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,24 @@ class TestLayering:
         )
 
 
+def count_digests(monkeypatch) -> list:
+    """Record every ``result_digest`` call, through whichever ``repro``
+    module imported the name."""
+    from repro.harness import results
+
+    calls = []
+    original = results.result_digest
+
+    def counted(result):
+        calls.append(result.experiment_id)
+        return original(result)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "result_digest", None) is original:
+            monkeypatch.setattr(module, "result_digest", counted)
+    return calls
+
+
 class TestJobRunnerLifecycle:
     def _runner(self, tmp_path):
         return JobRunner(ShardedExecutor(workers=1), ResultCache(tmp_path))
@@ -276,6 +296,19 @@ class TestJobRunnerLifecycle:
         direct = get_experiment("fig4").run(ctx=RunContext(seed=1), n_runs=3)
         assert out.result.rows == direct.rows
         assert out.result.extra == direct.extra
+
+    def test_each_cell_is_digested_once(self, tmp_path, monkeypatch):
+        # A computed cell's one digest serves both its outcome and the
+        # stored metadata; a hit digests what it read, once.
+        runner = self._runner(tmp_path)
+        calls = count_digests(monkeypatch)
+        cold = runner.run(JobSpec("table2"))
+        assert not cold.cached and cold.digest == cold.cells[0].digest
+        assert len(calls) == 1
+        assert runner.cache.read_meta(cold.cells[0].key)["digest"] == cold.digest
+        warm = runner.run(JobSpec("table2"))
+        assert warm.cached and warm.digest == cold.digest
+        assert len(calls) == 2
 
     def test_a_hit_is_one_read(self, tmp_path, monkeypatch):
         runner = self._runner(tmp_path)

@@ -19,10 +19,6 @@ class TestGraph:
         assert len(pairs) == 4
         assert pairs == {(dst, src) for src, dst in pairs}
 
-    def test_degree(self):
-        g = Graph(4, [[0, 1], [1, 2], [1, 3]])
-        np.testing.assert_array_equal(g.degree(), [1, 3, 1, 1])
-
     def test_edge_index_sorted_by_destination_then_source(self):
         g = Graph(5, [[1, 4], [1, 0], [1, 2]])
         src, dst = g.edge_index

@@ -11,7 +11,6 @@ from __future__ import annotations
 import ast
 import importlib
 import os
-import re
 import subprocess
 import sys
 import tomllib
@@ -61,32 +60,54 @@ def test_console_script_resolves_to_a_callable():
     assert callable(getattr(importlib.import_module(module), attr))
 
 
-#: Definitions kept on purpose although nothing else in ``src`` names
+#: Definitions kept on purpose although no code in ``src`` refers to
 #: them, one reason each.  Keep this short: a definition without a caller
 #: is deleted, not listed.
 _UNCALLED_ALLOWED = {
     "_reset_for_tests": "test hook: tests forget the compiled backend's "
                         "cached load attempt to simulate a missing toolchain",
+    "reduce_sum": "the scalar reference that OpenMPRuntime.reduce_many is "
+                  "pinned against (tests/test_batched_engine.py), and the "
+                  "OpenMP example's API",
 }
 
 
+def _code_references(tree: ast.AST) -> Counter:
+    """Names a module's code refers to: ``Name`` ids, ``Attribute`` attrs
+    (f-string bodies included), import aliases, and the strings an
+    ``__all__`` lists.  Docstrings and comments are not code."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                refs.update(
+                    elt.value for elt in getattr(node.value, "elts", ())
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                )
+    return refs
+
+
 def _uncalled_definitions(root: Path) -> set[str]:
-    """Names of functions and classes under ``root`` that no other line of
-    the package names (word match; a definition's own line excluded;
-    dunders skipped)."""
-    sources = {path: path.read_text() for path in sorted(root.rglob("*.py"))}
-    words = Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
+    """Functions and classes under ``root`` that no code in the package
+    refers to (:func:`_code_references`; dunders skipped)."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    refs = sum((_code_references(tree) for tree in trees.values()), Counter())
     found = set()
-    for path, text in sources.items():
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            own = re.findall(r"\w+", lines[node.lineno - 1]).count(name)
-            if words[name] == own:
+            if not refs[name]:
                 found.add(f"{path.relative_to(root.parent)}:{node.lineno}:{name}")
     return found
 
@@ -108,8 +129,17 @@ def test_uncalled_scan_flags_a_helper_nothing_names(tmp_path):
     (pkg / "a.py").write_text(
         "def used():\n    return 1\n\n"
         "def orphan():  # orphan\n    return used()\n\n"
-        "class Box:\n    def __repr__(self):\n        return 'Box'\n"
+        "class Box:\n    def __repr__(self):\n        return 'Box'\n\n"
+        "def prose():\n    return 2\n\n"
+        "def formatted():\n    return 3\n"
     )
-    (pkg / "b.py").write_text("from .a import Box\n")
-    # Its own def line (comment included) is no caller; dunders are skipped.
-    assert _uncalled_definitions(pkg) == {"pkg/a.py:4:orphan"}
+    (pkg / "b.py").write_text(
+        '"""Call :func:`prose` for two."""\n'
+        "from . import a\n"
+        "from .a import Box  # prose() is named here too\n"
+        "LABEL = f\"{a.formatted()}\"\n"
+    )
+    # Its own def line (comment included) is no caller; dunders are skipped;
+    # a docstring or comment naming a definition is no caller, and a call
+    # inside an f-string is one.
+    assert _uncalled_definitions(pkg) == {"pkg/a.py:4:orphan", "pkg/a.py:11:prose"}

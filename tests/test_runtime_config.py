@@ -57,15 +57,6 @@ class TestRunContext:
             ctx.init().standard_normal(4), ctx.init().standard_normal(4)
         )
 
-    def test_spawn_children_independent(self):
-        ctx = RunContext(5)
-        a = ctx.spawn(0).data().standard_normal(4)
-        b = ctx.spawn(1).data().standard_normal(4)
-        assert not np.array_equal(a, b)
-
-    def test_spawn_deterministic(self):
-        assert RunContext(5).spawn(3).seed == RunContext(5).spawn(3).seed
-
     def test_non_int_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             RunContext(seed="abc")

@@ -1,10 +1,10 @@
-"""Tests for the CG solver, FP error analysis, and the memory race model."""
+"""Tests for the CG solver and FP error analysis."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.errors import ConfigurationError, LaunchError, ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.fp.analysis import (
     bounds_for,
     expected_vs_std,
@@ -14,7 +14,6 @@ from repro.fp.analysis import (
 )
 from repro.fp.summation import serial_sum, tree_fold
 from repro.fp.compensated import exact_sum
-from repro.gpusim.memory import GlobalMemory, SharedMemory
 from repro.runtime import RunContext
 from repro.solvers import conjugate_gradient, iterate_divergence, spd_test_matrix
 
@@ -161,82 +160,3 @@ class TestErrorAnalysis:
         with pytest.raises(ConfigurationError):
             expected_vs_std(np.ones(4), 0)
 
-
-class TestMemoryRaceModel:
-    def test_plain_writes_race(self):
-        mem = GlobalMemory(4)
-        mem.write(0, 1.0, thread=0)
-        mem.write(0, 2.0, thread=1)
-        assert mem.races
-        assert mem.races[0].kind == "write-write"
-
-    def test_read_write_races(self):
-        mem = GlobalMemory(4)
-        mem.read(1, thread=0)
-        mem.write(1, 5.0, thread=1)
-        assert any(r.kind == "read-write" for r in mem.races)
-
-    def test_reads_do_not_race(self):
-        mem = GlobalMemory(4)
-        mem.read(0, thread=0)
-        mem.read(0, thread=1)
-        assert not mem.races
-
-    def test_atomics_do_not_race_each_other(self):
-        mem = GlobalMemory(1)
-        for t in range(8):
-            mem.atomic_add(0, 1.0, thread=t)
-        assert not mem.races
-        assert mem.snapshot()[0] == 8.0
-
-    def test_atomic_vs_plain_write_races(self):
-        mem = GlobalMemory(1)
-        mem.atomic_add(0, 1.0, thread=0)
-        mem.write(0, 9.0, thread=1)
-        assert mem.races
-
-    def test_fence_separates_epochs(self):
-        mem = GlobalMemory(2)
-        mem.write(0, 1.0, thread=0)
-        mem.fence()
-        mem.write(0, 2.0, thread=1)
-        assert not mem.races
-
-    def test_same_thread_never_races_itself(self):
-        mem = GlobalMemory(2)
-        mem.write(0, 1.0, thread=0)
-        mem.write(0, 2.0, thread=0)
-        assert not mem.races
-
-    def test_atomic_add_returns_previous(self):
-        mem = GlobalMemory(1)
-        assert mem.atomic_add(0, 3.0, thread=0) == 0.0
-        assert mem.atomic_add(0, 4.0, thread=1) == 3.0
-
-    def test_address_bounds(self):
-        mem = GlobalMemory(2)
-        with pytest.raises(LaunchError):
-            mem.read(5, thread=0)
-        with pytest.raises(LaunchError):
-            GlobalMemory(0)
-
-    def test_tree_reduction_needs_barrier(self):
-        # Listing 1's pattern: without __syncthreads between halving steps,
-        # thread i reads smem[i + offset] while its owner may still write.
-        smem = SharedMemory(8)
-        for t in range(8):
-            smem.write(t, float(t), thread=t)
-        smem.barrier()
-        # Correct: barrier between the write and the next level's reads.
-        for t in range(4):
-            v = smem.read(t, thread=t) + smem.read(t + 4, thread=t)
-            smem.write(t, v, thread=t)
-        assert not smem.races
-
-        racy = SharedMemory(8)
-        for t in range(8):
-            racy.write(t, float(t), thread=t)
-        # Missing barrier: level-2 reads race level-1 writes.
-        for t in range(4):
-            racy.read(t + 4, thread=t)
-        assert racy.races
