@@ -6,11 +6,12 @@ behind the two whose C twin measurably moves an experiment's run time:
 the sequential fold (``batched_atomic_fold``, which ``permuted_sums``
 also runs on) and the raced-segment re-fold (``stratified_refold``).
 The tree folds, the canonical segmented fold (``SegmentPlan.fold``) and
-the blocked cumsum scan stay NumPy-only.  Five run-stream kernels
+the blocked cumsum scan stay NumPy-only.  Six run-stream kernels
 (``pcg64_seed``, ``pcg64_bounded``, ``pcg64_fill_f32``,
-``pcg64_bernoulli``, ``pcg64_fill_f64``) draw a whole
-:class:`~repro.runtime.RunStreams` window's scheduler randomness in C,
-bit-identical to NumPy's PCG64 ``Generator``.  The package has three
+``pcg64_bernoulli``, ``pcg64_fill_f64``, ``pcg64_tap_keys``) draw a
+whole :class:`~repro.runtime.RunStreams` window's scheduler randomness
+in C, bit-identical to NumPy's PCG64 ``Generator`` (``pcg64_tap_keys``
+writes ``pcg64_fill_f64``'s draws packed with their tap index).  The package has three
 modules:
 
 * :mod:`repro.backend.csrc` — the C kernels (one template, f32/f64);

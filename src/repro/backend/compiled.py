@@ -353,6 +353,21 @@ def _pcg64_fill_f64(states, rows, row_counts: np.ndarray):
     return out
 
 
+def _pcg64_tap_keys(states, rows, row_counts: np.ndarray, taps: int):
+    """The draws of :func:`_pcg64_fill_f64` as uint64 keys packed with
+    their tap index (``1 <= taps <= 2048``; every ``row_counts[r]`` a
+    multiple of ``taps``)."""
+    lib = load_library()
+    row_counts = _i64(row_counts)
+    out = np.empty(int(row_counts.sum()), dtype=np.uint64)
+    if lib.repro_pcg64_tap_keys(
+        _u64p(states), _rowsp(rows), row_counts.size, _i64p(row_counts), taps,
+        _u64p(out),
+    ):
+        return NotImplemented
+    return out
+
+
 #: Primitive name -> compiled implementation, consumed by the registry.
 IMPLS = {
     "batched_atomic_fold": _batched_atomic_fold,
@@ -362,4 +377,5 @@ IMPLS = {
     "pcg64_fill_f32": _pcg64_fill_f32,
     "pcg64_bernoulli": _pcg64_bernoulli,
     "pcg64_fill_f64": _pcg64_fill_f64,
+    "pcg64_tap_keys": _pcg64_tap_keys,
 }

@@ -19,7 +19,9 @@ Beside the folds sit the **run-stream kernels** ``repro_pcg64_*``: NumPy's
 PCG64 driven over a whole window of scheduler streams held as one state
 array (:class:`repro.runtime.RunStreams`) — seeding from the derived
 SeedSequence words, bounded integers by Lemire's method, float32 fills
-and the raced-candidate Bernoulli plus its float64 shuffle keys.  They
+and the raced-candidate Bernoulli plus its float64 shuffle keys, or
+the same keys packed with their tap index for the transposed
+convolutions' tap sort.  They
 replay NumPy's ``Generator`` draws bit for bit (including its buffered
 32-bit half-word); a one-time self-check against NumPy
 (:func:`repro.runtime._stream_kernels_ok`) gates them, so a NumPy that
@@ -178,6 +180,9 @@ int repro_pcg64_bernoulli(uint64_t *states, const int64_t *rows, int64_t n,
                           uint8_t *mask, int64_t *row_keys);
 int repro_pcg64_fill_f64(uint64_t *states, const int64_t *rows, int64_t n,
                          const int64_t *row_counts, double *out);
+int repro_pcg64_tap_keys(uint64_t *states, const int64_t *rows, int64_t n,
+                         const int64_t *row_counts, int64_t taps,
+                         uint64_t *out);
 """
 
 _STREAM_SRC = """
@@ -351,6 +356,36 @@ int repro_pcg64_fill_f64(uint64_t *states, const int64_t *rows, int64_t n,
         pcg_load(&g, PCG_ROW(r));
         for (int64_t i = 0; i < k; i++)
             out[i] = (double)(pcg_next64(&g) >> 11) * (1.0 / 9007199254740992.0);
+        out += k;
+        pcg_store(&g, PCG_ROW(r));
+    }
+    return 0;
+#else
+    return 1;
+#endif
+}
+
+/* The draws of repro_pcg64_fill_f64 as packed tap keys: the 53 bits of
+   each random() double, shifted up 11 bits, OR'd with the key's tap index
+   (position within its row modulo taps; every row count is a multiple of
+   taps <= 2048). */
+int repro_pcg64_tap_keys(uint64_t *states, const int64_t *rows, int64_t n,
+                         const int64_t *row_counts, int64_t taps,
+                         uint64_t *out)
+{
+#ifdef __SIZEOF_INT128__
+    for (int64_t r = 0; r < n; r++) {
+        int64_t k = row_counts[r];
+        if (!k)
+            continue;
+        pcg_t g;
+        pcg_load(&g, PCG_ROW(r));
+        uint64_t t = 0;
+        for (int64_t i = 0; i < k; i++) {
+            out[i] = ((pcg_next64(&g) >> 11) << 11) | t;
+            if (++t == (uint64_t)taps)
+                t = 0;
+        }
         out += k;
         pcg_store(&g, PCG_ROW(r));
     }

@@ -1,7 +1,7 @@
 """Backend selection and per-primitive dispatch.
 
 The engine's hot paths — the two fold primitives
-(``batched_atomic_fold``, ``stratified_refold``) and the five
+(``batched_atomic_fold``, ``stratified_refold``) and the six
 ``pcg64_*`` run-stream kernels of :mod:`repro.backend.csrc` — each ask
 the registry for a compiled implementation at call time::
 
@@ -213,4 +213,5 @@ def warm_up() -> str:
     compiled.IMPLS["pcg64_fill_f32"](states, None, 2, 3)
     _, row_keys = compiled.IMPLS["pcg64_bernoulli"](states, None, 2, 0.5, np.array([2, 3]))
     compiled.IMPLS["pcg64_fill_f64"](states, None, row_keys)
+    compiled.IMPLS["pcg64_tap_keys"](states, None, row_keys, 1)
     return backend

@@ -14,7 +14,6 @@ __all__ = [
     "LaunchError",
     "SchedulerError",
     "NondeterministicError",
-    "DeterminismUnsupportedError",
     "ShapeError",
     "DTypeError",
     "AutogradError",
@@ -56,11 +55,6 @@ class NondeterministicError(ReproError):
     This mirrors the ``RuntimeError`` the paper reports for PyTorch's
     ``scatter_reduce`` under ``torch.use_deterministic_algorithms(True)``.
     """
-
-
-class DeterminismUnsupportedError(NondeterministicError):
-    """Alias-grade subclass kept for API symmetry with PyTorch's message
-    taxonomy; raised when determinism is *documented* but not implemented."""
 
 
 class ShapeError(ReproError, ValueError):

@@ -44,7 +44,13 @@ lockstep).  :data:`DEFAULT_RUN_CHUNK_ELEMENTS` bounds the transient
 one private core and one compiled kernel.  The scheduler side of the
 engine — sampling all ``R`` execution orders as one matrix under the same
 bit-exactness contract — lives in
-:class:`repro.gpusim.scheduler.WaveSchedulerBatch`.
+:class:`repro.gpusim.scheduler.WaveSchedulerBatch`.  Every order the
+folds consume comes from a sort of unique packed integer keys (each key
+with its index), so it is ``np.argsort(kind="stable")``'s order whichever
+SIMD target NumPy's sort dispatches to: block and warp orders through
+``repro.gpusim.scheduler._stable_row_order``, the transposed
+convolutions' raced tap orders through
+:meth:`~repro.runtime.RunStreams.raced_tap_keys`.
 
 Beyond the fold matrices, the same engine batches the per-run *block*
 stage: :func:`block_partials_runs` evaluates every row's two-stage tile

@@ -26,7 +26,7 @@ exactly that layer:
 """
 
 from .device import DeviceSpec, get_device, list_devices, register_device
-from .occupancy import resident_blocks, waves_for
+from .occupancy import resident_blocks
 from .kernel import LaunchConfig
 from .scheduler import WaveScheduler, WaveSchedulerBatch, SchedulerParams
 from .atomics import AtomicAccumulator, RetirementCounter, atomic_fold, batched_atomic_fold
@@ -55,7 +55,6 @@ __all__ = [
     "list_devices",
     "register_device",
     "resident_blocks",
-    "waves_for",
     "LaunchConfig",
     "WaveScheduler",
     "WaveSchedulerBatch",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .device import DeviceSpec
 from ..errors import LaunchError
 
-__all__ = ["resident_blocks", "waves_for"]
+__all__ = ["resident_blocks"]
 
 
 def resident_blocks(device: DeviceSpec, threads_per_block: int) -> int:
@@ -32,10 +32,3 @@ def resident_blocks(device: DeviceSpec, threads_per_block: int) -> int:
     per_sm = max(1, min(per_sm_threads, device.max_blocks_per_sm))
     return per_sm * device.num_sms
 
-
-def waves_for(device: DeviceSpec, n_blocks: int, threads_per_block: int) -> int:
-    """Number of dispatch waves needed to run ``n_blocks``."""
-    if n_blocks < 1:
-        raise LaunchError(f"n_blocks must be >= 1, got {n_blocks}")
-    res = resident_blocks(device, threads_per_block)
-    return (n_blocks + res - 1) // res

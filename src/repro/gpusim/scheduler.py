@@ -45,9 +45,13 @@ is consumed in a fixed order:
    effective warp jitter is positive.
 
 Everything downstream of the draws is elementwise float32 arithmetic plus
-:func:`numpy.argsort` with the default (introsort) kind — both of which
-produce identical bits whether evaluated on one run's 1-D vector or on the
-rows of an ``(R, n)`` matrix.  That invariant is what makes the batched
+one sort, :func:`_stable_row_order` — both of which produce identical bits
+whether evaluated on one run's 1-D vector or on the rows of an ``(R, n)``
+matrix.  The sort packs each float32 key and its index into one unique
+uint64, so its order is ``np.argsort(kind="stable")``'s (ties keep index
+order) whichever SIMD target NumPy's sort dispatches to; a default-kind
+``argsort`` orders float32 ties differently under AVX-512, AVX2 and
+baseline dispatch.  That invariant is what makes the batched
 :class:`WaveSchedulerBatch` **bit-identical** to constructing a fresh
 :class:`WaveScheduler` per run: the batch draws each step of the sequence
 for every run in one pass over a :class:`repro.runtime.RunStreams` window
@@ -104,7 +108,7 @@ draws its whole run axis from it in a fixed order:
 
 :meth:`WaveSchedulerBatch.block_completion_orders_from_draws` turns those
 raw draws into completion orders through the very same float32 transform
-and argsort as the per-run paths.  Consequences: a sweep over any subset
+and sort as the per-run paths.  Consequences: a sweep over any subset
 of devices reproduces each device's rows bit-identically (single-device
 replays are exact), deterministic devices draw nothing (their one
 schedule is computed once and pooled across the run axis), and run-window
@@ -242,6 +246,60 @@ _JITTER_SPAN = 3.4641016151377544
 #: Marks grid slots that carry no element (lanes beyond threads_per_block).
 _SENTINEL32 = np.iinfo(np.int32).max
 _SENTINEL64 = np.iinfo(np.int64).max
+
+#: Packed bounds of :func:`_stable_row_order`: ``-inf``'s mapped bits with
+#: index 0, and the first mapped value past ``+inf``'s.
+_NEG_INF_PACKED = np.uint64(0x007FFFFF << 32)
+_NAN_PACKED = np.uint64(0xFF800001 << 32)
+
+#: Keys per block of :func:`_stable_row_order`: a block's packed keys
+#: (1 MiB) stay in cache across the pack, sort and unpack passes, which
+#: at fig1's ``(2683, 1563)`` chunks takes 11 ms against 15 ms unblocked
+#: (AVX-512 Xeon, NumPy 2.4).
+_SORT_BLOCK = 1 << 17
+
+
+def _stable_row_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of float32 ``keys`` along the last axis.
+
+    The one sort behind every block and warp order.  Each key becomes a
+    unique uint64: its float32 bits mapped to an order-preserving unsigned
+    integer (``-0.0`` folded onto ``+0.0`` first, so the two tie), shifted
+    into the high word, with the key's index in the low word.  Unique keys
+    leave a sort no choice, so whichever algorithm NumPy dispatches to
+    (AVX-512, AVX2 or baseline) returns ``np.argsort(keys,
+    kind="stable")``'s int64 order, and faster than the default kind.
+    Rows are packed and sorted in cache-sized blocks.  A NaN key has no
+    place in a completion order: it raises
+    :class:`~repro.errors.SchedulerError`.
+    """
+    n = keys.shape[-1]
+    packed = np.empty(keys.shape, dtype=np.uint64)
+    if not packed.size:
+        return packed.view(np.int64)
+    rows, out = keys.reshape(-1, n), packed.reshape(-1, n)
+    index = np.arange(n, dtype=np.uint64)
+    step = max(1, _SORT_BLOCK // n)
+    for lo in range(0, rows.shape[0], step):
+        _pack_and_sort(rows[lo : lo + step], out[lo : lo + step], index)
+    return packed.view(np.int64)
+
+
+def _pack_and_sort(keys: np.ndarray, out: np.ndarray, index: np.ndarray) -> None:
+    """One block of :func:`_stable_row_order`: ``out`` receives the
+    sorted rows' indices (as uint64)."""
+    bits = np.add(keys, np.float32(0.0), dtype=np.float32).view(np.uint32)
+    # Negative keys flip every bit, the others only the sign bit.
+    flip = (bits.view(np.int32) >> 31).view(np.uint32)
+    flip |= np.uint32(0x80000000)
+    bits ^= flip
+    np.left_shift(bits, np.uint64(32), out=out)
+    out |= index
+    out.sort(axis=-1)
+    # NaNs map beyond the infinities, so they sort to a row's ends.
+    if (out[:, 0] < _NEG_INF_PACKED).any() or (out[:, -1] >= _NAN_PACKED).any():
+        raise SchedulerError("NaN completion-time key: no order exists")
+    out &= np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -483,11 +541,13 @@ class WaveScheduler:
         """Permutation: block indices sorted by completion time.
 
         This is the order in which SPA's per-block partial sums hit the
-        accumulator.  Sorted with :func:`numpy.argsort`'s default introsort
-        — deterministic, and row-identical between the 1-D and batched 2-D
-        calls (the draw-order contract above).
+        accumulator.  Sorted by :func:`_stable_row_order`: blocks whose
+        float32 times tie complete in block-index order, the order equals
+        ``np.argsort(times, kind="stable")`` on every SIMD target, and it
+        is row-identical between the 1-D and batched 2-D calls (the
+        draw-order contract above).
         """
-        return np.argsort(self.block_arrival_times(contention))
+        return _stable_row_order(self.block_arrival_times(contention))
 
     # --------------------------------------------------------------- threads
     def _warp_geometry(self) -> tuple[int, int, int]:
@@ -541,7 +601,7 @@ class WaveScheduler:
             else None
         )
         keys = self._warp_keys_from(block_t, uw, sigma_w)  # (nb, wpb)
-        korder = np.argsort(keys.reshape(-1))
+        korder = _stable_row_order(keys.reshape(-1))
         elems = _element_template(nb, tpb, warp)[korder]
         flat = elems.reshape(-1)
         return flat[flat < n_elements]
@@ -675,7 +735,7 @@ class WaveSchedulerBatch:
     ) -> np.ndarray:
         """``(n_runs, n_blocks)`` block completion orders, one run per row."""
         times = self.block_arrival_times_batch(n_runs, contention, rngs=rngs)
-        return np.argsort(times, axis=-1)
+        return _stable_row_order(times)
 
     def block_completion_orders_from_draws(
         self,
@@ -706,7 +766,7 @@ class WaveSchedulerBatch:
         else:
             rot_idx = np.zeros(n_runs, dtype=np.int64)
         times = self._proto._block_times_from(rot_idx, u, contention)
-        return np.argsort(times, axis=-1)
+        return _stable_row_order(times)
 
     # ---------------------------------------------------------------- threads
     def _validate_thread_request(self, n_elements: int) -> None:
@@ -721,12 +781,13 @@ class WaveSchedulerBatch:
     def _warp_sort_chunks(
         self, n_runs: int, contention: float, chunk_elems: int, rngs=None
     ):
-        """Yield per-chunk ``(lo, hi, korder)`` warp-key argsorts.
+        """Yield per-chunk ``(lo, hi, korder)`` warp-key orders.
 
         Shared machinery of the element- and warp-granular order methods:
         each chunk's draws (per run, in the contracted order — from
         explicit ``rngs`` when given, else fresh context streams) in
-        batched passes, batched key build, one axis-1 argsort per chunk.
+        batched passes, batched key build, one :func:`_stable_row_order`
+        per chunk.
         """
         from ..fp.summation import iter_run_chunks
 
@@ -745,7 +806,7 @@ class WaveSchedulerBatch:
             uw = streams.random_f32((nb, wpb)) if sigma_w > 0 else None
             block_t = proto._block_times_from(rots, u, contention)
             keys = proto._warp_keys_from(block_t, uw, sigma_w)
-            yield lo, hi, np.argsort(keys.reshape(chunk, w_total), axis=-1)
+            yield lo, hi, _stable_row_order(keys.reshape(chunk, w_total))
 
     def thread_retirement_orders(
         self, n_runs: int, n_elements: int, contention: float = 1.0, *, rngs=None

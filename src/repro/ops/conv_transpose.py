@@ -22,8 +22,9 @@ canonical (deterministic) fold once; each non-deterministic run then only
 re-folds its *raced* output elements in the sampled order.
 :func:`conv_transpose_runs` executes ``n_runs`` such runs against one plan
 — per-run randomness drawn exactly like the scalar path (one scheduler
-stream per run: raced Bernoulli, tap-permutation keys, key argsort; all
-runs' draws in one batched pass), so
+stream per run: raced Bernoulli, then tap keys packed with their tap
+index and sorted, so ties keep tap order on every SIMD target; all runs'
+draws in one batched pass), so
 every output is bit-identical to the corresponding scalar
 ``conv_transposeNd(..., deterministic=False)`` call.
 """
@@ -36,7 +37,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from ..runtime import RunContext, RunStreams, get_context
+from ..runtime import TAP_KEY_MASK, RunContext, RunStreams, get_context
 from .nondet import OP_CONTENTION, ContentionModel
 from .registry import resolve_determinism
 
@@ -177,27 +178,36 @@ class _ConvTransposePlan:
         tap order.  Returns ``(R, *out_shape)``.
 
         Draw order (per run, one scheduler stream): raced Bernoulli over
-        the candidates, then ``(raced, T)`` permutation keys, argsorted
-        row-wise — drawn for a run chunk at a time in one batched pass.  Un-raced
-        elements reuse the canonical fold.
+        the candidates, then ``(raced, T)`` uniform tap keys — drawn for a
+        run chunk at a time in one batched pass.  Each key arrives packed
+        with its tap index (:meth:`~repro.runtime.RunStreams.
+        raced_tap_keys`), so one plain sort per raced element orders its
+        taps by key, ties by tap index: ``np.argsort(keys,
+        kind="stable")``'s order on every SIMD target.  A plan with more
+        than 2048 taps cannot pack them and raises
+        :class:`~repro.errors.ConfigurationError`.  Un-raced elements
+        reuse the canonical fold.
         """
         n_elems, T = self.flat.shape
         q = model.race_probability(n_elems, n_elems)
-        counts = np.full(self.candidates.size, T)
+        n_cand = self.candidates.size
         n_runs = len(streams)
         out = np.empty((n_runs, n_elems), dtype=self.det_flat.dtype)
-        # Run chunks keep the keys, their argsort and the tap gather
+        # Run chunks keep the keys, their sort and the tap gather
         # cache-sized; every run's draws and adds are chunk-independent.
-        step = max(1, _CHUNK_KEYS // max(counts.size * T, 1))
+        step = max(1, _CHUNK_KEYS // max(n_cand * T, 1))
         for lo in range(0, n_runs, step):
             hi = min(lo + step, n_runs)
-            runs, cand, keys = streams[lo:hi].raced_keys(q, counts)
+            runs, cand, keys = streams[lo:hi].raced_tap_keys(q, n_cand, T)
             rows = out[lo:hi]
             rows[:] = self.det_flat
             if not runs.size:
                 continue
             raced = self.candidates[cand]
-            perm = np.argsort(keys.reshape(-1, T), axis=1)
+            keys = keys.reshape(-1, T)
+            keys.sort(axis=1)
+            keys &= np.uint64(TAP_KEY_MASK)
+            perm = keys.view(np.int64)
             # One flat gather straight into tap-major order: row ``t`` holds
             # every raced element's ``t``-th tap in the sampled order, so the
             # fold below adds contiguous rows — the same per-element adds

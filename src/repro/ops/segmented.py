@@ -28,7 +28,10 @@ fold_runs_values` (per-run values — the GNN training case) and
 per run in run order via :meth:`SegmentPlan.sample_run_draws` /
 :meth:`SegmentPlan.sample_run_draws_rngs`.  Only the raced-segment
 re-fold has a compiled twin (``stratified_refold``); the canonical folds
-are NumPy's lockstep fold matrices under either backend.
+run NumPy under either backend: :meth:`SegmentPlan.fold`'s lockstep fold
+matrix, and its rank-by-rank twin in :meth:`SegmentPlan.fold_runs_values`
+(the same adds on a ``(targets, runs, *payload)`` accumulator, with no
+identity padding to materialise).
 """
 
 from __future__ import annotations
@@ -520,10 +523,10 @@ class SegmentPlan:
         run's contributions have diverged, so the runs share the *plan* but
         not the *values*.  Each run's fold is bit-identical to
         ``self.fold(values[r], order=source_order(<draws[r]>), init=init)``:
-        the canonical fold of all runs is evaluated as one lockstep fold
-        matrix (chunked along the run axis), and the raced segments of each
-        run are then re-folded with that run's own values through the same
-        stratified machinery as :meth:`fold_runs_sparse`.
+        the canonical fold of all runs is evaluated rank by rank into one
+        ``(targets, runs, *payload)`` accumulator, and the raced segments
+        of each run are then re-folded with that run's own values through
+        the same stratified machinery as :meth:`fold_runs_sparse`.
 
         Parameters
         ----------
@@ -541,8 +544,6 @@ class SegmentPlan:
         numpy.ndarray
             ``(n_runs, n_targets, *payload)`` folded values.
         """
-        from ..fp.summation import iter_run_chunks
-
         if reduce not in _UFUNC:
             raise ConfigurationError(
                 f"unknown reduce {reduce!r}; choose from {sorted(_UFUNC)}"
@@ -570,21 +571,29 @@ class SegmentPlan:
                 raise ShapeError(
                     f"init shape {init_arr.shape} != {(self.n_targets,) + payload}"
                 )
+        # The fold matrix of :meth:`fold`, one rank at a time: targets in
+        # descending-count order, so the targets holding a rank-``i``
+        # contribution are a prefix of the accumulator.  The same adds in
+        # the same order, plus one explicit identity for every target the
+        # matrix pads (below ``k_max``; rule 2 of repro.backend.csrc).
+        perm = np.argsort(-self.counts, kind="stable")
+        counts = self.counts[perm]
+        starts = self.segment_starts[perm]
+        by_source = np.moveaxis(vals, 1, 0)
+        acc = np.empty((self.n_targets, n_runs) + payload, dtype=dtype)
+        if init_arr is None:
+            acc[:] = identity
+        else:
+            acc[:] = init_arr[perm][:, None]
+        for i in range(self.k_max):
+            m = int(np.count_nonzero(counts > i))
+            part = acc[:m]
+            ufunc(part, by_source[self.order[starts[:m] + i]], out=part)
+        padded = acc[np.count_nonzero(counts == self.k_max):]
+        if padded.size:
+            ufunc(padded, identity, out=padded)
         out = np.empty((n_runs, self.n_targets) + payload, dtype=dtype)
-        elems_per_run = (
-            self.n_targets * (self.k_max + 1)
-            * int(np.prod(payload, dtype=np.int64) or 1)
-        )
-        for lo, hi in iter_run_chunks(n_runs, elems_per_run):
-            chunk = hi - lo
-            mat = np.full(
-                (chunk, self.n_targets, self.k_max + 1) + payload, identity, dtype=dtype
-            )
-            if init_arr is not None:
-                mat[:, :, 0] = init_arr
-            if self.n_sources:
-                mat[:, self.sorted_targets, self.ranks + 1] = vals[lo:hi][:, self.order]
-            out[lo:hi] = _fold_axis(mat, ufunc, axis=2)
+        out[:, perm] = np.moveaxis(acc, 0, 1)
         if draws is None or not draws.targets.size:
             return out
         seg_targets, seg_counts = draws.targets, draws.counts

@@ -275,9 +275,10 @@ def _stream_kernels_ok() -> bool:
     """One-time self-check of the compiled run-stream kernels against
     NumPy's own PCG64 ``Generator``: seeding, Lemire bounds (rejection
     included), float32 fills that leave a half-word buffered, the
-    raced-candidate Bernoulli and its keys, on all rows and on a row
-    subset.  A mismatch (a future NumPy changing PCG64, Lemire or the
-    buffer) keeps every window on the per-run ``Generator`` loop."""
+    raced-candidate Bernoulli, its float64 keys and its packed tap keys,
+    on all rows and on a row subset.  A mismatch (a future NumPy changing
+    PCG64, Lemire or the buffer) keeps every window on the per-run
+    ``Generator`` loop."""
     from .backend import compiled
 
     k = compiled.IMPLS
@@ -312,9 +313,34 @@ def _stream_kernels_ok() -> bool:
             want_keys = [g.random(int(counts[w].sum())) for g, w in zip(picked, want)]
             if not np.array_equal(keys, np.concatenate(want_keys)):
                 return False
+            taps = m + 1
+            tap_counts = np.full(counts.size, taps, dtype=np.int64)
+            mask, row_keys = k["pcg64_bernoulli"](states, rows, n, q, tap_counts)
+            packed = k["pcg64_tap_keys"](states, rows, row_keys, taps)
+            want = [g.random(counts.size) < q for g in picked]
+            want_keys = [g.random(taps * int(w.sum())) for g, w in zip(picked, want)]
+            want_packed = _pack_tap_keys(np.concatenate(want_keys), taps)
+            if not (np.array_equal(mask, want) and np.array_equal(packed, want_packed)):
+                return False
         return states.tolist() == [_pcg64_state_words(g) for g in gens]
     except Exception:  # noqa: BLE001 - any kernel failure => Generator loop
         return False
+
+
+#: Low bits of a packed tap key (:meth:`RunStreams.raced_tap_keys`) that
+#: hold the tap index: a float64 ``random()`` draw carries 53 bits.
+TAP_KEY_MASK = (1 << 11) - 1
+
+
+def _pack_tap_keys(keys: np.ndarray, taps: int) -> np.ndarray:
+    """Pack float64 ``random()`` keys, ``taps`` per candidate, with their
+    tap index: ``(key * 2**53) << 11 | t`` (exact, the draws are
+    multiples of ``2**-53``)."""
+    packed = (keys * 2.0**53).astype(np.uint64)
+    packed <<= np.uint64(11)
+    rows = packed.reshape(-1, taps)
+    rows |= np.arange(taps, dtype=np.uint64)
+    return packed
 
 
 def _stream_kernels() -> dict | None:
@@ -329,6 +355,7 @@ def _stream_kernels() -> dict | None:
         "fill_f32": _backend.resolve("pcg64_fill_f32"),
         "bernoulli": _backend.resolve("pcg64_bernoulli"),
         "fill_f64": _backend.resolve("pcg64_fill_f64"),
+        "tap_keys": _backend.resolve("pcg64_tap_keys"),
     }
 
 
@@ -388,12 +415,12 @@ class RunStreams(Sequence):
       fresh state (the consumers that iterate: cumsum chunk draws,
       OpenMP trials, permutations, collectives);
     * **through the batched draw methods** — :meth:`block_inputs`,
-      :meth:`random_f32` and :meth:`raced_keys` draw one contracted
-      pattern for every row in one pass.  Under the compiled backend the
-      ``repro_pcg64_*`` kernels advance the ``(R, 6)`` uint64 state
-      array in C (state and increment as 128-bit pairs, then NumPy's
-      buffered 32-bit half-word); otherwise the same draws come from a
-      per-run loop over the materialised Generators.  Either way every
+      :meth:`random_f32`, :meth:`raced_keys` and :meth:`raced_tap_keys`
+      draw one contracted pattern for every row in one pass.  Under the
+      compiled backend the ``repro_pcg64_*`` kernels advance the ``(R,
+      6)`` uint64 state array in C (state and increment as 128-bit
+      pairs, then NumPy's buffered 32-bit half-word); otherwise the same
+      draws come from a per-run loop over the materialised Generators.  Either way every
       row yields the draws its own Generator would, in the same order.
 
     **Ownership rule.**  A row is drawn either through the batched
@@ -563,16 +590,45 @@ class RunStreams(Sequence):
         order.  Draws nothing when ``q <= 0`` or there are no candidates
         (the contention models' no-race short cut).
         """
-        counts = np.asarray(counts, dtype=np.int64)
+        return self._raced(q, np.asarray(counts, dtype=np.int64), None)
+
+    def raced_tap_keys(
+        self, q: float, n_cand: int, taps: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`raced_keys` with ``taps`` keys per raced candidate, each
+        packed with its tap index into one unique uint64.
+
+        The draws are exactly :meth:`raced_keys`'s.  NumPy's ``random()``
+        double is ``(word >> 11) * 2**-53``, so key ``t`` of a candidate
+        becomes ``(word >> 11) << 11 | t``: sorting a candidate's packed
+        keys orders its taps as ``np.argsort(keys, kind="stable")`` does,
+        on every SIMD target, and ``& TAP_KEY_MASK`` recovers the taps.
+        ``taps`` must be in ``[1, 2048]`` (the 11 freed low bits), else
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        if not 1 <= taps <= TAP_KEY_MASK + 1:
+            raise ConfigurationError(
+                f"cannot pack {taps} tap indices into a shuffle key "
+                f"(at most {TAP_KEY_MASK + 1} taps)"
+            )
+        return self._raced(q, np.full(n_cand, taps, dtype=np.int64), taps)
+
+    def _raced(self, q: float, counts: np.ndarray, taps: int | None):
+        """The draws of :meth:`raced_keys`; with ``taps``, the keys come
+        back packed (:meth:`raced_tap_keys`)."""
         n, c = len(self), counts.size
+        dtype = np.float64 if taps is None else np.uint64
         if q <= 0.0 or c == 0:
             none = np.empty(0, dtype=np.int64)
-            return none, none, np.empty(0, dtype=np.float64)
+            return none, none, np.empty(0, dtype=dtype)
         k = self._claim()
         if k:
             st, rows = self._win.states, self._rows
             mask, row_keys = k["bernoulli"](st, rows, n, q, counts)
-            keys = k["fill_f64"](st, rows, row_keys)
+            if taps is None:
+                keys = k["fill_f64"](st, rows, row_keys)
+            else:
+                keys = k["tap_keys"](st, rows, row_keys, taps)
         else:
             mask = np.empty((n, c), dtype=bool)
             parts = []
@@ -582,6 +638,8 @@ class RunStreams(Sequence):
                 if n_keys:
                     parts.append(g.random(n_keys))
             keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+            if taps is not None:
+                keys = _pack_tap_keys(keys, taps)
         runs, cands = np.divmod(np.flatnonzero(mask), c)
         return runs, cands, keys
 

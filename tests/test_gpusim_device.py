@@ -10,7 +10,6 @@ from repro.gpusim import (
     list_devices,
     register_device,
     resident_blocks,
-    waves_for,
 )
 
 
@@ -58,20 +57,12 @@ class TestOccupancy:
         # 32-thread blocks: the 32-blocks/SM cap binds before threads.
         assert resident_blocks(dev, 32) == 32 * dev.num_sms
 
-    def test_waves_rounding(self):
-        dev = get_device("v100")
-        res = resident_blocks(dev, 256)
-        assert waves_for(dev, res, 256) == 1
-        assert waves_for(dev, res + 1, 256) == 2
-
     def test_invalid_inputs_raise(self):
         dev = get_device("v100")
         with pytest.raises(LaunchError):
             resident_blocks(dev, 0)
         with pytest.raises(LaunchError):
             resident_blocks(dev, 4096)
-        with pytest.raises(LaunchError):
-            waves_for(dev, 0, 64)
 
 
 class TestLaunchConfig:
