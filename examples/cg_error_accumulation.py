@@ -46,8 +46,15 @@ def main() -> None:
     for k in range(0, len(div), 5):
         bar = "#" * int(min(60, 2 * max(0, np.log10(max(div[k], 1e-18)) + 18)))
         print(f"  iter {k + 1:3d}: {div[k]:.3e} {bar}")
-    print(f"\ndivergence grew {div[-1] / max(div[0], 1e-300):.1f}x "
-          f"from iteration 1 to {len(div)}")
+    diverged = np.flatnonzero(div)
+    if diverged.size:
+        # Growth is measured from the first iteration where the runs part:
+        # before it every run agrees bit for bit and the divergence is 0.
+        first = int(diverged[0])
+        print(f"\ndivergence grew {div[-1] / div[first]:.1f}x "
+              f"from iteration {first + 1} (the first to diverge) to {len(div)}")
+    else:
+        print(f"\nall runs agreed bit for bit for {len(div)} iterations")
 
     # -- consequence: convergence verdicts can flicker ----------------------
     iters = [

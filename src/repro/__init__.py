@@ -39,12 +39,10 @@ from .errors import (
 )
 from .config import (
     use_deterministic_algorithms,
-    are_deterministic_algorithms_enabled,
-    is_deterministic_algorithms_warn_only_enabled,
     deterministic_mode,
     DeterminismWarning,
 )
-from .runtime import RunContext, seed_all, get_context, use_context, default_context
+from .runtime import RunContext, seed_all, get_context
 from .metrics import (
     scalar_variability,
     scalar_variability_many,
@@ -54,9 +52,9 @@ from .metrics import (
     VariabilityReport,
     runs_all_unique,
 )
-from .reductions import get_reduction, all_reductions, properties_table
+from .reductions import get_reduction, properties_table
 from .gpusim import DeviceSpec, get_device, list_devices, CostModel
-from .tensor import Tensor, tensor, no_grad
+from .tensor import Tensor, no_grad
 from . import fp, metrics, gpusim, reductions, openmp, ops, nn, graph, lpu, solvers
 
 __version__ = "1.0.0"
@@ -78,16 +76,12 @@ __all__ = [
     "ExperimentError",
     # config
     "use_deterministic_algorithms",
-    "are_deterministic_algorithms_enabled",
-    "is_deterministic_algorithms_warn_only_enabled",
     "deterministic_mode",
     "DeterminismWarning",
     # runtime
     "RunContext",
     "seed_all",
     "get_context",
-    "use_context",
-    "default_context",
     # metrics
     "scalar_variability",
     "scalar_variability_many",
@@ -98,7 +92,6 @@ __all__ = [
     "runs_all_unique",
     # reductions & devices
     "get_reduction",
-    "all_reductions",
     "properties_table",
     "DeviceSpec",
     "get_device",
@@ -106,7 +99,6 @@ __all__ = [
     "CostModel",
     # tensor
     "Tensor",
-    "tensor",
     "no_grad",
     # subpackages
     "fp",

@@ -54,8 +54,8 @@ the bit level (−0.0, inf, NaN payloads, empty/prime sizes), and the whole
 batched↔scalar property suite plus all golden pins run under both
 backends via the ``backend`` fixture.
 
-The source lives as a Python string (rather than a ``.c`` file) so
-:func:`repro.harness.results.code_fingerprint` — which hashes every
+The source lives as a Python string (rather than a ``.c`` file) so the
+code fingerprint (:mod:`repro.harness.fingerprint`) — which hashes every
 ``*.py`` file — automatically covers kernel edits, and so
 :data:`KERNEL_FINGERPRINT` can be derived without filesystem probing.
 """

@@ -9,8 +9,6 @@ the same control surface for our kernels:
   :class:`~repro.errors.NondeterministicError` (or warn with
   ``warn_only=True``), exactly the failure mode the paper hit with
   ``scatter_reduce``.
-* :func:`are_deterministic_algorithms_enabled` /
-  :func:`is_deterministic_algorithms_warn_only_enabled` — introspection.
 * :class:`deterministic_mode` — scoped override for tests and experiments.
 
 Thread-safety: flags are process-global and guarded by a lock, like
@@ -29,8 +27,6 @@ from .errors import ConfigurationError, NondeterministicError
 
 __all__ = [
     "use_deterministic_algorithms",
-    "are_deterministic_algorithms_enabled",
-    "is_deterministic_algorithms_warn_only_enabled",
     "deterministic_mode",
     "DeterminismWarning",
     "check_deterministic_allowed",
@@ -75,24 +71,12 @@ def use_deterministic_algorithms(mode: bool, *, warn_only: bool = False) -> None
         _warn_only = warn_only if mode else False
 
 
-def are_deterministic_algorithms_enabled() -> bool:
-    """Return ``True`` when deterministic kernels are globally required."""
-    with _lock:
-        return _deterministic
-
-
-def is_deterministic_algorithms_warn_only_enabled() -> bool:
-    """Return ``True`` when determinism violations only warn."""
-    with _lock:
-        return _warn_only
-
-
 @contextlib.contextmanager
 def deterministic_mode(mode: bool = True, *, warn_only: bool = False) -> Iterator[None]:
     """Scoped version of :func:`use_deterministic_algorithms`.
 
     >>> with deterministic_mode():
-    ...     assert are_deterministic_algorithms_enabled()
+    ...     assert check_deterministic_allowed("op", has_deterministic=True)
     """
     with _lock:
         prev = (_deterministic, _warn_only)

@@ -48,7 +48,6 @@ from .sharding import RunConcat, RunList
 __all__ = [
     "OpVariability",
     "SweepCell",
-    "sweep_variability",
     "sweep_run_payloads",
     "variability_from_payload",
     "scatter_reduce_variability",
@@ -528,33 +527,6 @@ def sweep_run_payloads(
             "digests": RunList(e["digests"]),
         }
         for e in entries
-    ]
-
-
-def sweep_variability(
-    cells: list[SweepCell],
-    n_runs: int,
-    ctx: RunContext,
-    *,
-    dtype=np.float32,
-) -> list[OpVariability]:
-    """Evaluate a whole sweep grid through the batched engine.
-
-    Workloads and :class:`SegmentPlan`s for every cell are built first
-    (run-counter-independent data streams); each cell draws from its own
-    block of scheduler streams (the layout of a scalar cell-by-cell
-    sweep), and per run chunk the raced re-folds are pooled across
-    same-payload cells (:func:`_pooled_refold`).  Results are
-    bit-identical to calling
-    :func:`scatter_reduce_variability` / :func:`index_add_variability`
-    per cell.  Internally this is the full-window ``[0, n_runs)`` special
-    case of :func:`sweep_run_payloads` — the same kernel the sharded
-    executor partitions across processes.
-    """
-    payloads = sweep_run_payloads(cells, n_runs, ctx, lo=0, hi=n_runs, dtype=dtype)
-    return [
-        variability_from_payload({k: v.finish() for k, v in p.items()})
-        for p in payloads
     ]
 
 

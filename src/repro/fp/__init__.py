@@ -1,15 +1,15 @@
-"""Floating-point summation algorithms and FPNA analysis tools.
+"""Floating-point summation algorithms and FPNA tools.
 
 This package is the numerical substrate for the paper's Section III:
 
-* :mod:`repro.fp.summation` — ordered folds (serial, reverse, permuted),
-  pairwise/tree reduction, blocked reductions matching the GPU algorithms.
-* :mod:`repro.fp.compensated` — error-free transformations (TwoSum), Kahan
-  and Neumaier compensated sums, and an exact ``fsum`` reference.
+* :mod:`repro.fp.summation` — ordered folds (serial, permuted), tree
+  reduction, blocked reductions matching the GPU algorithms.
+* :mod:`repro.fp.compensated` — Kahan and Neumaier compensated sums,
+  sorted sums, and an exact ``fsum`` reference.
 * :mod:`repro.fp.permutation` — the Table 1 experiment primitive: the effect
   of random permutations on a serial sum.
-* :mod:`repro.fp.ulp` — ULP utilities and bit-pattern helpers used by tests
-  and by the variability analyses.
+* :mod:`repro.fp.ulp` — ULP utilities used by tests and by the
+  variability analyses.
 * :mod:`repro.fp.lowprec` — bfloat16/float16 round-to-nearest-even
   quantisation and step-rounded folds (the narrow accumulation variants of
   the collective combine step).
@@ -17,11 +17,8 @@ This package is the numerical substrate for the paper's Section III:
 
 from .summation import (
     serial_sum,
-    reverse_sum,
     permuted_sum,
     permuted_sums,
-    pairwise_sum,
-    blocked_pairwise_sum,
     block_partials,
     tree_fold,
     batched_tree_fold,
@@ -29,65 +26,40 @@ from .summation import (
     DEFAULT_RUN_CHUNK_ELEMENTS,
 )
 from .compensated import (
-    two_sum,
-    fast_two_sum,
     kahan_sum,
     neumaier_sum,
     exact_sum,
     sorted_sum,
 )
-from .permutation import PermutationEffect, permutation_effects, permutation_spread
-from .ulp import ulp, ulp_distance, bits_of, relative_error_in_ulps
+from .permutation import PermutationEffect, permutation_effects
+from .ulp import ulp, ulp_distance, relative_error_in_ulps
 from .lowprec import (
     round_to_bf16,
     bf16_bits,
-    is_bf16,
     bf16_ulp_distance,
     bf16_fold_runs,
-)
-from .analysis import (
-    SummationBounds,
-    bounds_for,
-    expected_vs_std,
-    serial_error_bound,
-    summation_condition_number,
-    tree_error_bound,
 )
 
 __all__ = [
     "serial_sum",
-    "reverse_sum",
     "permuted_sum",
     "permuted_sums",
-    "pairwise_sum",
-    "blocked_pairwise_sum",
     "block_partials",
     "tree_fold",
     "batched_tree_fold",
     "iter_run_chunks",
     "DEFAULT_RUN_CHUNK_ELEMENTS",
-    "two_sum",
-    "fast_two_sum",
     "kahan_sum",
     "neumaier_sum",
     "exact_sum",
     "sorted_sum",
     "PermutationEffect",
     "permutation_effects",
-    "permutation_spread",
     "ulp",
     "ulp_distance",
-    "bits_of",
     "relative_error_in_ulps",
     "round_to_bf16",
     "bf16_bits",
-    "is_bf16",
     "bf16_ulp_distance",
     "bf16_fold_runs",
-    "SummationBounds",
-    "bounds_for",
-    "expected_vs_std",
-    "serial_error_bound",
-    "summation_condition_number",
-    "tree_error_bound",
 ]

@@ -7,7 +7,6 @@ below) one ulp of the exact result, and :func:`exact_sum` is fully
 order-independent — useful both as a ground-truth oracle in tests and as a
 "reproducible summation" baseline in the ablation benchmarks.
 
-* :func:`two_sum` / :func:`fast_two_sum` — error-free transformations.
 * :func:`kahan_sum` — compensated fold, O(1) extra state.
 * :func:`neumaier_sum` — Kahan variant robust to ``|x| > |s|``.
 * :func:`sorted_sum` — fold in ascending-magnitude order (error-reducing
@@ -24,8 +23,6 @@ import numpy as np
 from ..errors import ShapeError
 
 __all__ = [
-    "two_sum",
-    "fast_two_sum",
     "kahan_sum",
     "neumaier_sum",
     "sorted_sum",
@@ -38,27 +35,6 @@ def _as_1d_f64(x) -> np.ndarray:
     if arr.ndim != 1:
         raise ShapeError(f"expected a 1-D array, got shape {arr.shape}")
     return arr
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Knuth's TwoSum: return ``(s, e)`` with ``s = fl(a+b)`` and
-    ``a + b = s + e`` exactly.  Works for any a, b (no magnitude ordering
-    requirement)."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
-def fast_two_sum(a: float, b: float) -> tuple[float, float]:
-    """Dekker's FastTwoSum; requires ``|a| >= |b|`` (or a == 0).
-
-    One branch cheaper than :func:`two_sum`; the precondition is asserted in
-    debug mode only (callers on hot paths guarantee ordering).
-    """
-    s = a + b
-    e = b - (s - a)
-    return s, e
 
 
 def kahan_sum(x) -> float:

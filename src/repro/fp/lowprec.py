@@ -40,7 +40,6 @@ from ..errors import DTypeError
 __all__ = [
     "round_to_bf16",
     "bf16_bits",
-    "is_bf16",
     "bf16_ulp_distance",
     "bf16_fold_runs",
 ]
@@ -87,12 +86,6 @@ def bf16_bits(x) -> np.ndarray:
             "bf16_bits requires bf16-valued input; quantise with round_to_bf16 first"
         )
     return (u >> np.uint32(16)).astype(np.uint16)
-
-
-def is_bf16(x) -> bool:
-    """Whether every value lies exactly on the bf16 grid."""
-    a = _as_f32(x)
-    return not bool(np.any(a.view(np.uint32) & np.uint32(0xFFFF)))
 
 
 def bf16_ulp_distance(a, b) -> np.ndarray | int:

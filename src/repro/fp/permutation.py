@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..metrics.scalar import scalar_variability, scalar_variability_many
+from ..metrics.scalar import scalar_variability
 from ..runtime import RunContext, get_context
-from .summation import iter_run_chunks, permuted_sum, permuted_sums, serial_sum
+from .summation import permuted_sum, serial_sum
 
-__all__ = ["PermutationEffect", "permutation_effects", "permutation_spread"]
+__all__ = ["PermutationEffect", "permutation_effects"]
 
 
 @dataclass(frozen=True)
@@ -99,31 +97,3 @@ def permutation_effects(
                 )
             )
     return rows
-
-
-def permutation_spread(
-    x,
-    n_permutations: int = 100,
-    *,
-    ctx: RunContext | None = None,
-) -> np.ndarray:
-    """Return the ``Vs`` values of ``n_permutations`` random-order folds of
-    ``x`` against its serial sum — the raw material for distribution and
-    max-|Vs| analyses.
-
-    Runs on the batched engine: permutations are still drawn one per run
-    (one scheduler stream each — the RNG contract), but the folds are
-    evaluated through :func:`~repro.fp.summation.permuted_sums` in run
-    chunks, bit-identical to the scalar :func:`permuted_sum` loop.
-    """
-    ctx = ctx or get_context()
-    arr = np.asarray(x, dtype=np.float64)
-    n = arr.size
-    s_d = serial_sum(arr)
-    sums = np.empty(n_permutations, dtype=np.float64)
-    for lo, hi in iter_run_chunks(n_permutations, n):
-        perms = np.empty((hi - lo, n), dtype=np.int64)
-        for r, rng in enumerate(ctx.schedulers(hi - lo)):
-            perms[r] = rng.permutation(n)
-        sums[lo:hi] = permuted_sums(arr, perms)
-    return scalar_variability_many(sums, s_d)

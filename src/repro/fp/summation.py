@@ -8,11 +8,11 @@ the same mathematical sum with a *different, precisely specified* order:
   ``S_D`` of the paper).
 * :func:`permuted_sum` — left fold after applying a permutation (the model
   of an asynchronous reduction, ``S_ND``).
-* :func:`pairwise_sum` — balanced binary tree (the GPU shared-memory
+* :func:`tree_fold` — balanced binary tree (the GPU shared-memory
   reduction; also NumPy's own strategy, but implemented explicitly so the
   association order is under our control, not NumPy's block size).
-* :func:`block_partials` / :func:`blocked_pairwise_sum` — the two-stage GPU
-  scheme: per-thread-block tree reduction followed by a combine stage.
+* :func:`block_partials` — stage 1 of the two-stage GPU scheme: per-
+  thread-block tree partials, which a combine stage then folds.
 
 All folds use IEEE-754 arithmetic via NumPy; results are bit-exact functions
 of the association order, which is what makes the variability experiments
@@ -118,11 +118,8 @@ from ..errors import ConfigurationError, ShapeError
 
 __all__ = [
     "serial_sum",
-    "reverse_sum",
     "permuted_sum",
     "permuted_sums",
-    "pairwise_sum",
-    "blocked_pairwise_sum",
     "block_partials",
     "block_partials_runs",
     "tree_fold",
@@ -222,14 +219,6 @@ def serial_sum(x) -> float:
         return 0.0
     # np.add.accumulate is a strictly sequential scan by definition.
     return float(np.add.accumulate(arr)[-1])
-
-
-def reverse_sum(x) -> float:
-    """Strict right-to-left fold — the simplest non-trivial reordering."""
-    arr = _as_1d(x)
-    if arr.size == 0:
-        return 0.0
-    return float(np.add.accumulate(arr[::-1])[-1])
 
 
 def permuted_sum(x, permutation) -> float:
@@ -351,31 +340,6 @@ def batched_tree_fold(xs) -> np.ndarray:
     return out
 
 
-def pairwise_sum(x, block: int = 1) -> float:
-    """Tree reduction with an optional serial base case of ``block`` leaves.
-
-    ``block=1`` is the pure tree (:func:`tree_fold`).  Larger blocks model
-    per-thread serial accumulation before the tree combine — the usual GPU
-    kernel structure when there are more elements than threads.
-    """
-    arr = _as_1d(x)
-    if block < 1:
-        raise ConfigurationError(f"block must be >= 1, got {block}")
-    if block == 1:
-        return tree_fold(arr)
-    n = arr.size
-    if n == 0:
-        return 0.0
-    n_chunks = (n + block - 1) // block
-    buf = np.zeros(n_chunks * block, dtype=arr.dtype)
-    buf[:n] = arr
-    # Serial fold within each chunk (vectorised across chunks via cumsum on
-    # the trailing axis), then a tree over chunk partials.
-    chunks = buf.reshape(n_chunks, block)
-    partials = np.add.accumulate(chunks, axis=1)[:, -1]
-    return tree_fold(partials)
-
-
 def block_partials(x, n_blocks: int, block_size: int | None = None) -> np.ndarray:
     """Stage 1 of the GPU two-stage reduction: per-block tree partials.
 
@@ -489,14 +453,3 @@ def block_partials_runs(xs, n_blocks: int, block_size: int | None = None) -> np.
             half //= 2
         out[lo:hi] = buf[:, :, 0]
     return out
-
-
-def blocked_pairwise_sum(x, n_blocks: int, block_size: int | None = None) -> float:
-    """Deterministic two-stage reduction: tree partials + tree combine.
-
-    This is the arithmetic performed by the paper's SPTR implementation
-    (single-pass with tree reduction): the same block-tree algorithm is
-    applied to the partial-sum array.
-    """
-    partials = block_partials(x, n_blocks, block_size)
-    return tree_fold(partials)

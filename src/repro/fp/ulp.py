@@ -1,4 +1,4 @@
-"""ULP (unit in the last place) utilities and bit-pattern helpers.
+"""ULP (unit in the last place) utilities.
 
 Variability from FPNA is best understood in ulps: a single reordering of a
 benign sum typically perturbs the result by O(1) ulp, and the paper's
@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import DTypeError
 
-__all__ = ["ulp", "ulp_distance", "bits_of", "relative_error_in_ulps"]
+__all__ = ["ulp", "ulp_distance", "relative_error_in_ulps"]
 
 _INT_FOR = {
     np.dtype(np.float16): np.int16,
@@ -38,15 +38,6 @@ def ulp(x) -> np.ndarray | float:
     out = np.nextafter(ax, toward) - ax
     out = np.where(np.isfinite(arr), out, np.nan)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def bits_of(x) -> np.ndarray | int:
-    """Reinterpret float(s) as raw integer bit patterns (same width)."""
-    arr = np.asarray(x)
-    if arr.dtype not in _UINT_FOR:
-        raise DTypeError(f"bits_of supports float16/float32/float64, got {arr.dtype}")
-    out = arr.view(_UINT_FOR[arr.dtype])
-    return int(out) if arr.ndim == 0 else out
 
 
 def _ordered_ints(arr: np.ndarray) -> np.ndarray:

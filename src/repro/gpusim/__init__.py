@@ -29,7 +29,7 @@ from .device import DeviceSpec, get_device, list_devices, register_device
 from .occupancy import resident_blocks
 from .kernel import LaunchConfig
 from .scheduler import WaveScheduler, WaveSchedulerBatch, SchedulerParams
-from .atomics import AtomicAccumulator, RetirementCounter, atomic_fold, batched_atomic_fold
+from .atomics import RetirementCounter, atomic_fold, batched_atomic_fold
 from .stream import Stream
 from .costmodel import CostModel, TimingSample
 from .collectives import (
@@ -59,7 +59,6 @@ __all__ = [
     "WaveScheduler",
     "WaveSchedulerBatch",
     "SchedulerParams",
-    "AtomicAccumulator",
     "RetirementCounter",
     "atomic_fold",
     "batched_atomic_fold",

@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import SchedulerError
 from ..fp.summation import _sequential_folds, serial_sum
 
-__all__ = ["AtomicAccumulator", "RetirementCounter", "atomic_fold", "batched_atomic_fold"]
+__all__ = ["RetirementCounter", "atomic_fold", "batched_atomic_fold"]
 
 
 def atomic_fold(values: np.ndarray, order: np.ndarray | None = None) -> float:
@@ -79,31 +79,6 @@ def batched_atomic_fold(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
             f"orders row shape {om.shape[1:]} does not match values shape {arr.shape}"
         )
     return _sequential_folds(arr, om, SchedulerError)
-
-
-class AtomicAccumulator:
-    """A single fp accumulator cell with explicit operation logging.
-
-    Used by unit tests and by the OpenMP runtime's threaded backend; the
-    vectorised reductions use :func:`atomic_fold` directly.
-    """
-
-    def __init__(self, initial: float = 0.0, dtype=np.float64) -> None:
-        self.dtype = np.dtype(dtype)
-        self.value = self.dtype.type(initial)
-        self.n_ops = 0
-
-    def add(self, x) -> float:
-        """Atomically add ``x``; returns the *previous* value (CUDA
-        ``atomicAdd`` semantics)."""
-        prev = self.value
-        self.value = self.dtype.type(self.value + self.dtype.type(x))
-        self.n_ops += 1
-        return float(prev)
-
-    def read(self) -> float:
-        """Current accumulator value."""
-        return float(self.value)
 
 
 class RetirementCounter:

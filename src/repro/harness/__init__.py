@@ -2,8 +2,6 @@
 
 from .results import (
     save_result,
-    load_result,
-    code_fingerprint,
     experiment_fingerprint,
     result_digest,
     cache_key,
@@ -29,8 +27,6 @@ __all__ = [
     "JobRunner",
     "device_overrides_for",
     "save_result",
-    "load_result",
-    "code_fingerprint",
     "experiment_fingerprint",
     "result_digest",
     "cache_key",

@@ -8,12 +8,12 @@ though ``fig1`` never imports a line of GNN code, and iterating on one
 experiment forced cold re-runs of every other.  This module provides the
 granular alternative:
 
-* :func:`module_hashes` — one SHA-256 per ``*.py`` file of the package;
-* :func:`import_graph` — the static intra-package import graph, extracted
-  with :mod:`ast` (both ``import a.b`` and ``from .x import y`` forms,
-  any nesting depth, function-local imports included);
-* :func:`transitive_closure` — the set of package modules one module can
-  reach (cycle-safe breadth-first walk);
+* :attr:`Snapshot.hashes` — one SHA-256 per ``*.py`` file of the package;
+* :attr:`Snapshot.graph` — the static intra-package import graph,
+  extracted with :mod:`ast` (both ``import a.b`` and ``from .x import y``
+  forms, any nesting depth, function-local imports included);
+* :meth:`Snapshot.closure` — the set of package modules one module can
+  reach (cycle-safe walk) and their hashes;
 * :func:`experiment_fingerprint` — the SHA-256 of exactly the modules in
   the experiment's closure, rooted at its defining module
   (:attr:`~repro.experiments.base.Experiment.source_module`).
@@ -54,7 +54,7 @@ read.  Import edges are parsed lazily from the pinned bytes, one module
 at a time as a closure walk reaches it, so a process that keys a few
 experiments parses only the modules their closures hold (about a third
 of the package for the lightest cells); only the full
-:func:`import_graph` parses every module.  The parse extracts imports by
+:attr:`Snapshot.graph` parses every module.  The parse extracts imports by
 walking statement lists alone (imports are always statements), never
 the expressions inside them.
 
@@ -88,10 +88,6 @@ __all__ = [
     "Snapshot",
     "snapshot",
     "repin",
-    "module_hashes",
-    "package_fingerprint",
-    "import_graph",
-    "transitive_closure",
     "experiment_fingerprint",
     "closure_hashes",
     "fingerprint_delta",
@@ -185,7 +181,10 @@ class Snapshot:
 
     @property
     def fingerprint(self) -> str:
-        """Whole-package fingerprint (:func:`package_fingerprint`)."""
+        """Whole-package fingerprint: SHA-256 over every module's (name,
+        hash).  The fallback key material for results that map onto no
+        registered experiment, and the tree digest spawn-pool workers
+        report with their shards."""
         if self._fingerprint is None:
             self._fingerprint = _combined(self.hashes)
         return self._fingerprint
@@ -210,7 +209,7 @@ class Snapshot:
 
     @property
     def graph(self) -> dict[str, frozenset[str]]:
-        """Static intra-package import graph (:func:`import_graph`)."""
+        """Static intra-package import graph: ``{module: direct deps}``."""
         if self._graph is None:
             self._graph = {name: self.deps(name) for name in self.paths}
         return self._graph
@@ -270,21 +269,6 @@ def repin(root: Path | None = None, package: str | None = None) -> Snapshot:
     with _PIN_LOCK:
         _SNAPSHOTS[key] = snap
     return snap
-
-
-def module_hashes(root: Path | None = None, package: str | None = None) -> dict[str, str]:
-    """Per-module content hashes, ``{dotted name: sha256}``."""
-    return dict(snapshot(root, package).hashes)
-
-
-def package_fingerprint(root: Path | None = None, package: str | None = None) -> str:
-    """Whole-package fingerprint: SHA-256 over every module's (name, hash).
-
-    The coarse fallback :func:`repro.harness.results.code_fingerprint`
-    serves for results that map onto no registered experiment, and the
-    tree digest spawn-pool workers report with their shards.
-    """
-    return snapshot(root, package).fingerprint
 
 
 # ------------------------------------------------------------ import graph
@@ -364,32 +348,6 @@ def _resolve(target: str, modules: dict) -> str | None:
             return candidate
         parts.pop()
     return None
-
-
-def import_graph(
-    root: Path | None = None, package: str | None = None
-) -> dict[str, frozenset[str]]:
-    """Static intra-package import graph: ``{module: direct deps}``."""
-    return dict(snapshot(root, package).graph)
-
-
-def transitive_closure(
-    module: str,
-    graph: dict[str, frozenset[str]] | None = None,
-    *,
-    root: Path | None = None,
-    package: str | None = None,
-) -> frozenset[str]:
-    """Every package module ``module`` can reach (itself included).
-
-    Walks ``graph``, or without one the pinned snapshot's import edges,
-    parsing only the modules reached; the seen-set makes import cycles
-    (``a <-> b``) terminate with both members in both closures.
-    """
-    if graph is None:
-        snap = snapshot(root, package)
-        return _reach(module, snap.paths, snap.deps)
-    return _reach(module, graph, graph.__getitem__)
 
 
 def _reach(module: str, known, deps) -> frozenset[str]:

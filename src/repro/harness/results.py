@@ -1,10 +1,9 @@
 """Result persistence: JSON archives and a content-addressed result cache.
 
-Archives (:func:`save_result` / :func:`load_result`) are plain JSON
-snapshots of one :class:`~repro.experiments.base.ExperimentResult`; the
-filename carries the experiment id, scale **and seed**, so archiving the
-same experiment under several seeds never silently overwrites an earlier
-run.
+Archives (:func:`save_result`) are plain JSON snapshots of one
+:class:`~repro.experiments.base.ExperimentResult`; the filename carries
+the experiment id, scale **and seed**, so archiving the same experiment
+under several seeds never silently overwrites an earlier run.
 
 The cache (:class:`ResultCache`) is content-addressed: the key is the
 SHA-256 of ``(experiment id, scale, seed, parameter overrides, code
@@ -15,7 +14,8 @@ the modules in the experiment's static import closure
 invalidates precisely the experiments that can reach the edited module —
 a ``_gnn.py`` edit misses only the GNN tables' keys while every summation
 experiment stays hot.  Results that map onto no registered experiment
-fall back to the whole-package hash (:func:`code_fingerprint`).  The
+fall back to the whole-package hash
+(:attr:`~repro.harness.fingerprint.Snapshot.fingerprint`).  The
 backend identity names the resolved compute backend plus — for the
 compiled backend — the kernel-source fingerprint
 (:func:`repro.backend.cache_identity`).  Experiments are pure functions of
@@ -52,8 +52,6 @@ from . import fingerprint as _fingerprint
 
 __all__ = [
     "save_result",
-    "load_result",
-    "code_fingerprint",
     "experiment_fingerprint",
     "result_digest",
     "cache_key",
@@ -126,30 +124,7 @@ def save_result(result: ExperimentResult, directory: str | Path) -> Path:
     return path
 
 
-def load_result(path: str | Path) -> ExperimentResult:
-    """Load a previously saved result (round-trips seed/meta fields)."""
-    p = Path(path)
-    if not p.exists():
-        raise ExperimentError(f"no result file at {p}")
-    data = json.loads(p.read_text())
-    return _result_from_dict(data, p)
-
-
 # --------------------------------------------------------------------- cache
-
-
-def code_fingerprint() -> str:
-    """SHA-256 over every ``*.py`` source file of the ``repro`` package.
-
-    The coarse staleness guard: any source edit — down to a docstring —
-    changes this fingerprint.  Since the farm PR it is only the
-    *fallback* key material, for results that map onto no registered
-    experiment; experiment invocations key on the module-granular
-    :func:`experiment_fingerprint` instead.  The value is the process's
-    pinned snapshot's (:func:`repro.harness.fingerprint.snapshot`): the
-    tree as read at the first key derivation, not re-read afterwards.
-    """
-    return _fingerprint.package_fingerprint()
 
 
 def _fingerprint_for(experiment_id: str) -> str:

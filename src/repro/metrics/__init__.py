@@ -14,8 +14,7 @@ this holds up to sign: the paper's definition can be negative, preserving
 the direction of the deviation; ``Vs == 0`` iff bitwise-equal magnitudes).
 
 Higher-level helpers summarise *sets* of runs
-(:func:`~repro.metrics.array.pairwise_ermv_matrix`,
-:func:`~repro.metrics.array.runs_all_unique`) and characterise the
+(:func:`~repro.metrics.array.runs_all_unique`) and characterise the
 *distribution* of ``Vs`` (:mod:`repro.metrics.distribution`) and its growth
 with problem size (:mod:`repro.metrics.powerlaw`).
 """
@@ -26,8 +25,6 @@ from .array import (
     ermv_rows,
     count_variability,
     variability_report,
-    pairwise_ermv_matrix,
-    pairwise_count_matrix,
     runs_all_unique,
     unique_output_count,
     VariabilityReport,
@@ -48,8 +45,6 @@ __all__ = [
     "ermv_rows",
     "count_variability",
     "variability_report",
-    "pairwise_ermv_matrix",
-    "pairwise_count_matrix",
     "runs_all_unique",
     "unique_output_count",
     "VariabilityReport",

@@ -32,8 +32,6 @@ __all__ = [
     "count_variability",
     "variability_report",
     "VariabilityReport",
-    "pairwise_ermv_matrix",
-    "pairwise_count_matrix",
     "runs_all_unique",
     "unique_output_count",
 ]
@@ -236,36 +234,6 @@ def variability_report(reference, runs) -> VariabilityReport:
         all_unique=len(hashes) == n,
         n_unique=len(hashes),
     )
-
-
-def pairwise_ermv_matrix(runs) -> np.ndarray:
-    """Return the symmetric matrix ``M[i, j] = Vermv(runs[i], runs[j])``.
-
-    Note ``Vermv`` is not symmetric in general (the denominator uses the
-    first argument); the returned matrix stores the as-defined value for
-    each ordered pair, so ``M`` is only symmetric when magnitudes agree.
-    """
-    arrs = [np.asarray(r) for r in runs]
-    n = len(arrs)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out[i, j] = ermv(arrs[i], arrs[j])
-    return out
-
-
-def pairwise_count_matrix(runs) -> np.ndarray:
-    """Return the symmetric matrix ``M[i, j] = Vc(runs[i], runs[j])``."""
-    arrs = [np.asarray(r) for r in runs]
-    n = len(arrs)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vc = count_variability(arrs[i], arrs[j])
-            out[i, j] = vc
-            out[j, i] = vc
-    return out
 
 
 def unique_output_count(runs) -> int:

@@ -9,9 +9,7 @@ variability, exactly as in the paper's setup.
 
 from .module import Module, Parameter
 from .linear import Linear
-from .activations import ReLU, Tanh, Sigmoid
-from .loss import CrossEntropyLoss, NLLLoss
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .sage import SAGEConv, GraphSAGE
 from . import functional, init
 
@@ -19,12 +17,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Linear",
-    "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "CrossEntropyLoss",
-    "NLLLoss",
-    "SGD",
     "Adam",
     "Optimizer",
     "SAGEConv",

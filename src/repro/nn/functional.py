@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
-from ..runtime import get_context
 from ..tensor import Tensor
 
-__all__ = ["relu", "log_softmax", "nll_loss", "cross_entropy", "dropout"]
+__all__ = ["relu", "log_softmax", "nll_loss"]
 
 
 def relu(x: Tensor) -> Tensor:
@@ -58,28 +57,3 @@ def nll_loss(log_probs: Tensor, target, reduction: str = "mean") -> Tensor:
     if reduction == "mean":
         loss = loss * (1.0 / max(n, 1))
     return loss
-
-
-def cross_entropy(logits: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Softmax cross-entropy from raw logits."""
-    return nll_loss(log_softmax(logits, dim=-1), target, reduction=reduction)
-
-
-def dropout(x: Tensor, p: float = 0.5, training: bool = True) -> Tensor:
-    """Inverted dropout using the run context's *init* stream.
-
-    The mask stream is run-stable on purpose: the paper isolates kernel
-    non-determinism by fixing all RNG-based stochasticity, and dropout
-    randomness would otherwise swamp the FPNA signal.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    rng = get_context().init(stream=0xD209)
-    # The mask covers the logical shape only: lockstep runs share the one
-    # run-stable mask their scalar twins would each draw (broadcast over
-    # the run axis), keeping batched and scalar bits identical.
-    shape = x.shape[1:] if x.runs is not None else x.shape
-    mask = (rng.random(shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(mask, dtype=x.dtype)

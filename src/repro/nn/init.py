@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..runtime import get_context
 
-__all__ = ["default_rng", "glorot_uniform", "kaiming_uniform", "zeros", "uniform"]
+__all__ = ["default_rng", "glorot_uniform", "zeros", "uniform"]
 
 
 def default_rng(stream: int = 0) -> np.random.Generator:
@@ -39,14 +39,6 @@ def glorot_uniform(shape, rng: np.random.Generator | None = None, dtype=np.float
     rng = rng or default_rng()
     fan_in, fan_out = _fans(tuple(shape))
     a = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape).astype(dtype)
-
-
-def kaiming_uniform(shape, rng: np.random.Generator | None = None, dtype=np.float32) -> np.ndarray:
-    """Kaiming uniform for ReLU fan-in: U(-a, a), a = sqrt(6 / fan_in)."""
-    rng = rng or default_rng()
-    fan_in, _ = _fans(tuple(shape))
-    a = math.sqrt(6.0 / fan_in)
     return rng.uniform(-a, a, size=shape).astype(dtype)
 
 

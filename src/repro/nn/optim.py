@@ -1,4 +1,4 @@
-"""Optimizers: SGD (momentum/weight-decay) and Adam.
+"""Optimizers: Adam over a parameter list.
 
 Updates are plain elementwise NumPy operations — deterministic given the
 gradients.  Any run-to-run weight divergence therefore traces back to the
@@ -6,8 +6,8 @@ kernels that produced the gradients, which is the causal isolation the
 paper's Section V experiment needs.
 
 Run-batched (lockstep) training: when parameters carry a leading run axis
-(:meth:`repro.nn.module.Module.expand_runs`), every state buffer —
-momentum, first/second Adam moments — is allocated as the matching
+(:meth:`repro.nn.module.Module.expand_runs`), every state buffer — the
+first/second Adam moments — is allocated as the matching
 ``(R, *shape)`` stack, and one ``step()`` advances all ``R`` simulated
 runs at once.  Because the update arithmetic is purely elementwise, run
 ``r``'s slice of every state and parameter stays bit-identical to a
@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 def _check_state_shape(p, state: np.ndarray) -> None:
@@ -54,37 +54,6 @@ class Optimizer:
     def step(self) -> None:
         """Apply one update; subclass responsibility."""
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            _check_state_shape(p, v)
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data = p.data - (self.lr * g).astype(p.data.dtype)
 
 
 class Adam(Optimizer):

@@ -22,9 +22,9 @@ Kernels operate on plain NumPy arrays; the autograd layer in
 :mod:`repro.tensor` wraps them.
 """
 
-from .segmented import SegmentPlan, segmented_fold
+from .segmented import SegmentPlan
 from .nondet import ContentionModel, OP_CONTENTION
-from .registry import OpSpec, op_spec, all_op_specs, documented_nondeterministic_ops
+from .registry import OpSpec, op_spec
 from .scatter import scatter, scatter_runs, scatter_reduce, scatter_reduce_runs
 from .index_ops import (
     index_add,
@@ -39,20 +39,16 @@ from .cumsum import cumsum, cumsum_runs
 from .conv_transpose import (
     conv_transpose1d,
     conv_transpose2d,
-    conv_transpose3d,
     conv_transpose_runs,
 )
-from .gather import gather_rows, take_along_dim
+from .gather import gather_rows
 
 __all__ = [
     "SegmentPlan",
-    "segmented_fold",
     "ContentionModel",
     "OP_CONTENTION",
     "OpSpec",
     "op_spec",
-    "all_op_specs",
-    "documented_nondeterministic_ops",
     "scatter",
     "scatter_runs",
     "scatter_reduce",
@@ -68,8 +64,6 @@ __all__ = [
     "cumsum_runs",
     "conv_transpose1d",
     "conv_transpose2d",
-    "conv_transpose3d",
     "conv_transpose_runs",
     "gather_rows",
-    "take_along_dim",
 ]

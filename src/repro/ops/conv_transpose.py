@@ -44,7 +44,6 @@ from .registry import resolve_determinism
 __all__ = [
     "conv_transpose1d",
     "conv_transpose2d",
-    "conv_transpose3d",
     "conv_transpose_runs",
 ]
 
@@ -315,14 +314,5 @@ def conv_transpose2d(x, weight, bias=None, *, stride=1, padding=0, output_paddin
     C_out, KH, KW)`` → ``(B, C_out, H_out, W_out)``."""
     return _conv_transpose_nd(
         x, weight, nd=2, bias=bias, stride=stride, padding=padding,
-        output_padding=output_padding, **kw,
-    )
-
-
-def conv_transpose3d(x, weight, bias=None, *, stride=1, padding=0, output_padding=0, **kw):
-    """3-D transposed convolution: ``x (B, C_in, D, H, W)``, ``weight
-    (C_in, C_out, KD, KH, KW)`` → ``(B, C_out, D_out, H_out, W_out)``."""
-    return _conv_transpose_nd(
-        x, weight, nd=3, bias=bias, stride=stride, padding=padding,
         output_padding=output_padding, **kw,
     )

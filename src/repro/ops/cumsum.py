@@ -34,7 +34,7 @@ from ..errors import ConfigurationError, ShapeError
 from ..runtime import RunContext, get_context
 from .registry import resolve_determinism
 
-__all__ = ["cumsum", "cumsum_runs", "blocked_cumsum", "DEFAULT_CHUNK_LADDER"]
+__all__ = ["cumsum", "cumsum_runs", "DEFAULT_CHUNK_LADDER"]
 
 #: Chunk sizes the simulated runtime chooses among (occupancy ladder).
 DEFAULT_CHUNK_LADDER: tuple[int, ...] = (128, 256, 512, 1024, 2048)
@@ -43,13 +43,14 @@ DEFAULT_CHUNK_LADDER: tuple[int, ...] = (128, 256, 512, 1024, 2048)
 def _blocked_cumsum_rows(rows: np.ndarray, chunk: int) -> np.ndarray:
     """Blocked inclusive scan of every row of a ``(rows, n)`` matrix.
 
-    The batched :func:`blocked_cumsum`: rows are padded to a whole number
-    of chunks and scanned as one ``(rows, n_chunks, chunk)`` tensor —
-    within-chunk inclusive scans, an exclusive serial scan of chunk totals,
-    one offset add — with chunk 0 kept pristine (adding an exact 0 can
-    still flip ``-0.0``).  Every operation is a per-row sequential scan or
-    an elementwise add, so each output row is bit-identical to the scalar
-    :func:`blocked_cumsum` of that row.
+    Bit-exact model of a two-level scan, batched over rows: rows are
+    padded to a whole number of chunks and scanned as one
+    ``(rows, n_chunks, chunk)`` tensor — ``chunk``-wide inclusive scans,
+    an exclusive serial scan of chunk totals, then one offset add per
+    element (the GPU kernel's offset add) — with chunk 0 kept pristine
+    (adding an exact 0 can still flip ``-0.0``).  Every operation is a
+    per-row sequential scan or an elementwise add, so each output row is
+    independent of the other rows.
     """
     n_rows, n = rows.shape
     if n == 0:
@@ -70,21 +71,6 @@ def _blocked_cumsum_rows(rows: np.ndarray, chunk: int) -> np.ndarray:
     out = within + offsets[:, :, None]
     out[:, 0] = within[:, 0]  # keep chunk 0 pristine (-0.0 safe)
     return out.reshape(n_rows, -1)[:, :n]
-
-
-def blocked_cumsum(x, chunk: int) -> np.ndarray:
-    """Inclusive prefix sum with a fixed chunked association order.
-
-    Bit-exact model of a two-level scan: ``chunk``-wide inclusive scans,
-    then each chunk's elements receive the serial fold of preceding chunk
-    totals (a single add per element — the offset add of the GPU kernel).
-    """
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ShapeError(f"blocked_cumsum expects 1-D input, got shape {arr.shape}")
-    if chunk < 1:
-        raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-    return _blocked_cumsum_rows(arr[None, :], chunk)[0]
 
 
 def _as_rows(moved: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Read-only indexing kernels (deterministic).
+"""Read-only indexing kernel (deterministic).
 
-``gather_rows`` (PyTorch's ``index_select``) and ``take_along_dim`` only
-*read* — they are deterministic on any hardware.  They matter for the
-reproduction because their **gradients** are scatter-adds: the backward of
-``gather_rows`` is ``index_add``, which is how non-determinism enters
+``gather_rows`` (PyTorch's ``index_select``) only *reads* — it is
+deterministic on any hardware.  It matters for the reproduction because
+its **gradient** is a scatter-add: the backward of ``gather_rows`` is
+``index_add``, which is how non-determinism enters
 training even when the forward pass is clean (paper §V: the GraphSAGE
 model's only ND source is ``index_add``).
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ShapeError
 
-__all__ = ["gather_rows", "take_along_dim"]
+__all__ = ["gather_rows"]
 
 
 def gather_rows(input_, index) -> np.ndarray:
@@ -31,15 +31,3 @@ def gather_rows(input_, index) -> np.ndarray:
             f"[{idx.min()}, {idx.max()}]"
         )
     return inp[idx]
-
-
-def take_along_dim(input_, indices, dim: int) -> np.ndarray:
-    """PyTorch's ``take_along_dim`` — thin validated wrapper over
-    :func:`numpy.take_along_axis`."""
-    inp = np.asarray(input_)
-    idx = np.asarray(indices)
-    if not -inp.ndim <= dim < inp.ndim:
-        raise ConfigurationError(f"dim {dim} out of range for {inp.ndim}-D input")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ConfigurationError(f"indices must be integer, got dtype {idx.dtype}")
-    return np.take_along_axis(inp, idx, axis=dim)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..config import check_deterministic_allowed
 from ..errors import ConfigurationError, NondeterministicError
 
-__all__ = ["OpSpec", "op_spec", "all_op_specs", "documented_nondeterministic_ops", "resolve_determinism"]
+__all__ = ["OpSpec", "op_spec", "resolve_determinism"]
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,6 @@ def op_spec(name: str) -> OpSpec:
         return _SPECS[name]
     except KeyError:
         raise ConfigurationError(f"unknown op {name!r}; known: {sorted(_SPECS)}") from None
-
-
-def all_op_specs() -> list[OpSpec]:
-    """All kernel specs, sorted by name."""
-    return [_SPECS[k] for k in sorted(_SPECS)]
-
-
-def documented_nondeterministic_ops() -> list[str]:
-    """Names of kernels the documentation lists as non-deterministic —
-    the row set of the paper's Table 5 (plus cumsum variants)."""
-    return [s.name for s in all_op_specs() if s.documented_nondeterministic]
 
 
 def resolve_determinism(op_name: str, deterministic: bool | None) -> bool:

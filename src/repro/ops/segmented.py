@@ -44,7 +44,7 @@ from .. import backend as _backend
 from ..errors import ConfigurationError, ShapeError
 from ..runtime import RunStreams
 
-__all__ = ["RaceDraws", "SegmentPlan", "segmented_fold"]
+__all__ = ["RaceDraws", "SegmentPlan"]
 
 _IDENTITY = {
     "sum": 0.0,
@@ -752,17 +752,3 @@ def sampled_fold_runs(
         probe = canonical[None][:0]
         return probe if finalize is None else finalize(probe)
     return batch
-
-
-def segmented_fold(
-    values,
-    index,
-    n_targets: int,
-    *,
-    reduce: str = "sum",
-    order: np.ndarray | None = None,
-    init: np.ndarray | None = None,
-) -> np.ndarray:
-    """One-shot convenience wrapper: build a plan and fold once."""
-    plan = SegmentPlan(index, n_targets)
-    return plan.fold(np.asarray(values), order=order, reduce=reduce, init=init)

@@ -15,8 +15,8 @@ AO       **no**         1          ``atomicAdd``
 
 Each implementation is a callable object evaluating the same mathematical
 sum with a precisely specified (or scheduler-sampled) association order on
-a simulated device.  Use :func:`get_reduction` / :func:`all_reductions` to
-enumerate them and :func:`properties_table` to regenerate Table 2.
+a simulated device.  Use :func:`get_reduction` to build one by name and
+:func:`properties_table` to regenerate Table 2.
 """
 
 from .base import ReductionImpl, ReductionProperties
@@ -28,7 +28,7 @@ from .implementations import (
     TwoPassReduceCPU,
     CubStyle,
 )
-from .registry import get_reduction, all_reductions, properties_table, REDUCTION_NAMES
+from .registry import get_reduction, properties_table, REDUCTION_NAMES
 
 __all__ = [
     "ReductionImpl",
@@ -40,7 +40,6 @@ __all__ = [
     "TwoPassReduceCPU",
     "CubStyle",
     "get_reduction",
-    "all_reductions",
     "properties_table",
     "REDUCTION_NAMES",
 ]

@@ -13,7 +13,7 @@ from .implementations import (
     TwoPassReduceCPU,
 )
 
-__all__ = ["REDUCTION_NAMES", "get_reduction", "all_reductions", "properties_table"]
+__all__ = ["REDUCTION_NAMES", "get_reduction", "properties_table"]
 
 _CLASSES: dict[str, type[ReductionImpl]] = {
     "ao": AtomicOnly,
@@ -40,11 +40,6 @@ def get_reduction(name: str, device: str = "v100", **kwargs) -> ReductionImpl:
             f"unknown reduction {name!r}; known: {sorted(_CLASSES)}"
         ) from None
     return cls(device, **kwargs)
-
-
-def all_reductions(device: str = "v100", **kwargs) -> dict[str, ReductionImpl]:
-    """Instantiate every strategy on the given device (Table 2 order)."""
-    return {name: get_reduction(name, device, **kwargs) for name in REDUCTION_NAMES}
 
 
 def properties_table() -> list[ReductionProperties]:

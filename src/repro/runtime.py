@@ -63,7 +63,6 @@ shard's draws are not one contiguous block (e.g. a sweep that consumes
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import operator
@@ -81,10 +80,8 @@ from .errors import ConfigurationError, SchedulerError
 __all__ = [
     "RunContext",
     "RunStreams",
-    "default_context",
     "seed_all",
     "get_context",
-    "use_context",
 ]
 
 _DATA_TAG = 0x0DA7A
@@ -815,20 +812,10 @@ class RunContext:
 
 
 _default_context = RunContext(seed=0)
-_context_stack: list[RunContext] = []
-_stack_lock = threading.Lock()
-
-
-def default_context() -> RunContext:
-    """Return the process-wide default :class:`RunContext`."""
-    return _default_context
 
 
 def get_context() -> RunContext:
-    """Return the innermost active context (see :func:`use_context`)."""
-    with _stack_lock:
-        if _context_stack:
-            return _context_stack[-1]
+    """Return the process-wide default context (see :func:`seed_all`)."""
     return _default_context
 
 
@@ -840,19 +827,3 @@ def seed_all(seed: int) -> RunContext:
     global _default_context
     _default_context = RunContext(seed=seed)
     return _default_context
-
-
-@contextlib.contextmanager
-def use_context(ctx: RunContext) -> Iterator[RunContext]:
-    """Context manager installing ``ctx`` as the active context.
-
-    >>> with use_context(RunContext(42)) as ctx:
-    ...     assert get_context() is ctx
-    """
-    with _stack_lock:
-        _context_stack.append(ctx)
-    try:
-        yield ctx
-    finally:
-        with _stack_lock:
-            _context_stack.pop()

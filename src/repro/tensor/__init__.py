@@ -16,7 +16,7 @@ run-axis engine.  :mod:`repro.tensor.runbatch` holds the per-batch state
 kernel stream.
 """
 
-from .tensor import Tensor, no_grad, is_grad_enabled, tensor
+from .tensor import Tensor, no_grad, is_grad_enabled
 from .runbatch import (
     RunBatch,
     active_run_batch,
@@ -28,7 +28,6 @@ from .gradcheck import gradcheck
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "is_grad_enabled",
     "gradcheck",

@@ -39,7 +39,7 @@ from .. import ops as _ops
 from ..errors import AutogradError, ConfigurationError, ShapeError
 from .runbatch import active_run_batch, current_kernel_stream
 
-__all__ = ["Tensor", "tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _grad_state = threading.local()
 
@@ -451,11 +451,6 @@ class Tensor:
         data = np.tanh(self.data)
         return Tensor._from_op(data, (self,), lambda g: (g * (1 - data * data),), "tanh")
 
-    def sigmoid(self) -> "Tensor":
-        """Elementwise logistic sigmoid."""
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._from_op(data, (self,), lambda g: (g * data * (1 - data),), "sigmoid")
-
     def log_softmax(self, dim: int = -1) -> "Tensor":
         """Numerically stable log-softmax along logical ``dim``."""
         if self.runs is not None and dim >= 0:
@@ -601,8 +596,3 @@ class Tensor:
             return (full,)
 
         return Tensor._from_op(np.asarray(data), (self,), grad_fn, "getitem")
-
-
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Factory mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)

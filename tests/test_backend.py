@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.fp import summation
 from repro.fp.summation import batched_tree_fold, permuted_sums
 from repro.gpusim.atomics import batched_atomic_fold
-from repro.ops.cumsum import blocked_cumsum, cumsum_runs
+from repro.ops.cumsum import cumsum, cumsum_runs
 from repro.ops.segmented import SegmentPlan
 from repro.runtime import RunContext
 
@@ -134,7 +134,9 @@ class TestFoldParity:
     def test_blocked_cumsum(self, rng, dtype, chunk):
         """No kernel: the blocked scan stays backend-invariant."""
         x = special_values(rng, 31, dtype)
-        assert_parity(lambda: blocked_cumsum(x, chunk))
+        assert_parity(lambda: cumsum(
+            x, deterministic=False, chunk_ladder=(chunk,), ctx=RunContext(seed=3)
+        ))
 
     def test_cumsum_runs_draw_contract(self, rng):
         """The compiled scan consumes no RNG: chunk draws land identically."""

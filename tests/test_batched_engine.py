@@ -771,6 +771,16 @@ class TestConjugateGradientRuns:
             conjugate_gradient_runs(A, b, 2, x0=np.ones(3))
 
 
+def _pooled_sweep(cells, n_runs, ctx):
+    """The whole grid through the pooled engine, one full run window."""
+    from repro.experiments._opruns import sweep_run_payloads, variability_from_payload
+
+    return [
+        variability_from_payload({k: v.finish() for k, v in p.items()})
+        for p in sweep_run_payloads(cells, n_runs, ctx)
+    ]
+
+
 class TestSweepVariability:
     """Pooled sweep == per-cell wrappers == manual scalar loop."""
 
@@ -779,7 +789,6 @@ class TestSweepVariability:
             SweepCell,
             index_add_variability,
             scatter_reduce_variability,
-            sweep_variability,
         )
 
         cells = [
@@ -790,7 +799,7 @@ class TestSweepVariability:
             SweepCell("index_add", 60, 0.4),
         ]
         ca, cb = RunContext(5), RunContext(5)
-        pooled = sweep_variability(cells, 9, ca)
+        pooled = _pooled_sweep(cells, 9, ca)
         for c, p in zip(cells, pooled):
             if c.op == "scatter_reduce":
                 s = scatter_reduce_variability(c.n, c.ratio, c.reduce, 9, cb)
@@ -846,11 +855,7 @@ class TestSweepVariability:
     def test_pooled_handles_non_sum_reduces(self):
         # Regression: the pooled column fold must use each cell's own fold
         # operator (amax/amin are order-invariant, so their Vc is 0).
-        from repro.experiments._opruns import (
-            SweepCell,
-            scatter_reduce_variability,
-            sweep_variability,
-        )
+        from repro.experiments._opruns import SweepCell, scatter_reduce_variability
 
         cells = [
             SweepCell("scatter_reduce", 800, 1.0, "amax"),
@@ -859,7 +864,7 @@ class TestSweepVariability:
             SweepCell("scatter_reduce", 400, 0.5, "amin"),
         ]
         ca, cb = RunContext(5), RunContext(5)
-        pooled = sweep_variability(cells, 8, ca)
+        pooled = _pooled_sweep(cells, 8, ca)
         for c, p in zip(cells, pooled):
             s = scatter_reduce_variability(c.n, c.ratio, c.reduce, 8, cb)
             assert p == s, c

@@ -1,6 +1,8 @@
 """Smoke tests: every example script runs to completion and prints its
 headline results."""
 
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +56,16 @@ def test_openmp_reductions():
     out = run_example("openmp_reductions.py")
     assert "ordered" in out
     assert "ring" in out
+
+
+def test_cg_error_accumulation():
+    out = run_example("cg_error_accumulation.py")
+    assert "3 runs bitwise identical: True" in out
+    # Growth is measured from the first iteration where the runs diverge,
+    # never from an exact 0.
+    growth = re.search(r"divergence grew ([^x]+)x from iteration (\d+)", out)
+    assert growth is not None, out
+    assert math.isfinite(float(growth[1])) and float(growth[1]) < 1e6
 
 
 @pytest.mark.parametrize(

@@ -21,14 +21,22 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.harness import fingerprint
-from repro.harness.fingerprint import (
-    experiment_fingerprint,
-    fingerprint_delta,
-    import_graph,
-    module_hashes,
-    package_fingerprint,
-    transitive_closure,
-)
+from repro.harness.fingerprint import experiment_fingerprint, fingerprint_delta, snapshot
+
+
+def _closure(module: str, root: Path, package: str = "pkg") -> frozenset[str]:
+    """Every module of the pinned tree that ``module`` can reach."""
+    return frozenset(snapshot(root, package).closure(module)[0])
+
+
+def _graph_closure(module: str, graph: dict[str, frozenset[str]]) -> frozenset[str]:
+    """Reference walk over a whole import graph."""
+    seen, todo = {module}, [module]
+    while todo:
+        fresh = graph[todo.pop()] - seen
+        seen |= fresh
+        todo.extend(fresh)
+    return frozenset(seen)
 
 
 def _make_pkg(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -49,7 +57,7 @@ class TestImportGraph:
             "c.py": "x = 1\n",
             "d.py": "import numpy\n",  # non-package import: invisible
         })
-        graph = import_graph(root, "pkg")
+        graph = snapshot(root, "pkg").graph
         assert graph["pkg.a"] == frozenset({"pkg.b"})
         assert graph["pkg.b"] == frozenset({"pkg.c"})
         assert graph["pkg.c"] == frozenset()
@@ -63,7 +71,7 @@ class TestImportGraph:
             "sub/__init__.py": "",
             "sub/mod.py": "thing = 1\n",
         })
-        graph = import_graph(root, "pkg")
+        graph = snapshot(root, "pkg").graph
         assert graph["pkg.a"] == frozenset({"pkg.sub.mod"})
 
     def test_relative_import_levels(self, tmp_path):
@@ -74,7 +82,7 @@ class TestImportGraph:
             "sub/mod.py": "from ..c import x\nfrom . import peer\n",
             "sub/peer.py": "y = 2\n",
         })
-        graph = import_graph(root, "pkg")
+        graph = snapshot(root, "pkg").graph
         assert graph["pkg.sub.mod"] == frozenset({"pkg.c", "pkg.sub.peer"})
 
     def test_relative_import_beyond_root_is_skipped(self, tmp_path):
@@ -82,7 +90,7 @@ class TestImportGraph:
             "__init__.py": "",
             "a.py": "from ....nowhere import x\n",
         })
-        assert import_graph(root, "pkg")["pkg.a"] == frozenset()
+        assert snapshot(root, "pkg").graph["pkg.a"] == frozenset()
 
     def test_submodule_import_skips_ancestor_init(self, tmp_path):
         # The deliberate approximation: importing pkg.sub.mod does NOT
@@ -94,7 +102,7 @@ class TestImportGraph:
             "sub/__init__.py": "from . import mod\n",
             "sub/mod.py": "x = 1\n",
         })
-        closure = transitive_closure("pkg.a", root=root, package="pkg")
+        closure = _closure("pkg.a", root)
         assert closure == frozenset({"pkg.a", "pkg.sub.mod"})
 
     def test_function_local_imports_are_seen(self, tmp_path):
@@ -103,7 +111,7 @@ class TestImportGraph:
             "a.py": "def f():\n    from .b import g\n    return g()\n",
             "b.py": "def g():\n    return 1\n",
         })
-        assert import_graph(root, "pkg")["pkg.a"] == frozenset({"pkg.b"})
+        assert snapshot(root, "pkg").graph["pkg.a"] == frozenset({"pkg.b"})
 
 
 def _ast_walk_targets(path: Path, module: str, is_package: bool) -> tuple[str, ...]:
@@ -243,11 +251,8 @@ class TestTransitiveClosure:
             "c.py": "x = 1\n",
             "d.py": "y = 2\n",
         })
-        graph = import_graph(root, "pkg")
-        assert transitive_closure("pkg.a", graph) == frozenset(
-            {"pkg.a", "pkg.b", "pkg.c"}
-        )
-        assert transitive_closure("pkg.d", graph) == frozenset({"pkg.d"})
+        assert _closure("pkg.a", root) == frozenset({"pkg.a", "pkg.b", "pkg.c"})
+        assert _closure("pkg.d", root) == frozenset({"pkg.d"})
 
     def test_cycle_terminates_with_both_members(self, tmp_path):
         root = _make_pkg(tmp_path, {
@@ -255,15 +260,14 @@ class TestTransitiveClosure:
             "x.py": "from .y import f\n",
             "y.py": "from .x import g\n",
         })
-        graph = import_graph(root, "pkg")
         both = frozenset({"pkg.x", "pkg.y"})
-        assert transitive_closure("pkg.x", graph) == both
-        assert transitive_closure("pkg.y", graph) == both
+        assert _closure("pkg.x", root) == both
+        assert _closure("pkg.y", root) == both
 
     def test_unknown_module_raises(self, tmp_path):
         root = _make_pkg(tmp_path, {"__init__.py": ""})
         with pytest.raises(ConfigurationError, match="nosuch"):
-            transitive_closure("pkg.nosuch", root=root, package="pkg")
+            _closure("pkg.nosuch", root)
 
 
 class TestPinning:
@@ -272,11 +276,11 @@ class TestPinning:
 
     def test_module_hashes_move_only_on_repin(self, tmp_path):
         root = _make_pkg(tmp_path, {"__init__.py": "", "a.py": "x = 1\n"})
-        before = module_hashes(root, "pkg")
+        before = snapshot(root, "pkg").hashes
         (root / "a.py").write_text("x = 2  # edited\n")
-        assert module_hashes(root, "pkg") == before  # still the pinned tree
+        assert snapshot(root, "pkg").hashes == before  # still the pinned tree
         fingerprint.repin(root, "pkg")
-        after = module_hashes(root, "pkg")
+        after = snapshot(root, "pkg").hashes
         assert after["pkg.a"] != before["pkg.a"]
         assert after["pkg"] == before["pkg"]
 
@@ -284,18 +288,18 @@ class TestPinning:
         root = _make_pkg(tmp_path, {
             "__init__.py": "", "a.py": "x = 1\n", "b.py": "y = 2\n",
         })
-        assert import_graph(root, "pkg")["pkg.a"] == frozenset()
+        assert snapshot(root, "pkg").graph["pkg.a"] == frozenset()
         (root / "a.py").write_text("from . import b\n")
-        assert import_graph(root, "pkg")["pkg.a"] == frozenset()
+        assert snapshot(root, "pkg").graph["pkg.a"] == frozenset()
         fingerprint.repin(root, "pkg")
-        assert import_graph(root, "pkg")["pkg.a"] == frozenset({"pkg.b"})
+        assert snapshot(root, "pkg").graph["pkg.a"] == frozenset({"pkg.b"})
 
     def test_package_fingerprint_tracks_any_edit(self, tmp_path):
         root = _make_pkg(tmp_path, {"__init__.py": "", "a.py": "x = 1\n"})
-        before = package_fingerprint(root, "pkg")
+        before = snapshot(root, "pkg").fingerprint
         (root / "a.py").write_text("x = 1  # docstring-level edit\n")
         fingerprint.repin(root, "pkg")
-        assert package_fingerprint(root, "pkg") != before
+        assert snapshot(root, "pkg").fingerprint != before
 
     def test_lazy_parse_reads_the_pinned_bytes(self, tmp_path):
         # The import edges come from the bytes read at the pin, never
@@ -382,9 +386,7 @@ class TestExperimentInvalidation:
     def test_closures_include_backend_kernel_source(self, patched_root):
         # A compiled-kernel source edit must invalidate every experiment
         # that could dispatch through the backend.
-        closure = transitive_closure(
-            "repro.experiments.fig1", root=patched_root, package="repro"
-        )
+        closure = _closure("repro.experiments.fig1", patched_root, "repro")
         assert "repro.backend.csrc" in closure
 
     def test_cache_key_rides_the_experiment_fingerprint(self, patched_root):
@@ -417,9 +419,9 @@ class TestSnapshot:
         fp0, key0 = experiment_fingerprint("fig1"), cache_key("fig1", "default", 0)
         try:
             extra.write_text("PROBE = 1\n")
-            assert "repro.fp._snapshot_probe" not in module_hashes()  # pinned
+            assert "repro.fp._snapshot_probe" not in snapshot().hashes  # pinned
             fingerprint.repin()
-            assert "repro.fp._snapshot_probe" in module_hashes()
+            assert "repro.fp._snapshot_probe" in snapshot().hashes
             assert experiment_fingerprint("fig1") == fp0  # not imported yet
             importer.write_bytes(original + b"\nfrom . import _snapshot_probe\n")
             fingerprint.repin()
@@ -430,7 +432,7 @@ class TestSnapshot:
             importer.write_bytes(original)
             extra.unlink(missing_ok=True)
             fingerprint.repin()
-        assert "repro.fp._snapshot_probe" not in module_hashes()
+        assert "repro.fp._snapshot_probe" not in snapshot().hashes
         assert experiment_fingerprint("fig1") == fp0
         assert cache_key("fig1", "default", 0) == key0
 
@@ -442,7 +444,7 @@ class TestSnapshot:
         target.unlink()
         try:
             fingerprint.repin()
-            assert "repro.experiments._gnn" not in module_hashes()
+            assert "repro.experiments._gnn" not in snapshot().hashes
             assert experiment_fingerprint("table7") != before
         finally:
             target.write_bytes(original)
@@ -513,11 +515,10 @@ class TestSnapshot:
             eid: frozenset(fingerprint.closure_hashes(eid))
             for eid in list_experiments()
         }
-        graph = import_graph()
+        graph = snapshot().graph
         for eid, members in lazy.items():
             module = get_experiment(eid).source_module
-            assert members == transitive_closure(module, graph), eid
-            assert members == transitive_closure(module), eid
+            assert members == _graph_closure(module, graph), eid
 
     def test_cold_closure_parses_only_its_members(self, patched_root, monkeypatch):
         parsed: list[str] = []
@@ -530,7 +531,7 @@ class TestSnapshot:
         fingerprint.repin()
         monkeypatch.setattr(ast, "parse", recording_parse)
         members = fingerprint.closure_hashes("fig4")
-        n_modules = len(module_hashes())
+        n_modules = len(snapshot().hashes)
         assert len(parsed) == len(members) < n_modules
         assert {Path(p).resolve() for p in parsed} == {
             Path(fingerprint.snapshot().paths[name]).resolve()
@@ -544,14 +545,14 @@ class TestSnapshot:
 
         warm = {eid: experiment_fingerprint(eid) for eid in list_experiments()}
         fingerprint.repin()
-        graph = import_graph()
+        graph = snapshot().graph
 
         def source(module: str) -> Path:
             path = patched_root.joinpath(*module.split(".")[1:])
             return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
 
         for eid, fp in warm.items():
-            closure = transitive_closure(get_experiment(eid).source_module, graph)
+            closure = _graph_closure(get_experiment(eid).source_module, graph)
             reference = fingerprint._combined({
                 name: hashlib.sha256(source(name).read_bytes()).hexdigest()
                 for name in closure

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fp import PermutationEffect, permutation_effects, permutation_spread
+from repro.fp import PermutationEffect, permutation_effects
 from repro.runtime import RunContext
 
 
@@ -60,19 +60,3 @@ class TestPermutationEffects:
         row = permutation_effects([10], repeats=1, ctx=ctx)[0]
         assert isinstance(row, PermutationEffect)
         assert row.size == 10
-
-
-class TestPermutationSpread:
-    def test_shape_and_dtype(self, ctx):
-        out = permutation_spread(ctx.data().standard_normal(1000), 20, ctx=ctx)
-        assert out.shape == (20,) and out.dtype == np.float64
-
-    def test_spread_centred_near_zero(self, ctx):
-        out = permutation_spread(ctx.data().standard_normal(100_000), 50, ctx=ctx)
-        assert abs(np.mean(out)) < 1e-13
-
-    def test_identical_runs_with_reset_context(self):
-        x = RunContext(3).data().standard_normal(1000)
-        a = permutation_spread(x, 10, ctx=RunContext(3))
-        b = permutation_spread(x, 10, ctx=RunContext(3))
-        np.testing.assert_array_equal(a, b)

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.fp import (
-    block_partials,
-    blocked_pairwise_sum,
-    exact_sum,
-    pairwise_sum,
-    permuted_sum,
-    reverse_sum,
-    serial_sum,
-    tree_fold,
-)
+from repro.fp import block_partials, exact_sum, permuted_sum, serial_sum, tree_fold
 
 
 class TestSerialSum:
@@ -45,10 +36,6 @@ class TestSerialSum:
 
 
 class TestReverseAndPermuted:
-    def test_reverse_equals_serial_of_reversed(self, rng):
-        x = rng.standard_normal(257)
-        assert reverse_sum(x) == serial_sum(x[::-1])
-
     def test_identity_permutation_equals_serial(self, rng):
         x = rng.standard_normal(100)
         assert permuted_sum(x, np.arange(100)) == serial_sum(x)
@@ -103,20 +90,6 @@ class TestTreeFold:
         assert out == np.float32(out) or isinstance(out, float)
 
 
-class TestPairwiseSum:
-    def test_block_one_is_tree(self, rng):
-        x = rng.standard_normal(37)
-        assert pairwise_sum(x, block=1) == tree_fold(x)
-
-    def test_block_covers_everything_is_serial(self, rng):
-        x = rng.standard_normal(57)
-        assert pairwise_sum(x, block=57) == serial_sum(x)
-
-    def test_invalid_block_raises(self):
-        with pytest.raises(ConfigurationError):
-            pairwise_sum(np.ones(4), block=0)
-
-
 class TestBlockPartials:
     def test_partials_cover_all_data(self, rng):
         x = rng.standard_normal(1000)
@@ -149,11 +122,11 @@ class TestBlockPartials:
 
     def test_blocked_pairwise_sum_deterministic(self, rng):
         x = rng.standard_normal(12345)
-        assert blocked_pairwise_sum(x, 16) == blocked_pairwise_sum(x, 16)
+        assert tree_fold(block_partials(x, 16)) == tree_fold(block_partials(x, 16))
 
     def test_blocked_pairwise_depends_on_blocking(self, rng):
         # Different blockings are different associations - usually
         # different bits.  This is the whole point of the paper.
         x = rng.standard_normal(100_000)
-        sums = {blocked_pairwise_sum(x, nb) for nb in (4, 16, 64, 256)}
+        sums = {tree_fold(block_partials(x, nb)) for nb in (4, 16, 64, 256)}
         assert len(sums) > 1

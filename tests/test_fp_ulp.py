@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DTypeError
-from repro.fp import bits_of, relative_error_in_ulps, ulp, ulp_distance
+from repro.fp import relative_error_in_ulps, ulp, ulp_distance
 
 
 class TestUlp:
@@ -31,23 +31,6 @@ class TestUlp:
     def test_array_input(self):
         out = ulp(np.array([1.0, 2.0]))
         assert out.shape == (2,) and out[1] == 2 * out[0]
-
-
-class TestBitsOf:
-    def test_one_has_known_pattern(self):
-        assert bits_of(np.float64(1.0)) == 0x3FF0000000000000
-
-    def test_negative_zero_differs_from_zero(self):
-        assert bits_of(np.float64(-0.0)) != bits_of(np.float64(0.0))
-
-    def test_array_view(self):
-        arr = np.array([1.0, -0.0])
-        bits = bits_of(arr)
-        assert bits.dtype == np.uint64
-
-    def test_non_float_raises(self):
-        with pytest.raises(DTypeError):
-            bits_of(np.array([1, 2]))
 
 
 class TestUlpDistance:

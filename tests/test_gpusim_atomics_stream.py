@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import LaunchError, SchedulerError
 from repro.fp import serial_sum
-from repro.gpusim import AtomicAccumulator, RetirementCounter, Stream, atomic_fold
+from repro.gpusim import RetirementCounter, Stream, atomic_fold
 
 
 class TestAtomicFold:
@@ -21,32 +21,6 @@ class TestAtomicFold:
     def test_order_shape_mismatch_raises(self):
         with pytest.raises(SchedulerError):
             atomic_fold(np.ones(4), np.arange(3))
-
-
-class TestAtomicAccumulator:
-    def test_returns_previous_value(self):
-        acc = AtomicAccumulator(10.0)
-        assert acc.add(5.0) == 10.0
-        assert acc.read() == 15.0
-
-    def test_op_count(self):
-        acc = AtomicAccumulator()
-        for i in range(7):
-            acc.add(float(i))
-        assert acc.n_ops == 7
-
-    def test_float32_dtype_rounding(self):
-        acc = AtomicAccumulator(0.0, dtype=np.float32)
-        acc.add(1.0)
-        acc.add(1e-9)  # absorbed at fp32 precision
-        assert acc.read() == 1.0
-
-    def test_matches_fold(self, rng):
-        x = rng.standard_normal(100)
-        acc = AtomicAccumulator()
-        for v in x:
-            acc.add(v)
-        assert acc.read() == atomic_fold(x)
 
 
 class TestRetirementCounter:

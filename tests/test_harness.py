@@ -6,20 +6,23 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError
 from repro.experiments import get_experiment
 from repro.harness import (
     ResultCache,
     cache_key,
-    code_fingerprint,
     experiment_fingerprint,
-    load_result,
     result_digest,
     save_result,
 )
+from repro.harness.fingerprint import snapshot
 from repro.harness.cli import build_parser, main
 from repro.harness.jobs import JobRunner, JobSpec
 from repro.runtime import RunContext
+
+
+def _archived(path) -> dict:
+    return json.loads(path.read_text())
 
 
 class TestResults:
@@ -27,21 +30,11 @@ class TestResults:
         res = get_experiment("table2").run()
         path = save_result(res, tmp_path)
         assert path.exists()
-        loaded = load_result(path)
-        assert loaded.experiment_id == "table2"
-        assert loaded.rows == res.rows
-        assert loaded.seed == res.seed == 0
-        assert loaded.meta == res.meta
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            load_result(tmp_path / "nothing.json")
-
-    def test_malformed_file_raises(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"rows": []}))
-        with pytest.raises(ExperimentError):
-            load_result(p)
+        loaded = _archived(path)
+        assert loaded["experiment_id"] == "table2"
+        assert loaded["rows"] == res.rows
+        assert loaded["seed"] == res.seed == 0
+        assert loaded["meta"] == res.meta
 
     def test_distinct_seeds_do_not_overwrite(self, tmp_path):
         # Regression: archives used to be keyed by (id, scale) only, so a
@@ -52,18 +45,8 @@ class TestResults:
         assert p1 != p2
         assert p1.exists() and p2.exists()
         assert "seed1" in p1.name and "seed2" in p2.name
-        assert load_result(p1).seed == 1
-        assert load_result(p2).seed == 2
-
-    def test_legacy_result_without_seed_loads(self, tmp_path):
-        res = get_experiment("table2").run()
-        doc = res.as_dict()
-        del doc["seed"], doc["meta"]
-        p = tmp_path / "legacy.json"
-        p.write_text(json.dumps(doc, default=str))
-        loaded = load_result(p)
-        assert loaded.seed is None
-        assert loaded.meta == {}
+        assert _archived(p1)["seed"] == 1
+        assert _archived(p2)["seed"] == 2
 
 
 class TestResultCache:
@@ -82,7 +65,7 @@ class TestResultCache:
         assert hit.meta["cache_key"] == key
         entry = json.loads(cache.path_for(key).read_text())
         assert entry["cache"]["experiment_id"] == "table2"
-        assert entry["cache"]["code_fingerprint"] == code_fingerprint()
+        assert entry["cache"]["code_fingerprint"] == snapshot().fingerprint
 
     def test_miss_on_seed_scale_and_fingerprint(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -178,8 +161,8 @@ class TestResultCache:
             assert cache.lookup(key) is None
 
     def test_fingerprint_is_stable_within_a_process(self):
-        assert code_fingerprint() == code_fingerprint()
-        assert len(code_fingerprint()) == 64
+        assert snapshot().fingerprint == snapshot().fingerprint
+        assert len(snapshot().fingerprint) == 64
 
     def test_store_garbage_collects_old_entries(self, tmp_path):
         import os
@@ -379,7 +362,7 @@ class TestCacheMetadataProbes:
         meta = cache.read_meta(key)
         assert meta["experiment_fingerprint"] is None
         assert meta["modules"] is None
-        assert meta["code_fingerprint"] == code_fingerprint()
+        assert meta["code_fingerprint"] == snapshot().fingerprint
         assert cache.lookup(key) is not None
 
 

@@ -14,8 +14,8 @@ from repro.graph import cora_like
 from repro.lpu import LPUExecutor, Program
 from repro.nn import Adam, GraphSAGE, functional as F
 from repro.ops import index_add
-from repro.runtime import RunContext, use_context
-from repro.tensor import Tensor
+from repro.runtime import RunContext
+from repro.tensor import Tensor, use_kernel_stream
 
 
 class TestCorrectnessTestingScenario:
@@ -63,10 +63,10 @@ class TestEndToEndGnnPipeline:
         opt = Adam(model.parameters(), lr=0.01)
         x = Tensor(ds.features)
         idx = np.flatnonzero(ds.train_mask)
-        # The kernels draw from the active context: install this one, so
-        # the draws do not depend on what earlier tests left in the
-        # process-wide default context.
-        with deterministic_mode(deterministic), use_context(ctx):
+        # One training run draws one stream from this context (the
+        # one-stream-per-run contract), so the draws do not depend on what
+        # earlier tests left in the process-wide default context.
+        with deterministic_mode(deterministic), use_kernel_stream(ctx.scheduler()):
             for _ in range(epochs):
                 opt.zero_grad()
                 out = model(x, ds.graph.edge_index)
@@ -157,8 +157,6 @@ class TestReproducibilityContract:
         idx = rng.integers(0, 10, 100)
         src = rng.standard_normal((100, 3)).astype(np.float32)
         inp = np.zeros((10, 3), np.float32)
-        with repro.use_context(RunContext(1)):
-            a = index_add(inp, 0, idx, src, deterministic=True)
-        with repro.use_context(RunContext(999)):
-            b = index_add(inp, 0, idx, src, deterministic=True)
+        a = index_add(inp, 0, idx, src, deterministic=True, ctx=RunContext(1))
+        b = index_add(inp, 0, idx, src, deterministic=True, ctx=RunContext(999))
         np.testing.assert_array_equal(a, b)

@@ -248,11 +248,9 @@ class TestLayering:
     def test_job_core_does_not_import_the_farm(self):
         # The farm is a thin client of the job core, never its dependency
         # (function-local imports count: the graph walks the whole AST).
-        graph = fingerprint.import_graph()
-        assert "repro.harness.farm" not in graph["repro.harness.jobs"]
-        assert "repro.harness.farm" not in fingerprint.transitive_closure(
-            "repro.harness.jobs", graph
-        )
+        snap = fingerprint.snapshot()
+        assert "repro.harness.farm" not in snap.graph["repro.harness.jobs"]
+        assert "repro.harness.farm" not in snap.closure("repro.harness.jobs")[0]
 
 
 def count_digests(monkeypatch) -> list:

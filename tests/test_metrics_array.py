@@ -9,8 +9,6 @@ from repro.errors import ShapeError
 from repro.metrics import (
     count_variability,
     ermv,
-    pairwise_count_matrix,
-    pairwise_ermv_matrix,
     runs_all_unique,
     unique_output_count,
     variability_report,
@@ -125,19 +123,6 @@ class TestVariabilityReport:
 
 
 class TestPairwiseAndUniqueness:
-    def test_pairwise_count_matrix_symmetric_zero_diag(self, rng):
-        runs = [rng.standard_normal(8) for _ in range(4)]
-        m = pairwise_count_matrix(runs)
-        assert m.shape == (4, 4)
-        np.testing.assert_allclose(m, m.T)
-        assert np.all(np.diag(m) == 0)
-
-    def test_pairwise_ermv_matrix_diag_zero(self, rng):
-        runs = [rng.standard_normal(8) for _ in range(3)]
-        m = pairwise_ermv_matrix(runs)
-        assert np.all(np.diag(m) == 0)
-        assert np.all(m[m != 0] > 0)
-
     def test_unique_output_count(self):
         a = np.ones(4)
         assert unique_output_count([a, a.copy(), a + 1]) == 2

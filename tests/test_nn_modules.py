@@ -4,21 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn import (
-    SGD,
-    Adam,
-    CrossEntropyLoss,
-    Linear,
-    Module,
-    NLLLoss,
-    Parameter,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    functional as F,
-    init,
-)
-from repro.runtime import RunContext, use_context
+from repro.nn import Adam, Linear, Module, Parameter, functional as F, init
 from repro.tensor import Tensor
 
 
@@ -69,14 +55,9 @@ class TestInit:
         assert np.all(np.abs(w) <= bound)
         assert w.dtype == np.float32
 
-    def test_kaiming_bounds(self):
-        w = init.kaiming_uniform((64, 32), np.random.default_rng(0))
-        assert np.all(np.abs(w) <= np.sqrt(6 / 32))
-
     def test_default_rng_is_run_stable(self):
-        with use_context(RunContext(5)):
-            a = init.glorot_uniform((4, 4))
-            b = init.glorot_uniform((4, 4))
+        a = init.glorot_uniform((4, 4))
+        b = init.glorot_uniform((4, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_uniform_validation(self):
@@ -110,32 +91,10 @@ class TestLinear:
 
 
 class TestActivationsLoss:
-    def test_activation_modules(self):
-        x = Tensor(np.array([-1.0, 1.0]))
-        assert np.all(ReLU()(x).numpy() == [0, 1])
-        assert np.allclose(Tanh()(x).numpy(), np.tanh([-1, 1]))
-        assert np.allclose(Sigmoid()(x).numpy(), 1 / (1 + np.exp([1.0, -1.0])), rtol=1e-6)
-
     def test_nll_loss_value(self):
         logp = Tensor(np.log(np.array([[0.7, 0.3], [0.4, 0.6]], dtype=np.float32)))
         loss = F.nll_loss(logp, np.array([0, 1]))
         assert loss.item() == pytest.approx(-(np.log(0.7) + np.log(0.6)) / 2, rel=1e-5)
-
-    def test_cross_entropy_equals_logsoftmax_nll(self, rng):
-        logits = Tensor(rng.standard_normal((6, 4)).astype(np.float32))
-        t = rng.integers(0, 4, 6)
-        a = F.cross_entropy(logits, t)
-        b = F.nll_loss(logits.log_softmax(dim=-1), t)
-        assert a.item() == pytest.approx(b.item(), rel=1e-6)
-
-    def test_loss_modules_wrap_functional(self, rng):
-        logits = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
-        t = rng.integers(0, 3, 4)
-        assert CrossEntropyLoss()(logits, t).item() == pytest.approx(
-            F.cross_entropy(logits, t).item()
-        )
-        logp = logits.log_softmax(dim=-1)
-        assert NLLLoss()(logp, t).item() == pytest.approx(F.nll_loss(logp, t).item())
 
     def test_nll_validation(self):
         with pytest.raises(ConfigurationError):
@@ -144,15 +103,6 @@ class TestActivationsLoss:
 
         with pytest.raises(ShapeError):
             F.nll_loss(Tensor(np.zeros(3)), np.array([0]))
-
-    def test_dropout_modes(self):
-        x = Tensor(np.ones(1000))
-        out = F.dropout(x, p=0.5, training=True)
-        kept = float(np.mean(out.numpy() > 0))
-        assert 0.3 < kept < 0.7
-        assert F.dropout(x, p=0.5, training=False) is x
-        with pytest.raises(ConfigurationError):
-            F.dropout(x, p=1.0)
 
 
 class TestOptimizers:
@@ -166,38 +116,22 @@ class TestOptimizers:
             opt.step()
         return float(p.data[0])
 
-    def test_sgd_minimises_quadratic(self):
-        assert abs(self._quadratic_step(SGD, lr=0.1)) < 1e-3
-
-    def test_sgd_momentum_minimises(self):
-        assert abs(self._quadratic_step(SGD, lr=0.05, momentum=0.9)) < 1e-2
-
     def test_adam_minimises_quadratic(self):
         assert abs(self._quadratic_step(Adam, lr=0.1)) < 1e-2
 
-    def test_weight_decay_pulls_to_zero(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        for _ in range(50):
-            p.grad = np.zeros(1, dtype=np.float32)
-            opt.step()
-        assert abs(p.data[0]) < 0.1
-
     def test_none_grad_skipped(self):
         p = Parameter(np.ones(2))
-        SGD([p], lr=0.1).step()  # no grad set: no crash, no change
+        Adam([p], lr=0.1).step()  # no grad set: no crash, no change
         np.testing.assert_array_equal(p.data, 1.0)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ConfigurationError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_hyperparameter_validation(self):
         p = [Parameter(np.ones(1))]
         with pytest.raises(ConfigurationError):
-            SGD(p, lr=-1)
-        with pytest.raises(ConfigurationError):
-            SGD(p, lr=0.1, momentum=1.5)
+            Adam(p, lr=-1)
         with pytest.raises(ConfigurationError):
             Adam(p, betas=(1.0, 0.9))
 

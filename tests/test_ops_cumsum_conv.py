@@ -9,43 +9,39 @@ from repro.ops import (
     ContentionModel,
     conv_transpose1d,
     conv_transpose2d,
-    conv_transpose3d,
+    conv_transpose_runs,
     cumsum,
 )
-from repro.ops.cumsum import blocked_cumsum
 from repro.runtime import RunContext
 
 ALWAYS_RACE = ContentionModel(q0=1.0, gamma=0.0, n0=1e-9)
 
 
+def _one_chunk_cumsum(x, chunk):
+    """The ND cumsum pinned to one chunk size: its blocked scan."""
+    return cumsum(x, deterministic=False, chunk_ladder=(chunk,), ctx=RunContext(0))
+
+
 class TestBlockedCumsum:
     def test_matches_serial_for_large_chunk(self, rng):
         x = rng.standard_normal(100)
-        np.testing.assert_array_equal(blocked_cumsum(x, 128), np.add.accumulate(x))
+        np.testing.assert_array_equal(_one_chunk_cumsum(x, 128), np.add.accumulate(x))
 
     def test_mathematically_correct_any_chunk(self, rng):
         x = rng.standard_normal(1000)
         for chunk in (1, 7, 64, 333):
             np.testing.assert_allclose(
-                blocked_cumsum(x, chunk), np.add.accumulate(x), rtol=1e-10
+                _one_chunk_cumsum(x, chunk), np.add.accumulate(x), rtol=1e-10
             )
 
     def test_chunking_changes_bits_eventually(self, rng):
         x = rng.standard_normal(100_000).astype(np.float32)
-        a = blocked_cumsum(x, 128)
-        b = blocked_cumsum(x, 2048)
+        a = _one_chunk_cumsum(x, 128)
+        b = _one_chunk_cumsum(x, 2048)
         assert np.any(a != b)
 
     def test_empty_input(self):
-        assert blocked_cumsum(np.empty(0), 4).size == 0
-
-    def test_invalid_chunk(self):
-        with pytest.raises(ConfigurationError):
-            blocked_cumsum(np.ones(4), 0)
-
-    def test_2d_rejected(self):
-        with pytest.raises(ShapeError):
-            blocked_cumsum(np.ones((2, 2)), 4)
+        assert _one_chunk_cumsum(np.empty(0), 4).size == 0
 
 
 class TestCumsum:
@@ -130,7 +126,8 @@ class TestConvTranspose:
     def test_3d_shape(self, rng):
         x = rng.standard_normal((1, 2, 3, 4, 5)).astype(np.float32)
         w = rng.standard_normal((2, 3, 2, 2, 2)).astype(np.float32)
-        assert conv_transpose3d(x, w, deterministic=True).shape == (1, 3, 4, 5, 6)
+        ref, _ = conv_transpose_runs(x, w, nd=3, n_runs=0)
+        assert ref.shape == (1, 3, 4, 5, 6)
 
     def test_bias_added(self, rng):
         x = np.zeros((1, 1, 4), dtype=np.float32)

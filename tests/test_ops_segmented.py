@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.ops import SegmentPlan, segmented_fold
+from repro.ops import SegmentPlan
 
 
 class TestSegmentPlanConstruction:
@@ -166,5 +166,5 @@ class TestSegmentedFoldFunction:
     def test_one_shot_wrapper(self, rng):
         idx = rng.integers(0, 3, 12)
         vals = rng.standard_normal(12)
-        out = segmented_fold(vals, idx, 3)
+        out = SegmentPlan(idx, 3).fold(vals)
         np.testing.assert_allclose(out, np.bincount(idx, weights=vals, minlength=3), rtol=1e-12)

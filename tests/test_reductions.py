@@ -8,7 +8,6 @@ from repro.fp import exact_sum, serial_sum
 from repro.reductions import (
     REDUCTION_NAMES,
     TwoPassReduceCPU,
-    all_reductions,
     get_reduction,
     properties_table,
 )
@@ -27,10 +26,6 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
             get_reduction("nccl")
-
-    def test_all_reductions_returns_table2_order(self):
-        impls = all_reductions()
-        assert tuple(impls) == REDUCTION_NAMES
 
     def test_properties_match_paper_table2(self):
         props = {p.name: p for p in properties_table()}

@@ -12,7 +12,7 @@ from repro.config import (
     deterministic_mode,
 )
 from repro.errors import ConfigurationError, NondeterministicError
-from repro.runtime import RunContext, get_context, use_context
+from repro.runtime import RunContext, get_context
 
 
 class TestRunContext:
@@ -61,44 +61,51 @@ class TestRunContext:
         with pytest.raises(ConfigurationError):
             RunContext(seed="abc")
 
-    def test_use_context_scoping(self):
-        ctx = RunContext(77)
-        base = get_context()
-        with use_context(ctx) as active:
-            assert get_context() is ctx is active
-        assert get_context() is base
-
     def test_seed_all_replaces_default(self):
         ctx = repro.seed_all(123)
-        assert repro.default_context() is ctx
+        assert get_context() is ctx
         repro.seed_all(0)
+
+
+def _enabled() -> bool:
+    """Whether deterministic kernels are required: an op that has one is
+    sent down its deterministic path exactly then."""
+    return check_deterministic_allowed("op", has_deterministic=True)
 
 
 class TestDeterminismConfig:
     def test_default_off(self):
-        assert not repro.are_deterministic_algorithms_enabled()
+        assert not _enabled()
 
     def test_enable_disable(self):
         repro.use_deterministic_algorithms(True)
-        assert repro.are_deterministic_algorithms_enabled()
+        assert _enabled()
         repro.use_deterministic_algorithms(False)
-        assert not repro.are_deterministic_algorithms_enabled()
+        assert not _enabled()
 
     def test_non_bool_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             repro.use_deterministic_algorithms(1)
 
     def test_warn_only_flag(self):
+        # warn_only lasts until the switch is turned off: re-enabling
+        # without it raises again.
         repro.use_deterministic_algorithms(True, warn_only=True)
-        assert repro.is_deterministic_algorithms_warn_only_enabled()
-        repro.use_deterministic_algorithms(False)
-        assert not repro.is_deterministic_algorithms_warn_only_enabled()
+        try:
+            with pytest.warns(DeterminismWarning):
+                assert check_deterministic_allowed("op", has_deterministic=False) is False
+            repro.use_deterministic_algorithms(False)
+            repro.use_deterministic_algorithms(True)
+            with pytest.raises(NondeterministicError):
+                check_deterministic_allowed("op", has_deterministic=False)
+        finally:
+            repro.use_deterministic_algorithms(False)
 
     def test_scoped_mode_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with deterministic_mode():
                 raise RuntimeError("boom")
-        assert not repro.are_deterministic_algorithms_enabled()
+        assert not _enabled()
 
     def test_check_passthrough_when_off(self):
         assert check_deterministic_allowed("op", has_deterministic=False) is False

@@ -248,7 +248,7 @@ class TestServiceEndpoints:
         from repro.harness import fingerprint
 
         code = _get(service.base_url + "/stats")["code"]
-        assert code["package_fingerprint"] == fingerprint.package_fingerprint()
+        assert code["package_fingerprint"] == fingerprint.snapshot().fingerprint
         pinned = datetime.fromisoformat(code["pinned_at"])
         assert pinned <= datetime.now(timezone.utc)
 

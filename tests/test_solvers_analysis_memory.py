@@ -1,19 +1,10 @@
-"""Tests for the CG solver and FP error analysis."""
+"""Tests for the CG solver."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import ConfigurationError, ShapeError
-from repro.fp.analysis import (
-    bounds_for,
-    expected_vs_std,
-    serial_error_bound,
-    summation_condition_number,
-    tree_error_bound,
-)
-from repro.fp.summation import serial_sum, tree_fold
-from repro.fp.compensated import exact_sum
 from repro.runtime import RunContext
 from repro.solvers import conjugate_gradient, iterate_divergence, spd_test_matrix
 
@@ -120,43 +111,3 @@ class TestIterateDivergence:
         with pytest.raises(ConfigurationError):
             iterate_divergence(np.eye(3), np.ones(3),
                                reduction=repro.get_reduction("spa"), n_runs=1)
-
-
-class TestErrorAnalysis:
-    def test_bounds_contain_actual_errors(self, rng):
-        x = rng.standard_normal(5000) * 100
-        exact = exact_sum(x)
-        assert abs(serial_sum(x) - exact) <= serial_error_bound(x)
-        assert abs(tree_fold(x) - exact) <= tree_error_bound(x)
-
-    def test_tree_bound_much_tighter(self, rng):
-        x = rng.standard_normal(1 << 16)
-        b = bounds_for(x)
-        assert b.tree_bound < b.serial_bound
-        assert b.serial_bound / b.tree_bound == pytest.approx((x.size - 1) / 16, rel=0.01)
-
-    def test_trivial_sizes(self):
-        assert serial_error_bound([1.0]) == 0.0
-        assert tree_error_bound([]) == 0.0
-
-    def test_condition_number_same_sign_is_one(self):
-        assert summation_condition_number([1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_condition_number_cancellation(self):
-        assert summation_condition_number([1e8, -1e8, 1.0]) == pytest.approx(2e8, rel=1e-6)
-
-    def test_condition_number_zero_sum(self):
-        assert summation_condition_number([1.0, -1.0]) == np.inf
-
-    def test_expected_vs_std_order_of_magnitude(self):
-        # Fig-1 style workload: measured SPA Vs std ~ 8e-16 at 100k/1563
-        # partials; the estimate must land within ~10x.
-        ctx = RunContext(0)
-        x = ctx.data(5).uniform(0, 10, 100_000)
-        est = expected_vs_std(x, n_partials=1563)
-        assert 1e-17 < est < 1e-13
-
-    def test_expected_vs_std_validation(self):
-        with pytest.raises(ConfigurationError):
-            expected_vs_std(np.ones(4), 0)
-
