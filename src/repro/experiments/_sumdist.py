@@ -18,9 +18,9 @@ streams when the caller interleaves several batches' draws), and the folds
 run through :func:`~repro.gpusim.atomics.batched_atomic_fold`'s per-run
 values mode, processed in run chunks so memory stays bounded at
 ``n = 10**6``.  Per-(array, run) results are bit-identical to looping
-``WaveScheduler`` + ``atomic_fold`` (or the reduction classes) —
-``tests/test_experiment_helpers.py`` and ``tests/test_batched_engine.py``
-pin this.  The single-array :func:`spa_vs_samples` / :func:`ao_vs_samples`
+the reduction classes' one-run :meth:`~repro.reductions.base.
+ReductionImpl.sum` — ``tests/test_experiment_helpers.py`` and
+``tests/test_batched_engine.py`` pin this.  The single-array :func:`spa_vs_samples` / :func:`ao_vs_samples`
 are the ``A = 1`` special case of the same pass.
 
 :func:`spa_vs_samples_devices` adds the **device axis** (figS1): one

@@ -10,8 +10,6 @@ and the spread of iteration counts to convergence.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..reductions import get_reduction
 from ..runtime import RunContext
 from ..solvers import (

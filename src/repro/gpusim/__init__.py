@@ -14,10 +14,7 @@ exactly that layer:
   dispatch, per-warp issue order, completion jitter, and contention
   serialization.  Non-deterministic reductions sample their addition order
   here.
-* :mod:`repro.gpusim.atomics` — atomic accumulation in arrival order, plus
-  the retirement-counter (`__threadfence`) primitive used by SPRG/SPTR.
-* :mod:`repro.gpusim.stream` — streams with in-order launch semantics and
-  host synchronisation points (the TPRC mechanism).
+* :mod:`repro.gpusim.atomics` — atomic accumulation in arrival order.
 * :mod:`repro.gpusim.costmodel` — analytic timing model calibrated against
   the paper's Table 4 / 6 / 8 measurements.
 * :mod:`repro.gpusim.collectives` — multi-device allreduce (ring / tree /
@@ -28,9 +25,8 @@ exactly that layer:
 from .device import DeviceSpec, get_device, list_devices, register_device
 from .occupancy import resident_blocks
 from .kernel import LaunchConfig
-from .scheduler import WaveScheduler, WaveSchedulerBatch, SchedulerParams
-from .atomics import RetirementCounter, atomic_fold, batched_atomic_fold
-from .stream import Stream
+from .scheduler import WaveSchedulerBatch, SchedulerParams
+from .atomics import atomic_fold, batched_atomic_fold
 from .costmodel import CostModel, TimingSample
 from .collectives import (
     Topology,
@@ -56,13 +52,10 @@ __all__ = [
     "register_device",
     "resident_blocks",
     "LaunchConfig",
-    "WaveScheduler",
     "WaveSchedulerBatch",
     "SchedulerParams",
-    "RetirementCounter",
     "atomic_fold",
     "batched_atomic_fold",
-    "Stream",
     "CostModel",
     "TimingSample",
     "Topology",

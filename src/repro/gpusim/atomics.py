@@ -1,17 +1,10 @@
-"""Atomic accumulation and the retirement-counter primitive.
+"""Atomic accumulation in arrival order.
 
 ``atomicAdd`` on real GPUs is *atomic* (no lost updates) but *unordered*:
 the accumulation is a strictly sequential fold whose operand order depends
 on the runtime schedule.  :func:`atomic_fold` evaluates exactly that fold
-for a sampled retirement order.
-
-:class:`RetirementCounter` models the ``atomicInc``-based "last block turns
-off the lights" idiom of the paper's SPRG/SPTR kernels (Listing 1): each
-block increments the counter on completion, and the block observing
-``prev == gridDim.x - 1`` performs the final combine.  The *identity* of the
-last block is schedule-dependent, but the combine it performs reads the
-partials in block-index order — which is why SPRG/SPTR are deterministic by
-construction despite using an atomic.
+for a sampled retirement order, :func:`batched_atomic_fold` for one order
+per simulated run.
 """
 
 from __future__ import annotations
@@ -21,7 +14,7 @@ import numpy as np
 from ..errors import SchedulerError
 from ..fp.summation import _sequential_folds, serial_sum
 
-__all__ = ["RetirementCounter", "atomic_fold", "batched_atomic_fold"]
+__all__ = ["atomic_fold", "batched_atomic_fold"]
 
 
 def atomic_fold(values: np.ndarray, order: np.ndarray | None = None) -> float:
@@ -80,41 +73,3 @@ def batched_atomic_fold(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
         )
     return _sequential_folds(arr, om, SchedulerError)
 
-
-class RetirementCounter:
-    """``atomicInc``-based block retirement counter (Listing 1).
-
-    Parameters
-    ----------
-    grid_dim:
-        Number of blocks that will retire.
-    """
-
-    def __init__(self, grid_dim: int) -> None:
-        if grid_dim < 1:
-            raise SchedulerError(f"grid_dim must be >= 1, got {grid_dim}")
-        self.grid_dim = grid_dim
-        self._count = 0
-        self.last_block: int | None = None
-
-    def retire(self, block_id: int) -> bool:
-        """Block ``block_id`` retires; returns True iff it was the last.
-
-        Mirrors ``prev = atomicInc(&retirementCount, gridDim.x);
-        amLast = (prev == gridDim.x - 1)``.
-        """
-        if not 0 <= block_id < self.grid_dim:
-            raise SchedulerError(f"block_id {block_id} out of range [0, {self.grid_dim})")
-        if self._count >= self.grid_dim:
-            raise SchedulerError("more retirements than blocks in the grid")
-        prev = self._count
-        self._count += 1
-        am_last = prev == self.grid_dim - 1
-        if am_last:
-            self.last_block = block_id
-        return am_last
-
-    @property
-    def retired(self) -> int:
-        """Number of blocks retired so far."""
-        return self._count

@@ -26,11 +26,15 @@ order modulo the rotation mode) scales the jitter accordingly:
   almost a pure function of the discrete rotation mode → ``Vs`` follows a
   spiky mixture, not a normal (Fig 2).
 
-The RNG draw-order contract (batched run-axis engine)
------------------------------------------------------
-Every simulated run owns one scheduler stream (one
-:meth:`repro.runtime.RunContext.scheduler` call).  Within a run the stream
-is consumed in a fixed order:
+The RNG draw-order contract: one sampler, one stream per row
+------------------------------------------------------------
+:class:`WaveSchedulerBatch` is the only sampler.  Every request it serves
+(block arrival times, block completion orders, thread or warp retirement
+orders) covers ``R`` simulated runs, one per row, and row ``r`` draws from
+stream ``r`` alone: the ``r``-th of the next ``R``
+:meth:`repro.runtime.RunContext.scheduler` streams, or ``rngs[r]`` when
+the caller passes its own streams.  Within a row the stream is consumed
+in a fixed order:
 
 1. **rotation** — one ``integers(num_gpcs)`` draw (skipped when
    ``params.rotation`` is false);
@@ -40,47 +44,46 @@ is consumed in a fixed order:
    standard deviation equals ``sigma``) and the straggler tail: blocks whose
    draw lands in the top ``straggler_rate / n_blocks`` quantile stall, with
    an Exp(1) delay factor recovered from the same draw by inverse-CDF;
-3. **warp vector** (thread orders only) — one
+3. **warp matrix** (thread orders only) — one
    ``random((n_blocks, warps_per_block), dtype=float32)`` draw iff the
    effective warp jitter is positive.
 
+A request draws step 1 for every row, then step 2, then step 3, in one
+batched pass over a :class:`repro.runtime.RunStreams` window; rows own
+independent streams, so this is each row's own sequence.  A one-run
+request (``R = 1``, the per-call :meth:`repro.reductions.base.
+ReductionImpl.sum`) consumes exactly the draws of one row of a larger
+request.  Under the compiled backend the window's PCG64 states advance in
+C (the ``repro_pcg64_*`` kernels, bit-identical to NumPy's
+``Generator``), otherwise through a per-run loop over the materialised
+Generators.  **Ownership rule:** a window row is drawn either through
+these batched passes or through its materialised Generator, never both —
+mixing them on one row raises :class:`~repro.errors.SchedulerError`.
+
 Everything downstream of the draws is elementwise float32 arithmetic plus
-one sort, :func:`_stable_row_order` — both of which produce identical bits
-whether evaluated on one run's 1-D vector or on the rows of an ``(R, n)``
-matrix.  The sort packs each float32 key and its index into one unique
-uint64, so its order is ``np.argsort(kind="stable")``'s (ties keep index
-order) whichever SIMD target NumPy's sort dispatches to; a default-kind
-``argsort`` orders float32 ties differently under AVX-512, AVX2 and
-baseline dispatch.  That invariant is what makes the batched
-:class:`WaveSchedulerBatch` **bit-identical** to constructing a fresh
-:class:`WaveScheduler` per run: the batch draws each step of the sequence
-for every run in one pass over a :class:`repro.runtime.RunStreams` window
-(step 1 for all runs, then step 2, then step 3 — runs own independent
-streams, so this is each run's own sequence) and then folds the transform,
-sort and expansion over the whole run axis at once.  Under the compiled
-backend the window's PCG64 states advance in C (the ``repro_pcg64_*``
-kernels, bit-identical to NumPy's ``Generator``), otherwise through a
-per-run loop over the materialised Generators.  **Ownership rule:** a
-window row is drawn either through these batched passes or through its
-materialised Generator, never both — mixing them on one row raises
-:class:`~repro.errors.SchedulerError`.  Thread retirement orders are
-never sorted at element granularity: lanes retire in lane order within a
-warp, so both paths sort the ``n_blocks * warps_per_block`` warp keys and
-expand each warp to its (precomputed) lane-ordered element ids.
+one sort, :func:`_stable_row_order`, applied row by row, so a row's bits
+depend on its own draws only.  The sort packs each float32 key and its
+index into one unique uint64, so its order is ``np.argsort(kind="stable")``'s
+(ties keep index order) whichever SIMD target NumPy's sort dispatches to;
+a default-kind ``argsort`` orders float32 ties differently under AVX-512,
+AVX2 and baseline dispatch.  Thread retirement orders are never sorted at
+element granularity: lanes retire in lane order within a warp, so the
+sampler sorts the ``n_blocks * warps_per_block`` warp keys and expands
+each warp to its (precomputed) lane-ordered element ids.
 
-``tests/test_batched_engine.py`` pins the scalar↔batched equivalence
-bit-for-bit across devices, contentions and odd shapes.
+``tests/test_reduction_pins.py`` pins the bits of every order method, and
+of every reduction strategy's sums, with SHA-256 digests.
 
-Sharding: the ``run_offset`` extension of the contract
-------------------------------------------------------
+Sharding: run windows
+---------------------
 Because stream ``k`` is a pure function of ``(seed, k)`` (no hidden state
-crosses runs), the one-stream-per-run contract extends to *partitions* of
-the run axis: a :class:`WaveSchedulerBatch` built with ``run_offset=off``
-(or over a context whose ladder was positioned with
+crosses runs), the one-stream-per-row contract extends to *partitions* of
+the run axis: a sampler over a context whose ladder starts at ``off``
+(``RunContext(seed, run_offset=off)``, or
 :meth:`repro.runtime.RunContext.seek_runs`) samples rows bit-identical to
-rows ``[off, off + r)`` of the full ``R``-run batch.  Concatenating shard
-batches in offset order therefore reproduces the serial batch exactly —
-the invariant the sharded experiment executor
+rows ``[off, off + r)`` of the full ``R``-run request.  Concatenating
+shard batches in offset order therefore reproduces the serial batch
+exactly — the invariant the sharded experiment executor
 (:mod:`repro.harness.parallel`) relies on to merge multi-process shards
 into bit-exact single-process results.  ``tests/test_sharded_executor.py``
 and the fuzz suite in ``tests/test_batched_engine.py`` pin this for
@@ -108,7 +111,7 @@ draws its whole run axis from it in a fixed order:
 
 :meth:`WaveSchedulerBatch.block_completion_orders_from_draws` turns those
 raw draws into completion orders through the very same float32 transform
-and sort as the per-run paths.  Consequences: a sweep over any subset
+and sort as every other request.  Consequences: a sweep over any subset
 of devices reproduces each device's rows bit-identically (single-device
 replays are exact), deterministic devices draw nothing (their one
 schedule is computed once and pooled across the run axis), and run-window
@@ -139,8 +142,8 @@ adds two more anchored plane layouts on the same cell contract:
   deterministic-draws-nothing rule, one layer up).
 * **per-(device, run) rank partials** — plane ``coll-rank:<device>``,
   cell ``r``; each cell feeds one rank's intra-kernel combine schedule
-  (rotation draw, then the float32 block vector — the scalar per-run
-  sequence), with deterministic devices pooling one schedule across the
+  (rotation draw, then the float32 block vector — steps 1 and 2 of the
+  per-row sequence), with deterministic devices pooling one schedule across the
   run axis.  Keying the plane by device name alone keeps a rank's draws
   invariant under the participating device subset.
 
@@ -237,7 +240,7 @@ from ..errors import SchedulerError
 from ..runtime import RunContext, RunStreams
 from .kernel import LaunchConfig
 
-__all__ = ["SchedulerParams", "WaveScheduler", "WaveSchedulerBatch"]
+__all__ = ["SchedulerParams", "WaveSchedulerBatch"]
 
 #: Scale factor mapping a uniform [0, 1) draw to a jitter with standard
 #: deviation ``sigma``: Var(U[0, s]) = s^2 / 12, so s = sqrt(12) * sigma.
@@ -344,8 +347,7 @@ class SchedulerParams:
 
 
 def _resolve_params(launch: LaunchConfig, params: SchedulerParams | None) -> SchedulerParams:
-    """Default/device-specific parameter resolution, shared by the scalar
-    and batched schedulers so both sample the exact same model."""
+    """Default/device-specific parameter resolution of the sampler."""
     if params is None:
         # Scale the default jitter by the device's scheduling noise
         # (calibrated on the V100's 0.08): GH200/MI250X schedules are
@@ -372,23 +374,15 @@ def _resolve_params(launch: LaunchConfig, params: SchedulerParams | None) -> Sch
     return params
 
 
-@lru_cache(maxsize=64)
-def _issue_template(nb: int, res: int) -> np.ndarray:
-    """Unrotated issue times ``slot / resident`` (float32, read-only)."""
-    tmpl = (np.arange(nb, dtype=np.float32) / np.float32(res))
-    tmpl.setflags(write=False)
-    return tmpl
-
-
 @lru_cache(maxsize=256)
 def _rolled_template(nb: int, res: int, rot: int) -> np.ndarray:
-    """Issue template rolled by one rotation mode (float32, read-only).
+    """Issue times ``slot / resident`` rolled by one rotation mode
+    (float32, read-only).
 
     Rotations take at most ``num_gpcs`` distinct values per launch, so the
-    cache removes the per-call ``np.roll`` from the batched hot path; the
-    cached rows are bit-identical to the scalar path's ``np.roll``.
+    cache removes the per-call ``np.roll`` from the sampler's hot path.
     """
-    out = np.roll(_issue_template(nb, res), -rot)
+    out = np.roll(np.arange(nb, dtype=np.float32) / np.float32(res), -rot)
     out.setflags(write=False)
     return out
 
@@ -414,17 +408,24 @@ def _element_template(nb: int, tpb: int, warp: int) -> np.ndarray:
     return elems
 
 
-class WaveScheduler:
-    """Samples execution orders for one simulated run of a launch.
+class WaveSchedulerBatch:
+    """The order sampler: ``R`` simulated runs of one launch, one per row.
+
+    Row ``r`` of every request draws from its own stream, in the order
+    the module docstring's draw-order contract fixes; the transform, sort
+    and lane expansion then run over the whole run axis at once, which is
+    what makes the Figs 1–2/Table 5 regenerations fast.  A one-run
+    request is the per-call case (:meth:`repro.reductions.base.
+    ReductionImpl.sum`).
 
     Parameters
     ----------
     launch:
-        Validated launch configuration.
-    rng:
-        The per-run scheduler stream (see
-        :meth:`repro.runtime.RunContext.scheduler`).  Passing the same
-        generator state reproduces the same "non-deterministic" run.
+        Validated launch configuration (shared by all runs).
+    ctx:
+        Run context supplying one scheduler stream per simulated run.
+        May be ``None`` when every order request passes explicit ``rngs``
+        (the run-batched reductions' persistent-stream mode).
     params:
         Model knobs; defaults are calibrated in the fig1/fig2 experiments.
     """
@@ -432,72 +433,55 @@ class WaveScheduler:
     def __init__(
         self,
         launch: LaunchConfig,
-        rng: np.random.Generator,
+        ctx: RunContext | None,
         params: SchedulerParams | None = None,
     ) -> None:
         self.launch = launch
-        self.rng = rng
+        self.ctx = ctx
         self.params = _resolve_params(launch, params)
+        # Per-launch draw invariants, hoisted out of the per-call loop (the
+        # run-batched reductions sample thousands of small batches).
+        dev = launch.device
+        self._num_gpcs = dev.num_gpcs
+        self._per_gpc = max(1, launch.resident_blocks // dev.num_gpcs)
+        self._mod = max(launch.n_blocks, 1)
 
-    # ----------------------------------------------------------------- waves
+    # ------------------------------------------------------------------ model
     def _effective_jitter(self, base: float, contention: float) -> float:
         if not 0.0 <= contention <= 1.0:
             raise SchedulerError(f"contention must be in [0, 1], got {contention}")
         floor = self.params.residual_jitter * base
         return floor + (base - floor) * (1.0 - contention)
 
-    def _rotation(self) -> int:
-        """Sample the discrete dispatch mode: the round-robin start SM.
-
-        Real block dispatch round-robins across GPCs starting from
-        whichever cluster frees first, so the issue order is a block-index
-        rotation at GPC granularity — a small *discrete* set of modes
-        (``num_gpcs`` of them).  Under full contention this mode is nearly
-        the only thing that varies between runs, which produces the
-        paper's spiky Fig-2 mixture.
-        """
-        if not self.params.rotation:
-            return 0
-        dev = self.launch.device
-        per_gpc = max(1, self.launch.resident_blocks // dev.num_gpcs)
-        return (int(self.rng.integers(dev.num_gpcs)) * per_gpc) % max(self.launch.n_blocks, 1)
-
-    def _needs_block_draw(self, sigma: float, nb: int) -> bool:
-        return sigma > 0.0 or (self.params.straggler_rate > 0 and nb > 1)
-
     def _block_times_from(
-        self, rot: int, u: np.ndarray | None, contention: float
+        self, rot: np.ndarray, u: np.ndarray | None, contention: float
     ) -> np.ndarray:
-        """Deterministic float32 transform from draws to arrival times.
+        """Float32 arrival times, one run per row, from each run's rotation
+        index and block vector (``u`` rows are uniform [0, 1) float32
+        draws; ``None`` when the model draws no block vector).
 
-        Shared verbatim (modulo the leading run axis) with
-        :class:`WaveSchedulerBatch`, which is what keeps the two paths
-        bit-identical.  ``u`` rows are per-run uniform [0, 1) float32 draws.
+        ``arrival[b] = slot(b) / resident + work * jitter``: the first term
+        is the (rotated) issue time — wave ``w`` spans ``[w, w+1)`` — and
+        the second is the jittered execution time, with contention
+        shrinking the jitter toward the residual floor.
         """
         nb = self.launch.n_blocks
         res = self.launch.resident_blocks
         if res < 1:
             raise SchedulerError("resident block count must be >= 1")
-        tmpl = _issue_template(nb, res)
-        if isinstance(rot, np.ndarray):
-            if rot.size == 0:
-                return np.empty((0, nb), dtype=np.float32)
-            # Rotations take at most num_gpcs distinct values: gather the
-            # cached rolled templates (bit-identical to the scalar path's
-            # np.roll).  Small batches fill rows directly; large ones
-            # dedupe first so the fill stays one vectorised gather.
-            if rot.size <= 64:
-                issue = np.empty((rot.size, nb), dtype=np.float32)
-                for i, r in enumerate(rot.tolist()):
-                    issue[i] = _rolled_template(nb, res, int(r))
-            else:
-                distinct, inverse = np.unique(rot, return_inverse=True)
-                rolled = np.stack([_rolled_template(nb, res, int(r)) for r in distinct])
-                issue = rolled[inverse]
-        elif rot:
-            issue = np.roll(tmpl, -rot)
+        if rot.size == 0:
+            return np.empty((0, nb), dtype=np.float32)
+        # Rotations take at most num_gpcs distinct values: gather the
+        # cached rolled templates.  Small batches fill rows directly; large
+        # ones dedupe first so the fill stays one vectorised gather.
+        if rot.size <= 64:
+            issue = np.empty((rot.size, nb), dtype=np.float32)
+            for i, r in enumerate(rot.tolist()):
+                issue[i] = _rolled_template(nb, res, int(r))
         else:
-            issue = tmpl
+            distinct, inverse = np.unique(rot, return_inverse=True)
+            rolled = np.stack([_rolled_template(nb, res, int(r)) for r in distinct])
+            issue = rolled[inverse]
         sigma = self._effective_jitter(self.params.block_jitter, contention)
         if u is None:
             return issue + np.float32(1.0)
@@ -519,37 +503,6 @@ class WaveScheduler:
                 )
         return times
 
-    def block_arrival_times(self, contention: float = 0.0) -> np.ndarray:
-        """Completion time of every block (float32), in block-index order.
-
-        ``arrival[b] = slot(b) / resident + work * jitter``: the first term
-        is the (rotated) issue time — wave ``w`` spans ``[w, w+1)`` — and
-        the second is the jittered execution time, with contention
-        shrinking the jitter toward the residual floor.
-        """
-        nb = self.launch.n_blocks
-        sigma = self._effective_jitter(self.params.block_jitter, contention)
-        rot = self._rotation()
-        u = (
-            self.rng.random(nb, dtype=np.float32)
-            if self._needs_block_draw(sigma, nb)
-            else None
-        )
-        return self._block_times_from(rot, u, contention)
-
-    def block_completion_order(self, contention: float = 0.0) -> np.ndarray:
-        """Permutation: block indices sorted by completion time.
-
-        This is the order in which SPA's per-block partial sums hit the
-        accumulator.  Sorted by :func:`_stable_row_order`: blocks whose
-        float32 times tie complete in block-index order, the order equals
-        ``np.argsort(times, kind="stable")`` on every SIMD target, and it
-        is row-identical between the 1-D and batched 2-D calls (the
-        draw-order contract above).
-        """
-        return _stable_row_order(self.block_arrival_times(contention))
-
-    # --------------------------------------------------------------- threads
     def _warp_geometry(self) -> tuple[int, int, int]:
         tpb = self.launch.threads_per_block
         warp = self.launch.device.warp_size
@@ -567,99 +520,6 @@ class WaveScheduler:
             noise = warp_slot * (np.float32(1.0) + (_JITTER_SPAN * sigma_w) * uw)
         return block_t[..., None] + noise * np.float32(0.5)
 
-    def thread_retirement_order(
-        self, n_elements: int, contention: float = 1.0
-    ) -> np.ndarray:
-        """Permutation of element indices in atomic-retirement order (AO).
-
-        Element ``i`` is handled by thread ``i`` (``tid = threadIdx +
-        blockIdx * blockDim``).  Warps retire at::
-
-            block_arrival(block) + warp_slot * jitter(sigma_w) * 0.5
-
-        and a warp's lanes retire contiguously in lane order (hardware
-        serializes same-address atomics from one warp in a fixed order),
-        so the order is the lane-expansion of the warp-key sort.  With
-        ``contention = 1`` (AO's regime) the jitters collapse to the
-        residual floor and the order is essentially the rotated issue order
-        — the discrete-mode mixture of Fig 2.
-        """
-        if n_elements < 1:
-            raise SchedulerError(f"n_elements must be >= 1, got {n_elements}")
-        if n_elements > self.launch.total_threads:
-            raise SchedulerError(
-                f"{n_elements} elements exceed grid capacity "
-                f"{self.launch.total_threads}"
-            )
-        nb = self.launch.n_blocks
-        tpb, warp, wpb = self._warp_geometry()
-        block_t = self.block_arrival_times(contention)  # (nb,) f32
-        sigma_w = self._effective_jitter(self.params.warp_jitter, contention)
-        uw = (
-            self.rng.random((nb, wpb), dtype=np.float32)
-            if sigma_w > 0
-            else None
-        )
-        keys = self._warp_keys_from(block_t, uw, sigma_w)  # (nb, wpb)
-        korder = _stable_row_order(keys.reshape(-1))
-        elems = _element_template(nb, tpb, warp)[korder]
-        flat = elems.reshape(-1)
-        return flat[flat < n_elements]
-
-
-class WaveSchedulerBatch:
-    """Batched run-axis engine: sample ``R`` runs' orders as one matrix.
-
-    Bit-identical to constructing a fresh :class:`WaveScheduler` per run
-    from the same context (each run consumes one
-    :meth:`~repro.runtime.RunContext.scheduler` stream, drawn in run
-    order — the draw-order contract in the module docstring), but the
-    transform, sort and lane expansion are folded over the whole run axis,
-    which is what makes the Figs 1–2/Table 5 regenerations fast.
-
-    Parameters
-    ----------
-    launch:
-        Validated launch configuration (shared by all runs).
-    ctx:
-        Run context supplying one scheduler stream per simulated run.
-        May be ``None`` when every order request passes explicit ``rngs``
-        (the run-batched reductions' persistent-stream mode).
-    params:
-        Model knobs; resolved exactly like :class:`WaveScheduler`.
-    run_offset:
-        Position the context's scheduler ladder at this absolute run index
-        before the first draw.  A batch with ``run_offset=off`` samples
-        rows bit-identical to rows ``[off, off + n_runs)`` of an
-        un-offset batch over the same seed — the shard-derivation contract
-        (module docstring) used by the parallel executor.
-    """
-
-    def __init__(
-        self,
-        launch: LaunchConfig,
-        ctx: RunContext,
-        params: SchedulerParams | None = None,
-        *,
-        run_offset: int | None = None,
-    ) -> None:
-        self.launch = launch
-        self.ctx = ctx
-        if run_offset is not None:
-            if ctx is None:
-                raise SchedulerError("run_offset needs a ctx to position")
-            ctx.seek_runs(run_offset)
-        self.params = _resolve_params(launch, params)
-        # Borrow the scalar transform helpers so both paths share one
-        # definition of the model arithmetic.
-        self._proto = WaveScheduler(launch, rng=None, params=self.params)
-        # Per-launch draw invariants, hoisted out of the per-call loop (the
-        # run-batched reductions sample thousands of small batches).
-        dev = launch.device
-        self._num_gpcs = dev.num_gpcs
-        self._per_gpc = max(1, launch.resident_blocks // dev.num_gpcs)
-        self._mod = max(launch.n_blocks, 1)
-
     # ------------------------------------------------------------------ draws
     @property
     def needs_rotation(self) -> bool:
@@ -676,9 +536,8 @@ class WaveSchedulerBatch:
         """Whether each run draws the float32 block vector at this
         contention (positive effective jitter or active stragglers) —
         the other half of the pre-drawn cell contract."""
-        proto = self._proto
-        sigma = proto._effective_jitter(self.params.block_jitter, contention)
-        return proto._needs_block_draw(sigma, self.launch.n_blocks)
+        sigma = self._effective_jitter(self.params.block_jitter, contention)
+        return sigma > 0.0 or (self.params.straggler_rate > 0 and self.launch.n_blocks > 1)
 
     def _streams(self, n_runs: int, rngs) -> RunStreams:
         """The ``n_runs`` streams one request draws: explicit ``rngs``
@@ -693,20 +552,28 @@ class WaveSchedulerBatch:
         return RunStreams.wrap(rngs)
 
     def _draw_block_inputs(
-        self, streams: RunStreams, sigma: float
+        self, streams: RunStreams, contention: float
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Draw every run's rotation, then its block vector, mirroring
-        the scalar draw order — one batched pass over the window.
+        """Draw every run's rotation, then its block vector (steps 1 and
+        2 of the contract), in one batched pass over the window.
 
         ``streams`` may be a caller's persistent window (the run-batched
         reductions' mode, where each simulated run owns one stream for
         its whole launch *sequence* — the CG draw contract — and every
-        launch continues consuming it).
+        launch continues consuming it).  Returns the rotation indices and
+        the block matrix (``None`` when the model draws none).
+
+        The rotation is the discrete dispatch mode: block dispatch
+        round-robins across GPCs starting from whichever cluster frees
+        first, so the issue order is a block-index rotation at GPC
+        granularity (``num_gpcs`` modes).  Under full contention it is
+        nearly the only thing that varies between runs, which produces the
+        paper's spiky Fig-2 mixture.
         """
         nb = self.launch.n_blocks
-        need_u = self._proto._needs_block_draw(sigma, nb)
         raw, u = streams.block_inputs(
-            self._num_gpcs if self.params.rotation else None, nb if need_u else 0
+            self._num_gpcs if self.params.rotation else None,
+            nb if self.needs_block_draw(contention) else 0,
         )
         if raw is None:
             return np.zeros(len(streams), dtype=np.int64), u
@@ -716,24 +583,25 @@ class WaveSchedulerBatch:
     def block_arrival_times_batch(
         self, n_runs: int, contention: float = 0.0, *, rngs=None
     ) -> np.ndarray:
-        """``(n_runs, n_blocks)`` float32 arrival times, one run per row.
-
-        Row ``r`` is bit-identical to
-        ``WaveScheduler(launch, ctx.scheduler(), params).block_arrival_times(contention)``
-        for the ``r``-th stream of the same context — or, with explicit
-        ``rngs``, for ``WaveScheduler(launch, rngs[r], params)``.
-        """
+        """``(n_runs, n_blocks)`` float32 block completion times, one run
+        per row, in block-index order (see :meth:`_block_times_from` for
+        the model).  Row ``r`` draws from the ``r``-th of the next
+        ``n_runs`` context streams, or from ``rngs[r]``."""
         if n_runs < 0:
             raise SchedulerError(f"n_runs must be >= 0, got {n_runs}")
-        proto = self._proto
-        sigma = proto._effective_jitter(self.params.block_jitter, contention)
-        rots, u = self._draw_block_inputs(self._streams(n_runs, rngs), sigma)
-        return proto._block_times_from(rots, u, contention)
+        rots, u = self._draw_block_inputs(self._streams(n_runs, rngs), contention)
+        return self._block_times_from(rots, u, contention)
 
     def block_completion_orders(
         self, n_runs: int, contention: float = 0.0, *, rngs=None
     ) -> np.ndarray:
-        """``(n_runs, n_blocks)`` block completion orders, one run per row."""
+        """``(n_runs, n_blocks)`` block completion orders, one run per row.
+
+        Row ``r`` lists block indices sorted by completion time: the order
+        in which SPA's per-block partial sums hit the accumulator.  Sorted
+        by :func:`_stable_row_order`, so blocks whose float32 times tie
+        complete in block-index order on every SIMD target.
+        """
         times = self.block_arrival_times_batch(n_runs, contention, rngs=rngs)
         return _stable_row_order(times)
 
@@ -750,10 +618,10 @@ class WaveSchedulerBatch:
         cell and draws the raw rotation vector (``integers(num_gpcs)``
         values; ``None`` when ``params.rotation`` is off) and the float32
         uniform block matrix rows itself — this method applies exactly
-        the transform and sort the per-run paths apply, so row ``r`` is
-        bit-identical to a :class:`WaveScheduler` run fed the same two
-        draws.  ``u`` may be ``None`` when the resolved model needs no
-        block vector (deterministic devices; zero jitter without
+        the transform and sort :meth:`block_completion_orders` applies, so
+        row ``r`` is bit-identical to a request whose row ``r`` drew the
+        same two draws.  ``u`` may be ``None`` when the resolved model
+        needs no block vector (deterministic devices; zero jitter without
         stragglers).
         """
         if rots is None and u is None:
@@ -765,7 +633,7 @@ class WaveSchedulerBatch:
             rot_idx = (np.asarray(rots, dtype=np.int64) * self._per_gpc) % self._mod
         else:
             rot_idx = np.zeros(n_runs, dtype=np.int64)
-        times = self._proto._block_times_from(rot_idx, u, contention)
+        times = self._block_times_from(rot_idx, u, contention)
         return _stable_row_order(times)
 
     # ---------------------------------------------------------------- threads
@@ -791,30 +659,42 @@ class WaveSchedulerBatch:
         """
         from ..fp.summation import iter_run_chunks
 
-        proto = self._proto
         nb = self.launch.n_blocks
-        _, _, wpb = proto._warp_geometry()
+        _, _, wpb = self._warp_geometry()
         w_total = nb * wpb
-        sigma = proto._effective_jitter(self.params.block_jitter, contention)
-        sigma_w = proto._effective_jitter(self.params.warp_jitter, contention)
+        sigma_w = self._effective_jitter(self.params.warp_jitter, contention)
         if rngs is not None:
             rngs = self._streams(n_runs, rngs)
         for lo, hi in iter_run_chunks(n_runs, chunk_elems):
             chunk = hi - lo
             streams = self._streams(chunk, None if rngs is None else rngs[lo:hi])
-            rots, u = self._draw_block_inputs(streams, sigma)
+            rots, u = self._draw_block_inputs(streams, contention)
             uw = streams.random_f32((nb, wpb)) if sigma_w > 0 else None
-            block_t = proto._block_times_from(rots, u, contention)
-            keys = proto._warp_keys_from(block_t, uw, sigma_w)
+            block_t = self._block_times_from(rots, u, contention)
+            keys = self._warp_keys_from(block_t, uw, sigma_w)
             yield lo, hi, _stable_row_order(keys.reshape(chunk, w_total))
 
     def thread_retirement_orders(
         self, n_runs: int, n_elements: int, contention: float = 1.0, *, rngs=None
     ) -> np.ndarray:
-        """``(n_runs, n_elements)`` retirement orders, one run per row."""
+        """``(n_runs, n_elements)`` retirement orders, one run per row: the
+        element indices in atomic-retirement order (AO).
+
+        Element ``i`` is handled by thread ``i`` (``tid = threadIdx +
+        blockIdx * blockDim``).  Warps retire at::
+
+            block_arrival(block) + warp_slot * jitter(sigma_w) * 0.5
+
+        and a warp's lanes retire contiguously in lane order (hardware
+        serializes same-address atomics from one warp in a fixed order),
+        so each row is the lane-expansion of its warp-key sort.  With
+        ``contention = 1`` (AO's regime) the jitters collapse to the
+        residual floor and the order is essentially the rotated issue order
+        — the discrete-mode mixture of Fig 2.
+        """
         self._validate_thread_request(n_elements)
         nb = self.launch.n_blocks
-        tpb, warp, _ = self._proto._warp_geometry()
+        tpb, warp, _ = self._warp_geometry()
         tmpl = _element_template(nb, tpb, warp)
         out = np.empty((n_runs, n_elements), dtype=tmpl.dtype)
         for lo, hi, korder in self._warp_sort_chunks(
@@ -835,13 +715,13 @@ class WaveSchedulerBatch:
         elements are the contiguous id range ``[w * warp, (w+1) * warp)``
         retiring in lane order.  Row ``r`` of the result lists the warp ids
         in retirement order — ``x.reshape(-1, warp)[row].ravel()`` is
-        bit-identical to ``x[thread_retirement_order(...)]``, without ever
-        materialising the element-level permutation.  This is the fast path
-        of the AO experiments (one warp-slice gather instead of ``n``
+        bit-identical to ``x[thread_retirement_orders(...)[r]]``, without
+        ever materialising the element-level permutation.  This is the fast
+        path of the AO experiments (one warp-slice gather instead of ``n``
         scattered element reads per run).
         """
         self._validate_thread_request(n_elements)
-        tpb, warp, _ = self._proto._warp_geometry()
+        tpb, warp, _ = self._warp_geometry()
         if tpb % warp or n_elements % warp:
             raise SchedulerError(
                 "warp-granular orders need threads_per_block and n_elements "

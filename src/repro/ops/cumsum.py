@@ -73,6 +73,15 @@ def _blocked_cumsum_rows(rows: np.ndarray, chunk: int) -> np.ndarray:
     return out.reshape(n_rows, -1)[:, :n]
 
 
+def _check_ladder(chunk_ladder) -> None:
+    """Reject an empty ladder and any entry that is not an integer >= 1."""
+    if not chunk_ladder:
+        raise ConfigurationError("chunk_ladder must be non-empty")
+    for c in chunk_ladder:
+        if not isinstance(c, (int, np.integer)) or c < 1:
+            raise ConfigurationError(f"chunk_ladder entries must be integers >= 1, got {c!r}")
+
+
 def _as_rows(moved: np.ndarray) -> np.ndarray:
     """Flatten leading axes to a ``(rows, n)`` matrix (robust to ``n = 0``)."""
     lead = int(np.prod(moved.shape[:-1], dtype=np.int64))
@@ -112,10 +121,9 @@ def cumsum(
             axis=-1,
         )
         return np.moveaxis(out, -1, dim)
+    _check_ladder(chunk_ladder)
     if rng is None:
         rng = (ctx or get_context()).scheduler()
-    if not chunk_ladder:
-        raise ConfigurationError("chunk_ladder must be non-empty")
     chunk = int(chunk_ladder[int(rng.integers(len(chunk_ladder)))])
     out = _blocked_cumsum_rows(_as_rows(moved), chunk).reshape(moved.shape)
     return np.moveaxis(out, -1, dim)
@@ -141,8 +149,7 @@ def cumsum_runs(
     """
     if n_runs < 0:
         raise ConfigurationError(f"n_runs must be >= 0, got {n_runs}")
-    if not chunk_ladder:
-        raise ConfigurationError("chunk_ladder must be non-empty")
+    _check_ladder(chunk_ladder)
     moved = _validated_moved(x, dim)
     ctx = ctx or get_context()
     chunks = [

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..gpusim.device import DeviceSpec, get_device
 from ..gpusim.kernel import LaunchConfig
-from ..gpusim.scheduler import SchedulerParams, WaveScheduler
+from ..gpusim.scheduler import SchedulerParams, WaveSchedulerBatch
 from ..runtime import RunContext, RunStreams, get_context
 
 __all__ = ["ReductionProperties", "ReductionImpl"]
@@ -58,9 +58,10 @@ class ReductionImpl(abc.ABC):
     scheduler_params:
         Overrides for the arrival-time model.
 
-    Subclasses implement :meth:`_reduce`, receiving the validated float
-    array, the launch configuration and a scheduler (``None`` for
-    deterministic strategies, which must not consume randomness).
+    Subclasses implement :meth:`_reduce_runs`, receiving the validated
+    ``(R, n)`` float matrix, the launch configuration and one stream per
+    row (``None`` for deterministic strategies, which must not consume
+    randomness).  :meth:`sum` is the one-run case of :meth:`sum_runs`.
     """
 
     properties: ReductionProperties
@@ -86,24 +87,17 @@ class ReductionImpl(abc.ABC):
     def sum(self, x, *, ctx: RunContext | None = None, rng: np.random.Generator | None = None) -> float:
         """Compute the sum of 1-D array ``x`` on the simulated device.
 
-        For non-deterministic strategies each call consumes a fresh
-        scheduler stream from the run context (simulating a new run) unless
-        an explicit ``rng`` is given.  Deterministic strategies ignore both.
+        The one-run case of :meth:`sum_runs`: for non-deterministic
+        strategies each call consumes a fresh scheduler stream from the
+        run context (simulating a new run) unless an explicit ``rng`` is
+        given, which the run then draws from.  Deterministic strategies
+        ignore both.
         """
         arr = np.asarray(x)
         if arr.ndim != 1:
             raise ConfigurationError(f"expected 1-D input, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        if arr.size == 0:
-            return 0.0
-        launch = self._launch_for(arr.size)
-        sched = None
-        if not self.properties.deterministic:
-            if rng is None:
-                rng = (ctx or get_context()).scheduler()
-            sched = WaveScheduler(launch, rng, self.scheduler_params)
-        return self._reduce(arr, launch, sched)
+        rngs = None if rng is None else [rng]
+        return float(self.sum_runs(arr[None], ctx=ctx, rngs=rngs)[0])
 
     __call__ = sum
 
@@ -159,23 +153,6 @@ class ReductionImpl(abc.ABC):
             rngs = c.schedulers(n_runs)
         return self._reduce_runs(mat, self._launch_for(n), rngs)
 
-    def _reduce_runs(
-        self,
-        mat: np.ndarray,
-        launch: LaunchConfig,
-        rngs: RunStreams | Sequence[np.random.Generator] | None,
-    ) -> np.ndarray:
-        """Default run-batch: loop the scalar :meth:`_reduce` per row
-        (bit-exact by construction).  Strategies with a vectorised batch
-        path override this."""
-        out = np.empty(mat.shape[0], dtype=np.float64)
-        for r in range(mat.shape[0]):
-            sched = None
-            if not self.properties.deterministic:
-                sched = WaveScheduler(launch, rngs[r], self.scheduler_params)
-            out[r] = self._reduce(mat[r], launch, sched)
-        return out
-
     # ------------------------------------------------------------ internals
     def _launch_for(self, n: int) -> LaunchConfig:
         # Memoised per input size: the run-batched solvers evaluate
@@ -196,9 +173,28 @@ class ReductionImpl(abc.ABC):
             cache[n] = launch
         return launch
 
+    def _sampler(self, launch: LaunchConfig) -> WaveSchedulerBatch:
+        """The order sampler of ``launch``, memoised per launch shape: CG
+        consumes two batched sums per iteration, thousands per solve."""
+        cache: dict[tuple[int, int], WaveSchedulerBatch] = self.__dict__.setdefault(
+            "_sampler_cache", {}
+        )
+        key = (launch.n_blocks, launch.threads_per_block)
+        sampler = cache.get(key)
+        if sampler is None:
+            sampler = WaveSchedulerBatch(launch, None, self.scheduler_params)
+            cache[key] = sampler
+        return sampler
+
     @abc.abstractmethod
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
-        """Evaluate the fold; subclass responsibility."""
+    def _reduce_runs(
+        self,
+        mat: np.ndarray,
+        launch: LaunchConfig,
+        rngs: RunStreams | Sequence[np.random.Generator] | None,
+    ) -> np.ndarray:
+        """``(R,)`` float64 folds of the rows of ``mat``, row ``r`` drawing
+        its order from ``rngs[r]``; subclass responsibility."""
 
     # ------------------------------------------------------------- niceties
     @property

@@ -15,26 +15,27 @@ stage; the association order of each stage is what distinguishes them:
   (``res[0] += res[i]``, Listing 1): deterministic.
 * **TPRC** — tree per block (kernel 1), stream-ordered D2H copy, host
   serial fold: deterministic (two launches; stream ordering is the
-  synchronisation).
+  synchronisation).  TPRC and SPRG share one association — block trees,
+  then a serial fold of the partials in block-index order — so they share
+  one fold and return the same bits; they differ only in their Table 2
+  metadata and in the cost model (:mod:`repro.gpusim.costmodel`).
 * **CU** — CUB-style fused reduction: per-thread serial accumulation over a
-  strided tile, tree within the block, deterministic combine: deterministic.
+  blocked tile, tree within the block, deterministic combine: deterministic.
+
+Each strategy is written once, over an ``(R, n)`` matrix with one
+simulated run per row (:meth:`~repro.reductions.base.ReductionImpl.
+sum_runs`); a single sum is the one-row case.  The retirement counter and
+the stream ordering that make SPTR, SPRG, TPRC and CU deterministic carry
+no arithmetic, so they are not simulated: the association they guarantee
+is the fold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..fp.summation import (
-    batched_tree_fold,
-    block_partials,
-    block_partials_runs,
-    serial_sum,
-    tree_fold,
-)
-from ..gpusim.atomics import RetirementCounter, atomic_fold, batched_atomic_fold
-from ..gpusim.kernel import LaunchConfig
-from ..gpusim.scheduler import WaveScheduler, WaveSchedulerBatch
-from ..gpusim.stream import Stream
+from ..fp.summation import batched_tree_fold, block_partials_runs
+from ..gpusim.atomics import batched_atomic_fold
 from .base import ReductionImpl, ReductionProperties
 
 __all__ = [
@@ -45,6 +46,14 @@ __all__ = [
     "TwoPassReduceCPU",
     "CubStyle",
 ]
+
+#: Elements each CU thread accumulates serially (CUB's per-thread tile).
+_CU_THREAD_ITEMS = 4
+
+
+def _serial_fold_rows(mat: np.ndarray) -> np.ndarray:
+    """Strict left-to-right fold of every row, in the matrix's dtype."""
+    return np.add.accumulate(mat, axis=1)[:, -1].astype(np.float64)
 
 
 class AtomicOnly(ReductionImpl):
@@ -69,9 +78,11 @@ class AtomicOnly(ReductionImpl):
     #: element = fully serialized queue).
     contention = 1.0
 
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
-        order = sched.thread_retirement_order(arr.size, contention=self.contention)
-        return atomic_fold(arr, order)
+    def _reduce_runs(self, mat, launch, rngs):
+        orders = self._sampler(launch).thread_retirement_orders(
+            mat.shape[0], mat.shape[1], contention=self.contention, rngs=rngs
+        )
+        return batched_atomic_fold(mat, orders)
 
 
 class SinglePassAtomic(ReductionImpl):
@@ -93,26 +104,13 @@ class SinglePassAtomic(ReductionImpl):
 
     contention = 0.0
 
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
-        partials = block_partials(arr, launch.n_blocks)
-        order = sched.block_completion_order(contention=self.contention)
-        return atomic_fold(partials, order)
-
     def _reduce_runs(self, mat, launch, rngs):
-        # Batched run axis: per-run block partials tree-reduced in
-        # lockstep, completion orders sampled as one matrix (each run's
-        # rotation + jitter drawn from its own stream, in run order), and
-        # the combine folded batched — bit-identical per row to _reduce.
-        # The batch scheduler is memoised per launch shape: CG consumes two
-        # batched sums per iteration, thousands per solve.
-        cache = self.__dict__.setdefault("_batch_sched_cache", {})
-        key = (launch.n_blocks, launch.threads_per_block)
-        batch = cache.get(key)
-        if batch is None:
-            batch = WaveSchedulerBatch(launch, None, self.scheduler_params)
-            cache[key] = batch
+        # Per-run block partials tree-reduced in lockstep, completion
+        # orders sampled as one matrix (each run's rotation + jitter drawn
+        # from its own stream, in run order), and the combine folded
+        # batched.
         partials = block_partials_runs(mat, launch.n_blocks)
-        orders = batch.block_completion_orders(
+        orders = self._sampler(launch).block_completion_orders(
             mat.shape[0], contention=self.contention, rngs=rngs
         )
         return batched_atomic_fold(partials, orders)
@@ -135,16 +133,8 @@ class SinglePassTreeReduction(ReductionImpl):
         synchronization="__threadfence",
     )
 
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
-        partials = block_partials(arr, launch.n_blocks)
-        counter = RetirementCounter(launch.n_blocks)
-        am_last = [counter.retire(b) for b in range(launch.n_blocks)]
-        assert am_last[-1] and counter.retired == launch.n_blocks
-        return tree_fold(partials)
-
     def _reduce_runs(self, mat, launch, rngs):
-        # Deterministic batch: per-run partials + tree combine in lockstep
-        # (the retirement-counter bookkeeping carries no arithmetic).
+        # Per-run partials + tree combine in lockstep.
         partials = block_partials_runs(mat, launch.n_blocks)
         return batched_tree_fold(partials)
 
@@ -161,23 +151,18 @@ class SinglePassRecursiveGPU(ReductionImpl):
         synchronization="__threadfence",
     )
 
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
-        partials = block_partials(arr, launch.n_blocks)
-        counter = RetirementCounter(launch.n_blocks)
-        for b in range(launch.n_blocks):
-            counter.retire(b)
-        return serial_sum(partials)
+    def _reduce_runs(self, mat, launch, rngs):
+        return _serial_fold_rows(block_partials_runs(mat, launch.n_blocks))
 
 
 class TwoPassReduceCPU(ReductionImpl):
     """TPRC: kernel 1 computes block partials; a stream-ordered D2H copy
     hands them to the host, which folds serially.
 
-    Deterministic, but "more sensitive to compiler optimizations because of
-    vectorization" (§III-A): with ``simd_width > 1`` the host fold becomes
-    lane-strided (models an auto-vectorised loop), changing the association
-    order — still deterministic for a fixed build, but a *different* fixed
-    result.  Tests pin both behaviours.
+    Deterministic.  The paper finds TPRC "more sensitive to compiler
+    optimizations because of vectorization" (§III-A); the host fold here is
+    the strict serial loop of an un-vectorised build, so TPRC folds SPRG's
+    association and returns SPRG's bits.
     """
 
     properties = ReductionProperties(
@@ -188,39 +173,14 @@ class TwoPassReduceCPU(ReductionImpl):
         synchronization="stream synchronization",
     )
 
-    def __init__(self, *args, simd_width: int = 1, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if simd_width < 1:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(f"simd_width must be >= 1, got {simd_width}")
-        self.simd_width = simd_width
-
-    def _host_fold(self, partials: np.ndarray) -> float:
-        if self.simd_width == 1:
-            return serial_sum(partials)
-        w = self.simd_width
-        n = partials.size
-        pad = (-n) % w
-        buf = np.concatenate([partials, np.zeros(pad, dtype=partials.dtype)])
-        lanes = buf.reshape(-1, w)
-        lane_sums = np.add.accumulate(lanes, axis=0)[-1]
-        return serial_sum(lane_sums)
-
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
-        stream = Stream()
-        k1 = stream.launch(block_partials, arr, launch.n_blocks)
-        stream.launch(lambda: None)  # the D2H copy occupies a queue slot
-        stream.synchronize()
-        partials = stream.result(k1)
-        return self._host_fold(partials)
+    _reduce_runs = SinglePassRecursiveGPU._reduce_runs
 
 
 class CubStyle(ReductionImpl):
     """CU: CUB/hipCUB ``DeviceReduce``-style fused kernel.
 
-    Each thread serially accumulates ``items_per_thread`` elements of a
-    **blocked arrangement** tile, the block tree-reduces the per-thread
+    Each thread serially accumulates four elements of a **blocked
+    arrangement** tile, the block tree-reduces the per-thread
     registers, and a deterministic carry-out combine (same retirement
     counter technique) folds tile partials in tile order.  Deterministic;
     the exact association differs from SPTR's, so CU's bit pattern is its
@@ -236,28 +196,20 @@ class CubStyle(ReductionImpl):
         synchronization="__threadfence",
     )
 
-    def __init__(self, *args, items_per_thread: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if items_per_thread < 1:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(f"items_per_thread must be >= 1, got {items_per_thread}")
-        self.items_per_thread = items_per_thread
-
-    def _reduce(self, arr: np.ndarray, launch: LaunchConfig, sched: WaveScheduler | None) -> float:
+    def _reduce_runs(self, mat, launch, rngs):
+        n_runs, n = mat.shape
         tpb = launch.threads_per_block
-        tile = tpb * self.items_per_thread
-        n = arr.size
+        tile = tpb * _CU_THREAD_ITEMS
         n_tiles = (n + tile - 1) // tile
-        pad = n_tiles * tile - n
-        buf = np.concatenate([arr, np.zeros(pad, dtype=arr.dtype)])
-        # Blocked arrangement: thread t of tile accumulates items
-        # [t*ipt, (t+1)*ipt) serially (register accumulation).
-        per_thread = buf.reshape(n_tiles, tpb, self.items_per_thread)
-        regs = np.add.accumulate(per_thread, axis=2)[:, :, -1]  # (tiles, tpb)
+        buf = np.zeros((n_runs, n_tiles * tile), dtype=mat.dtype)
+        buf[:, :n] = mat
+        # Blocked arrangement: thread t of a tile accumulates items
+        # [t*k, (t+1)*k) serially (register accumulation).
+        per_thread = buf.reshape(n_runs, n_tiles, tpb, _CU_THREAD_ITEMS)
+        regs = np.add.accumulate(per_thread, axis=3)[..., -1]  # (R, tiles, tpb)
         # Tree-reduce every tile in lockstep (tpb is a power of two).
         half = tpb // 2
         while half >= 1:
-            regs = regs[:, :half] + regs[:, half : 2 * half]
+            regs = regs[..., :half] + regs[..., half : 2 * half]
             half //= 2
-        return serial_sum(regs[:, 0])
+        return _serial_fold_rows(regs[..., 0])

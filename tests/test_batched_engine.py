@@ -7,7 +7,9 @@ scheduler stream each, in run order), same elementwise float32 transforms,
 same deterministic sorts.  These tests pin that contract across
 algorithms, dtypes (f32/f64), odd sizes (0, 1, non-powers-of-two),
 IEEE-754 special values (−0.0, ±inf, NaN payloads) and run-chunk
-budgets.
+budgets.  The order sampler and the six reductions have one path each,
+whose one-run case is the per-call API; ``tests/test_reduction_pins.py``
+pins their bits.
 """
 
 import numpy as np
@@ -26,7 +28,6 @@ from repro.fp.summation import (
 )
 from repro.gpusim import (
     LaunchConfig,
-    WaveScheduler,
     WaveSchedulerBatch,
     atomic_fold,
     batched_atomic_fold,
@@ -188,7 +189,9 @@ class TestBatchedAtomicFold:
 
 
 class TestSchedulerBatchEquivalence:
-    """WaveSchedulerBatch row r == fresh WaveScheduler on stream r."""
+    """WaveSchedulerBatch row r == a one-run request on stream r, and other
+    properties of its rows (``tests/test_reduction_pins.py`` pins the rows'
+    bits)."""
 
     @pytest.mark.parametrize("contention", (0.0, 0.5, 1.0))
     @pytest.mark.parametrize("nb,tpb", [(1, 32), (5, 64), (100, 48), (313, 64)])
@@ -198,11 +201,10 @@ class TestSchedulerBatchEquivalence:
         batched = WaveSchedulerBatch(launch, ca).block_completion_orders(
             6, contention=contention
         )
+        one_run = WaveSchedulerBatch(launch, None)
         for r in range(6):
-            scalar = WaveScheduler(launch, cb.scheduler()).block_completion_order(
-                contention=contention
-            )
-            np.testing.assert_array_equal(batched[r], scalar)
+            row = one_run.block_completion_orders(1, contention, rngs=[cb.scheduler()])
+            np.testing.assert_array_equal(batched[r], row[0])
 
     @pytest.mark.parametrize("contention", (0.0, 1.0))
     @pytest.mark.parametrize(
@@ -215,20 +217,20 @@ class TestSchedulerBatchEquivalence:
         batched = WaveSchedulerBatch(launch, ca).thread_retirement_orders(
             5, n, contention=contention
         )
+        one_run = WaveSchedulerBatch(launch, None)
         for r in range(5):
-            scalar = WaveScheduler(launch, cb.scheduler()).thread_retirement_order(
-                n, contention=contention
-            )
-            np.testing.assert_array_equal(batched[r], scalar)
+            row = one_run.thread_retirement_orders(1, n, contention, rngs=[cb.scheduler()])
+            np.testing.assert_array_equal(batched[r], row[0])
             assert sorted(batched[r].tolist()) == list(range(n))
 
     def test_block_arrival_times(self):
         launch = make_launch(37, 64)
         ca, cb = RunContext(2), RunContext(2)
         batched = WaveSchedulerBatch(launch, ca).block_arrival_times_batch(4, 0.3)
+        one_run = WaveSchedulerBatch(launch, None)
         for r in range(4):
-            scalar = WaveScheduler(launch, cb.scheduler()).block_arrival_times(0.3)
-            np.testing.assert_array_equal(batched[r], scalar)
+            row = one_run.block_arrival_times_batch(1, 0.3, rngs=[cb.scheduler()])
+            np.testing.assert_array_equal(batched[r], row[0])
 
     def test_warp_orders_expand_to_thread_orders(self):
         # warp-granular fast path == element orders, warp-aligned geometry
@@ -621,7 +623,8 @@ class TestBatchedAtomicFoldPerRunValues:
 
 
 class TestReductionSumRuns:
-    """sum_runs row == scalar .sum on the same context, for all strategies."""
+    """sum_runs rows == one-run .sum calls on the same context, for all
+    strategies."""
 
     @pytest.mark.parametrize("name", ("ao", "spa", "sptr", "sprg", "tprc", "cu"))
     @pytest.mark.parametrize("n,tpb", [(1, 2), (37, 4), (200, 4), (1000, 8)])
@@ -1288,7 +1291,7 @@ class TestRunOffsetFuzz:
         )
         shards = [
             WaveSchedulerBatch(
-                launch, RunContext(77), run_offset=lo
+                launch, RunContext(77, run_offset=lo)
             ).block_completion_orders(hi - lo, contention=contention)
             for lo, hi in zip(cuts, cuts[1:])
         ]

@@ -28,7 +28,7 @@ from repro.fp.summation import block_partials_runs, tree_fold
 from repro.gpusim.atomics import atomic_fold
 from repro.gpusim.device import get_device, list_devices
 from repro.gpusim.kernel import LaunchConfig
-from repro.gpusim.scheduler import WaveScheduler, WaveSchedulerBatch
+from repro.gpusim.scheduler import WaveSchedulerBatch
 from repro.metrics.scalar import scalar_variability_many
 from repro.runtime import RunContext
 
@@ -122,9 +122,9 @@ class TestCellContract:
                 expected = scalar_variability_many(np.array([s]), s_d[a])[0]
                 assert vs[a, r] == expected
 
-    def test_from_draws_matches_scalar_scheduler_transform(self):
-        # The explicit-draws method must share the per-run transform bits:
-        # feed WaveScheduler a stream that replays the same two draws.
+    def test_from_draws_matches_drawn_request(self):
+        # The explicit-draws method must share the drawn requests' transform
+        # bits: feed a request streams that replay the same two draws.
         dev = get_device("gh200")
         launch = LaunchConfig(device=dev, n_blocks=37, threads_per_block=64)
         rng = RunContext(11).device_stream("gh200", 0)
@@ -148,9 +148,10 @@ class TestCellContract:
                 out[...] = self._row
                 return out
 
-        for r in range(3):
-            ws = WaveScheduler(launch, _Replay(rots[r], u[r]))
-            np.testing.assert_array_equal(orders[r], ws.block_completion_order(0.0))
+        replayed = batch.block_completion_orders(
+            3, 0.0, rngs=[_Replay(rots[r], u[r]) for r in range(3)]
+        )
+        np.testing.assert_array_equal(orders, replayed)
 
     def test_run_window_slices_the_full_sweep(self, xs):
         full = _sweep(RunContext(5), xs, 11)
@@ -208,10 +209,13 @@ class TestWarpAblationPair:
         for name in ("warp32", "warp64"):
             dev = get_device(name)
             launch = LaunchConfig(device=dev, n_blocks=24, threads_per_block=128)
-            ws = WaveScheduler(launch, np.random.default_rng(42))
-            orders[name] = ws.block_completion_order(0.0)
-            ws = WaveScheduler(launch, np.random.default_rng(42))
-            threads[name] = ws.thread_retirement_order(24 * 128, 0.5)
+            ws = WaveSchedulerBatch(launch, None)
+            orders[name] = ws.block_completion_orders(
+                1, 0.0, rngs=[np.random.default_rng(42)]
+            )
+            threads[name] = ws.thread_retirement_orders(
+                1, 24 * 128, 0.5, rngs=[np.random.default_rng(42)]
+            )
         np.testing.assert_array_equal(orders["warp32"], orders["warp64"])
         assert not np.array_equal(threads["warp32"], threads["warp64"])
 

@@ -11,6 +11,7 @@ from repro.ops import (
     conv_transpose2d,
     conv_transpose_runs,
     cumsum,
+    cumsum_runs,
 )
 from repro.runtime import RunContext
 
@@ -81,9 +82,14 @@ class TestCumsum:
         with pytest.raises(ConfigurationError):
             cumsum(np.ones(4), dim=3)
 
-    def test_empty_ladder_rejected(self, ctx):
-        with pytest.raises(ConfigurationError):
-            cumsum(np.ones(10), chunk_ladder=(), ctx=ctx)
+    @pytest.mark.parametrize("ladder", [(), (0,), (-4,), (128, 0)])
+    def test_bad_ladder_rejected(self, ctx, ladder):
+        # An empty ladder or an entry below 1 is a named error from both
+        # the one-run and the run-batched scan.
+        with pytest.raises(ConfigurationError, match="chunk_ladder"):
+            cumsum(np.ones(10), chunk_ladder=ladder, ctx=ctx)
+        with pytest.raises(ConfigurationError, match="chunk_ladder"):
+            cumsum_runs(np.ones(10), 0, 3, chunk_ladder=ladder, ctx=ctx)
 
 
 def _ref_conv_transpose1d(x, w, stride, padding):

@@ -4,8 +4,9 @@ SciPy is a test-only dependency: the product (library, CLI, daemon and the
 spawn workers that import them) must start without importing it, and the
 package metadata must not list it as a runtime requirement.  Every function
 and class in the package has a caller in the package's own code or in a
-script under ``examples/``, ``benchmarks/`` or ``perfbench/``, and every
-``__all__`` entry names something its module defines.
+script under ``examples/``, ``benchmarks/`` or ``perfbench/``, every
+``__all__`` entry names something its module defines, and every name a
+module imports is used.
 """
 
 from __future__ import annotations
@@ -193,6 +194,71 @@ def test_uncalled_scan_flags_a_helper_nothing_names(tmp_path):
         "pkg/a.py:17:listed",
         "pkg/a.py:20:reexported",
         "pkg/a.py:23:tested",
+    }
+
+
+def _dead_imports(package: Path) -> set[str]:
+    """Names a module under ``package`` imports and never uses.
+
+    A name is used when it appears as an AST ``Name`` in its module's code
+    or is listed in the module's ``__all__``; an import statement marked
+    ``# noqa: F401`` (an import run for its side effect, such as
+    registering experiments) is exempt.
+    """
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.add(f"{path.relative_to(package.parent)}:{node.lineno}:{bound}")
+    return found
+
+
+def test_every_import_is_used():
+    assert _dead_imports(Path(repro.__file__).resolve().parent) == set()
+
+
+def test_dead_import_scan_flags_an_unused_name(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from . import registered  # noqa: F401\n"
+        "from .a import exported, dropped\n"
+        '__all__ = ["exported"]\n'
+    )
+    (pkg / "registered.py").write_text("")
+    (pkg / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from dataclasses import (\n    dataclass,\n    field,\n)\n"
+        "from json import dumps as _dumps\n\n"
+        "exported = dropped = None\n\n"
+        "@dataclass\nclass Box:\n    label: str = _dumps(os.path.sep)\n"
+        "    # np and field are named only in this comment\n"
+    )
+    # A name used in code (a decorator, a default, the root of a dotted
+    # import) or listed in ``__all__`` is used, and a noqa-marked import is
+    # exempt; a name only a comment mentions is not used.
+    assert _dead_imports(pkg) == {
+        "pkg/__init__.py:2:dropped",
+        "pkg/a.py:4:np",
+        "pkg/a.py:5:field",
     }
 
 

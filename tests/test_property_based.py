@@ -27,7 +27,7 @@ from repro.fp import (
     sorted_sum,
     tree_fold,
 )
-from repro.gpusim import LaunchConfig, WaveScheduler, get_device
+from repro.gpusim import LaunchConfig, WaveSchedulerBatch, get_device
 from repro.metrics import count_variability, ermv, scalar_variability
 from repro.ops import SegmentPlan
 
@@ -166,8 +166,8 @@ class TestSchedulerInvariants:
     @settings(max_examples=30)
     def test_block_order_is_permutation(self, n_blocks, seed):
         launch = LaunchConfig(device=get_device("v100"), n_blocks=n_blocks, threads_per_block=64)
-        sched = WaveScheduler(launch, np.random.default_rng(seed))
-        order = sched.block_completion_order()
+        sched = WaveSchedulerBatch(launch, None)
+        order = sched.block_completion_orders(1, rngs=[np.random.default_rng(seed)])[0]
         assert np.array_equal(np.sort(order), np.arange(n_blocks))
 
     @given(st.integers(1, 2000), st.integers(0, 2**31 - 1), st.floats(0, 1))
@@ -176,6 +176,8 @@ class TestSchedulerInvariants:
         launch = LaunchConfig(
             device=get_device("v100"), n_blocks=-(-n_elements // 64), threads_per_block=64
         )
-        sched = WaveScheduler(launch, np.random.default_rng(seed))
-        order = sched.thread_retirement_order(n_elements, contention=contention)
+        sched = WaveSchedulerBatch(launch, None)
+        order = sched.thread_retirement_orders(
+            1, n_elements, contention=contention, rngs=[np.random.default_rng(seed)]
+        )[0]
         assert np.array_equal(np.sort(order), np.arange(n_elements))

@@ -5,12 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fp import exact_sum, serial_sum
-from repro.reductions import (
-    REDUCTION_NAMES,
-    TwoPassReduceCPU,
-    get_reduction,
-    properties_table,
-)
+from repro.reductions import REDUCTION_NAMES, get_reduction, properties_table
 from repro.runtime import RunContext
 
 DETERMINISTIC = ("cu", "sptr", "sprg", "tprc")
@@ -118,34 +113,6 @@ class TestSprgMatchesListing:
         impl = get_reduction("sprg", threads_per_block=64)
         launch = impl._launch_for(x.size)
         assert impl.sum(x, ctx=ctx) == serial_sum(block_partials(x, launch.n_blocks))
-
-
-class TestTprc:
-    def test_simd_width_changes_bits_but_stays_deterministic(self, ctx):
-        x = ctx.data().standard_normal(100_000)
-        strict = TwoPassReduceCPU(threads_per_block=64, simd_width=1)
-        vec = TwoPassReduceCPU(threads_per_block=64, simd_width=4)
-        assert strict.sum(x, ctx=ctx) == strict.sum(x, ctx=ctx)
-        assert vec.sum(x, ctx=ctx) == vec.sum(x, ctx=ctx)
-        # "More sensitive to compiler optimizations because of
-        # vectorization": a different build is a different fixed result.
-        assert strict.sum(x, ctx=ctx) != vec.sum(x, ctx=ctx) or True
-
-    def test_invalid_simd_width(self):
-        with pytest.raises(ConfigurationError):
-            TwoPassReduceCPU(simd_width=0)
-
-
-class TestCub:
-    def test_items_per_thread_validation(self):
-        with pytest.raises(ConfigurationError):
-            get_reduction("cu", items_per_thread=0)
-
-    def test_different_tiling_different_association(self, ctx):
-        x = ctx.data().standard_normal(100_000)
-        a = get_reduction("cu", items_per_thread=2).sum(x, ctx=ctx)
-        b = get_reduction("cu", items_per_thread=8).sum(x, ctx=ctx)
-        assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestDeviceVariants:

@@ -18,13 +18,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SchedulerError
-from repro.gpusim import (
-    LaunchConfig,
-    SchedulerParams,
-    WaveScheduler,
-    WaveSchedulerBatch,
-    get_device,
-)
+from repro.gpusim import LaunchConfig, SchedulerParams, WaveSchedulerBatch, get_device
 from repro.gpusim.scheduler import _element_template, _stable_row_order
 from repro.ops import conv_transpose_runs
 from repro.runtime import TAP_KEY_MASK, RunContext, _pack_tap_keys
@@ -104,14 +98,14 @@ class TestStableRowOrder:
 
 
 class TestSchedulerOrders:
-    """Scalar, batched and from-draws orders are the stable argsort of
+    """One-run, batched and from-draws orders are the stable argsort of
     the times (and warp keys) they sort."""
 
-    def test_scalar_block_order(self):
-        launch = _launch()
+    def test_one_run_block_order(self):
+        batch = WaveSchedulerBatch(_launch(), None)
         for run in range(8):
-            times = WaveScheduler(launch, np.random.default_rng(run)).block_arrival_times()
-            order = WaveScheduler(launch, np.random.default_rng(run)).block_completion_order()
+            times = batch.block_arrival_times_batch(1, rngs=[np.random.default_rng(run)])
+            order = batch.block_completion_orders(1, rngs=[np.random.default_rng(run)])
             assert np.array_equal(order, _stable(times))
 
     def test_batched_block_orders(self):
@@ -127,34 +121,34 @@ class TestSchedulerOrders:
         rng = np.random.default_rng(4)
         rots = rng.integers(launch.device.num_gpcs, size=400)
         u = rng.random((400, launch.n_blocks), dtype=np.float32)
-        times = batch._proto._block_times_from(
+        times = batch._block_times_from(
             (rots * batch._per_gpc) % batch._mod, u, 0.0
         )
         _assert_has_ties(times)
         assert np.array_equal(batch.block_completion_orders_from_draws(rots, u), _stable(times))
 
     def _warp_keys(self, launch, rng, contention):
-        """One run's warp keys, drawn as :meth:`WaveScheduler.
-        thread_retirement_order` draws them."""
-        sched = WaveScheduler(launch, rng)
-        block_t = sched.block_arrival_times(contention)
+        """One run's warp keys, drawn from ``rng`` as a thread-order
+        request draws them: the block draws, then the warp matrix."""
+        sched = WaveSchedulerBatch(launch, None)
+        block_t = sched.block_arrival_times_batch(1, contention, rngs=[rng])[0]
         _, _, wpb = sched._warp_geometry()
         sigma_w = sched._effective_jitter(sched.params.warp_jitter, contention)
         uw = rng.random((launch.n_blocks, wpb), dtype=np.float32) if sigma_w > 0 else None
         return sched._warp_keys_from(block_t, uw, sigma_w).reshape(-1)
 
     @pytest.mark.parametrize("contention", [0.0, 1.0])
-    def test_scalar_warp_order(self, contention):
+    def test_one_run_warp_order(self, contention):
         launch = _launch(n_blocks=200, tpb=128)
         tmpl = _element_template(200, 128, launch.device.warp_size)
         n = launch.total_threads - 7
         for run in range(4):
             keys = self._warp_keys(launch, np.random.default_rng(run), contention)
             flat = tmpl[_stable(keys)].reshape(-1)
-            got = WaveScheduler(launch, np.random.default_rng(run)).thread_retirement_order(
-                n, contention
+            got = WaveSchedulerBatch(launch, None).thread_retirement_orders(
+                1, n, contention, rngs=[np.random.default_rng(run)]
             )
-            assert np.array_equal(got, flat[flat < n])
+            assert np.array_equal(got[0], flat[flat < n])
 
     @pytest.mark.parametrize("contention", [0.0, 1.0])
     def test_batched_warp_orders(self, contention):
